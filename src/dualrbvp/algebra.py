@@ -66,10 +66,6 @@ class DualComplex:
     def norm(self):
         return dc_norm(self)
 
-    def conj_components(self) -> "DualComplex":
-        """Componentwise complex conjugate (a helper, not an algebra map)."""
-        return DualComplex(np.conjugate(self.c1), np.conjugate(self.c2))
-
     def item(self, k: int) -> "DualComplex":
         """Scalar element of an array-valued sample set."""
         return DualComplex(complex(np.asarray(self.c1).ravel()[k]),
@@ -175,10 +171,6 @@ def dc_pow_int(c: DualComplex, n: int) -> DualComplex:
     p1 = np.power(c1, n)
     p2 = n * np.power(c1, n - 1) * c2
     return DualComplex(p1, p2)
-
-
-def dc_isclose(a: DualComplex, b: DualComplex, tol: float = 1e-12) -> bool:
-    return bool(np.all(dc_norm(dc_sub(a, b)) <= tol * (1.0 + dc_norm(a) + dc_norm(b))))
 
 
 # -- the embedded plane E -----------------------------------------------------

@@ -12,12 +12,12 @@ a sectionally monogenic invertible function with X+ = G X- on the curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
-from .algebra import DualComplex, PointE, dc_exp, dc_inv, dc_mul, dc_norm, dc_pow_int
+from .algebra import DualComplex, PointE, dc_exp, dc_mul, dc_norm, dc_pow_int
 from .contour import Contour
 from .errors import (
     BranchAmbiguityError,
@@ -26,7 +26,8 @@ from .errors import (
     NotInvertibleOnContourError,
     OriginNotInteriorError,
 )
-from .integral import CauchyIntegralFn, boundary_samples, boundary_values
+from .integral import BoundaryTable, CauchyIntegralFn, boundary_samples, boundary_values
+from . import expr as _expr
 
 MAX_REFINE_DEPTH = 4
 TURN_LIMIT = np.pi / 2.0
@@ -34,14 +35,11 @@ TURN_LIMIT = np.pi / 2.0
 
 def _coefficient_sampler(contour: Contour, G) -> Callable[[np.ndarray], np.ndarray]:
     """Complex-part samples of the coefficient at arbitrary curve parameters."""
-    from . import expr as _expr
 
     def sample(tq: np.ndarray) -> np.ndarray:
         tq = np.asarray(tq, dtype=float)
         tau = contour.value_at(tq)
-        vals = _expr.evaluate(G, tau=tau, t=tq) \
-            if isinstance(G, (_expr.Const, _expr.Var, _expr.Bin, _expr.Pow,
-                              _expr.Call, _expr.Neg)) else G(tau, tq)
+        vals = _expr.evaluate(G, tau=tau, t=tq) if _expr.is_expr(G) else G(tau, tq)
         c1 = np.asarray(vals.c1, dtype=complex)
         return np.array(np.broadcast_to(c1, tq.shape))
 
@@ -120,16 +118,16 @@ def continuous_log(contour: Contour, G, kappa: int,
     the accumulated argument; the rho part is pointwise.  A loop that fails
     to close signals a wrong kappa.
     """
-    from . import expr as _expr
     tau = contour.values()
     gv = boundary_samples(G, contour) if not isinstance(G, DualComplex) else G
     w = dc_mul(dc_pow_int(tau, -int(kappa)), gv)
+    coefficient = _coefficient_sampler(contour, G)
 
     def sample(tq: np.ndarray) -> np.ndarray:
         tq = np.asarray(tq, dtype=float)
         tval = contour.value_at(tq)
-        g1 = _coefficient_sampler(contour, G)(tq)
-        return g1 * np.power(np.asarray(tval.c1, dtype=complex), -int(kappa))
+        return coefficient(tq) * np.power(np.asarray(tval.c1, dtype=complex),
+                                          -int(kappa))
 
     steps, total = _accumulated_argument(contour, sample)
     if abs(total) > 2.0 * np.pi * closure_tol + 1e-9:
@@ -154,7 +152,6 @@ class CanonicalX:
     exponent: CauchyIntegralFn
     branch_start: complex
     origin_interior: bool
-    hypothesis_route: str = "dini-free-term"
     _cache: dict = field(default_factory=dict, repr=False)
 
     def x0(self, points: PointE) -> DualComplex:
@@ -169,33 +166,26 @@ class CanonicalX:
         zeta = points.value()
         return dc_mul(dc_pow_int(zeta, -self.kappa), self.x0(points))
 
-    def side_evaluator(self, side: str) -> Callable[[PointE], DualComplex]:
-        return self.plus if side == "+" else self.minus
+    def boundary(self, side: str) -> BoundaryTable:
+        """X+ or X- at the smooth nodes, from one table of the exponent.
 
-    def boundary_plus(self) -> DualComplex:
-        return self._boundary("+")
-
-    def boundary_minus(self) -> DualComplex:
-        return self._boundary("-")
-
-    def boundary_indices(self) -> np.ndarray:
-        self._boundary("+")
-        return self._cache["idx"]
-
-    def _boundary(self, side: str) -> DualComplex:
-        key = f"X{side}"
-        if key not in self._cache:
-            # exp of the limit equals the limit of the exp
+        exp of the limit equals the limit of the exp, so the exponent's
+        one-sided limit E is extrapolated once per side and X+ = exp(E+),
+        X- = tau^(-kappa) exp(E-).  The error estimate is the exponent's,
+        propagated to first order: |X| e_E.
+        """
+        if side not in self._cache:
             table = boundary_values(self.exponent, self.contour, side)
-            self._cache["idx"] = table.indices
             val = dc_exp(table.values)
             if side == "-":
                 tau = self.contour.values()
                 tau_at = DualComplex(np.asarray(tau.c1)[table.indices],
                                      np.asarray(tau.c2)[table.indices])
                 val = dc_mul(dc_pow_int(tau_at, -self.kappa), val)
-            self._cache[key] = val
-        return self._cache[key]
+            self._cache[side] = replace(
+                table, values=val,
+                error_estimates=np.asarray(dc_norm(val)) * table.error_estimates)
+        return self._cache[side]
 
     def infinity_behavior(self) -> dict:
         """X- at infinity: 0 for positive index, 1 for zero index, and
@@ -208,8 +198,7 @@ class CanonicalX:
 
 
 def build_canonical_X(contour: Contour, G,
-                      integrality_tol: float = 1e-3,
-                      hypothesis_route: str = "dini-free-term") -> CanonicalX:
+                      integrality_tol: float = 1e-3) -> CanonicalX:
     """Construct the canonical factor for an invertible coefficient.
 
     Requires the origin inside the curve whenever the index is nonzero
@@ -225,15 +214,15 @@ def build_canonical_X(contour: Contour, G,
     return CanonicalX(contour=contour, kappa=idx.kappa, raw_index=idx.raw,
                       log_samples=logs, exponent=exponent,
                       branch_start=complex(logs.c1[0]),
-                      origin_interior=origin_interior,
-                      hypothesis_route=hypothesis_route)
+                      origin_interior=origin_interior)
 
 
 def verify_X_relation(x: CanonicalX, G) -> float:
     """Sup over smooth nodes of ||X+ - G X-||, the homogeneous relation."""
-    idx = x.boundary_indices()
+    plus = x.boundary("+")
+    idx = plus.indices
     gv = boundary_samples(G, x.contour)
     g_at = DualComplex(np.asarray(gv.c1)[idx], np.asarray(gv.c2)[idx])
-    lhs = x.boundary_plus()
-    rhs = dc_mul(g_at, x.boundary_minus())
+    lhs = plus.values
+    rhs = dc_mul(g_at, x.boundary("-").values)
     return float(np.max(dc_norm(DualComplex(lhs.c1 - rhs.c1, lhs.c2 - rhs.c2))))

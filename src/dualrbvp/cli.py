@@ -10,12 +10,13 @@ Subcommands:
 
 Exit codes: 0 success; 1 verification residual failure; 2 unsolvable
 (result file still written with the moment report); 3 invalid input;
-4 numerical failure.
+4 numerical failure, including any unexpected internal error.
 """
 
 from __future__ import annotations
 
 import argparse
+import logging
 import sys
 
 import numpy as np
@@ -56,6 +57,8 @@ EXIT_UNSOLVABLE = 2
 EXIT_INPUT = 3
 EXIT_NUMERICAL = 4
 
+_log = logging.getLogger(__name__)
+
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dualrbvp",
@@ -95,136 +98,108 @@ def _build_parser() -> argparse.ArgumentParser:
 def run_solve(path: str, mode: str = "auto", out_path: str | None = None,
               nodes: int | None = None, tol_residual: float | None = None) -> int:
     out_path = out_path or (path + ".result.json")
+    spec = load_problem(path, nodes_override=nodes,
+                        residual_tol_override=tol_residual)
+    solver = {"auto": solve_auto, "jump": solve_jump,
+              "homogeneous": solve_homogeneous,
+              "nonhomogeneous": solve_nonhomogeneous}[mode]
     try:
-        spec = load_problem(path, nodes_override=nodes,
-                            residual_tol_override=tol_residual)
-        solver = {"auto": solve_auto, "jump": solve_jump,
-                  "homogeneous": solve_homogeneous,
-                  "nonhomogeneous": solve_nonhomogeneous}[mode]
-        try:
-            solution = solver(spec.problem)
-        except UnsolvableError as u:
-            doc = result_document(spec, None, None, solvability=u.report,
-                                  kind="nonhomogeneous")
-            write_json(out_path, doc)
-            norms = ", ".join(f"{v:.6g}" for v in u.report.moment_norms)
-            print(f"unsolvable: kappa={u.report.kappa} moment norms [{norms}] "
-                  f"-> {out_path}")
-            return EXIT_UNSOLVABLE
-        report = residual_report(solution)
-        doc = result_document(spec, solution, report)
+        solution = solver(spec.problem)
+    except UnsolvableError as u:
+        doc = result_document(spec, None, None, solvability=u.report,
+                              kind="nonhomogeneous")
         write_json(out_path, doc)
-        print(f"{solution.kind}: kappa={solution.kappa} "
-              f"sup_residual={report.sup_residual:.3e} -> {out_path}")
-        return EXIT_OK
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+        norms = ", ".join(f"{v:.6g}" for v in u.report.moment_norms)
+        print(f"unsolvable: kappa={u.report.kappa} moment norms [{norms}] "
+              f"-> {out_path}")
+        return EXIT_UNSOLVABLE
+    report = residual_report(solution)
+    doc = result_document(spec, solution, report)
+    write_json(out_path, doc)
+    print(f"{solution.kind}: kappa={solution.kappa} "
+          f"sup_residual={report.sup_residual:.3e} -> {out_path}")
+    return EXIT_OK
 
 
 def run_verify(path: str, solution_path: str, out_path: str | None = None,
                nodes: int | None = None, tol_residual: float | None = None) -> int:
-    try:
-        spec = load_problem(path, nodes_override=nodes,
-                            residual_tol_override=tol_residual)
-        doc = read_json(solution_path)
-        if doc.get("format") != RESULT_FORMAT:
-            raise ProblemFormatError(
-                f"solution file format {doc.get('format')!r} unsupported")
-        if doc.get("contour_hash") != spec.contour.content_hash():
-            print("verify: contour hash mismatch between problem and solution",
-                  file=sys.stderr)
-            return EXIT_INPUT
-        tol = spec.problem.tolerances.residual
-        report: dict = {"format": VERIFY_FORMAT, "tolerance": tol,
-                        "contour_hash_match": True}
-
-        boundary = doc.get("boundary")
-        if boundary is None:
-            residual = None
-        else:
-            phi_p = dc_array_from_lists(boundary["phi_plus"])
-            phi_m = dc_array_from_lists(boundary["phi_minus"])
-            Gv = dc_array_from_lists(boundary["G"])
-            gv = dc_array_from_lists(boundary["g"])
-            from .algebra import dc_mul
-            rhs = dc_mul(Gv, phi_m)
-            defect = DualComplex(phi_p.c1 - rhs.c1 - gv.c1,
-                                 phi_p.c2 - rhs.c2 - gv.c2)
-            residual = float(np.max(dc_norm(defect)))
-        report["residual"] = residual
-
-        if doc.get("psi") is not None:
-            psi = dc_array_from_lists(doc["psi"])
-            jr = jump_check(spec.contour, psi)
-            report["jump_residual"] = jr.max_residual
-        reg_G = regularity_report(spec.contour, spec.problem.G)
-        reg_g = regularity_report(spec.contour, spec.problem.g)
-        report["dini"] = {
-            "G": {"estimate": reg_G.dini_estimate,
-                  "divergence_suspected": reg_G.divergence_suspected},
-            "g": {"estimate": reg_g.dini_estimate,
-                  "divergence_suspected": reg_g.divergence_suspected},
-        }
-        passed = residual is not None and residual <= tol
-        if doc.get("kind") == "nonhomogeneous" and not doc.get("solvable", True):
-            # an unsolvable record verifies vacuously on its moment data
-            passed = residual is None
-        report["passed"] = bool(passed)
-        if out_path:
-            write_json(out_path, report)
-        else:
-            import json as _json
-            print(_json.dumps(report, sort_keys=True, indent=1))
-        if passed:
-            print(f"verify: residual {residual} <= {tol}" if residual is not None
-                  else "verify: no boundary data (unsolvable record)")
-            return EXIT_OK
-        print(f"verify: residual {residual} exceeds tolerance {tol}",
+    spec = load_problem(path, nodes_override=nodes,
+                        residual_tol_override=tol_residual)
+    doc = read_json(solution_path)
+    if doc.get("format") != RESULT_FORMAT:
+        raise ProblemFormatError(
+            f"solution file format {doc.get('format')!r} unsupported")
+    if doc.get("contour_hash") != spec.contour.content_hash():
+        print("verify: contour hash mismatch between problem and solution",
               file=sys.stderr)
-        return EXIT_RESIDUAL
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
         return EXIT_INPUT
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    tol = spec.problem.tolerances.residual
+    report: dict = {"format": VERIFY_FORMAT, "tolerance": tol,
+                    "contour_hash_match": True}
+
+    boundary = doc.get("boundary")
+    if boundary is None:
+        residual = None
+    else:
+        phi_p = dc_array_from_lists(boundary["phi_plus"])
+        phi_m = dc_array_from_lists(boundary["phi_minus"])
+        Gv = dc_array_from_lists(boundary["G"])
+        gv = dc_array_from_lists(boundary["g"])
+        from .algebra import dc_mul
+        rhs = dc_mul(Gv, phi_m)
+        defect = DualComplex(phi_p.c1 - rhs.c1 - gv.c1,
+                             phi_p.c2 - rhs.c2 - gv.c2)
+        residual = float(np.max(dc_norm(defect)))
+    report["residual"] = residual
+
+    if doc.get("psi") is not None:
+        psi = dc_array_from_lists(doc["psi"])
+        jr = jump_check(spec.contour, psi)
+        report["jump_residual"] = jr.max_residual
+    reg_G = regularity_report(spec.contour, spec.problem.G)
+    reg_g = regularity_report(spec.contour, spec.problem.g)
+    report["dini"] = {
+        "G": {"estimate": reg_G.dini_estimate,
+              "divergence_suspected": reg_G.divergence_suspected},
+        "g": {"estimate": reg_g.dini_estimate,
+              "divergence_suspected": reg_g.divergence_suspected},
+    }
+    passed = residual is not None and residual <= tol
+    if doc.get("kind") == "nonhomogeneous" and not doc.get("solvable", True):
+        # an unsolvable record verifies vacuously on its moment data
+        passed = residual is None
+    report["passed"] = bool(passed)
+    if out_path:
+        write_json(out_path, report)
+    else:
+        import json as _json
+        print(_json.dumps(report, sort_keys=True, indent=1))
+    if passed:
+        print(f"verify: residual {residual} <= {tol}" if residual is not None
+              else "verify: no boundary data (unsolvable record)")
+        return EXIT_OK
+    print(f"verify: residual {residual} exceeds tolerance {tol}",
+          file=sys.stderr)
+    return EXIT_RESIDUAL
 
 
 def run_index(path: str, nodes: int | None = None) -> int:
-    try:
-        spec = load_problem(path, nodes_override=nodes)
-        result = compute_index(
-            spec.contour, spec.problem.G,
-            integrality_tol=spec.problem.tolerances.index_integrality)
-        print(f"kappa={result.kappa} raw={result.raw!r}")
-        return EXIT_OK
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    spec = load_problem(path, nodes_override=nodes)
+    result = compute_index(
+        spec.contour, spec.problem.G,
+        integrality_tol=spec.problem.tolerances.index_integrality)
+    print(f"kappa={result.kappa} raw={result.raw!r}")
+    return EXIT_OK
 
 
 def run_eval(expression: str, x: float, y: float, t: float | None,
              basis_name: str) -> int:
-    try:
-        basis = biharmonic_basis() if basis_name == "biharmonic" else classical_basis()
-        tree = _expr.parse(expression)
-        point = PointE(x, y, basis)
-        value = _expr.evaluate(tree, z=point, tau=point.value(), t=t)
-        print(f"value={dc_to_list(value)}")
-        return EXIT_OK
-    except InputError as e:
-        print(f"input error: {e}", file=sys.stderr)
-        return EXIT_INPUT
-    except NumericalError as e:
-        print(f"numerical failure: {e}", file=sys.stderr)
-        return EXIT_NUMERICAL
+    basis = biharmonic_basis() if basis_name == "biharmonic" else classical_basis()
+    tree = _expr.parse(expression)
+    point = PointE(x, y, basis)
+    value = _expr.evaluate(tree, z=point, tau=point.value(), t=t)
+    print(f"value={dc_to_list(value)}")
+    return EXIT_OK
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -239,9 +214,22 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "index":
             return run_index(args.problem, nodes=args.nodes)
         return run_eval(args.expression, args.x, args.y, args.t, args.basis)
+    except InputError as e:
+        print(f"input error: {e}", file=sys.stderr)
+        return EXIT_INPUT
+    except NumericalError as e:
+        print(f"numerical failure: {e}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except DualRbvpError as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as e:
+        # a defect, not a user error: one line on stderr, the traceback
+        # only to a logging handler that asks for debug records
+        _log.debug("%s command failed", args.command, exc_info=True)
+        print(f"numerical failure: unexpected {type(e).__name__}: {e}",
+              file=sys.stderr)
+        return EXIT_NUMERICAL
 
 
 if __name__ == "__main__":

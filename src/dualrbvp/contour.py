@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import BasisE, DualComplex, PointE
-from .errors import EmptySpecError, SelfIntersectingError
+from .errors import CornerNodeError, EmptySpecError, SelfIntersectingError
 
 DEFAULT_NODES = 512
 GAUSS_ORDER = 8
@@ -72,7 +72,13 @@ class Contour:
         return self._cache["dtau"]
 
     def smooth_indices(self) -> np.ndarray:
-        return np.nonzero(~self.corner_mask)[0]
+        """Nodes away from polygon corners, where boundary limits are taken."""
+        idx = np.nonzero(~self.corner_mask)[0]
+        if idx.size == 0:
+            raise CornerNodeError(
+                f"all {self.n} nodes are corner nodes; no boundary limit can "
+                "be taken (use more nodes)")
+        return idx
 
     @property
     def xy_ccw(self) -> bool:
@@ -490,10 +496,9 @@ def _trig_interp(f: np.ndarray, m: int) -> np.ndarray:
     half = n // 2
     out[:half] = spec[:half]
     out[m - (n - half):] = spec[half:]
-    if n % 2 == 0:
+    if n % 2 == 0 and m > n:
         # split the Nyquist coefficient symmetrically
-        out[half] = spec[half] / 2.0
-        out[m - half] += spec[half] / 2.0
+        out[half] = out[m - half] = spec[half] / 2.0
     vals = np.fft.ifft(out) * (m / n)
     if np.isrealobj(f):
         return vals.real

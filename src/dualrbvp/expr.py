@@ -89,6 +89,12 @@ class Neg:
 
 Expr = Union[Const, Var, Bin, Pow, Call, Neg]
 
+
+def is_expr(f) -> bool:
+    """True when ``f`` is an expression node rather than a callable or samples."""
+    return isinstance(f, Expr)
+
+
 CONST_ZERO = Const(0j)
 CONST_ONE = Const(1 + 0j)
 

@@ -7,10 +7,14 @@ The Cauchy-type integral of a density psi on a contour gamma is
 a function of zeta that is monogenic off the curve and vanishes at infinity.
 Off-curve evaluation uses the contour's native quadrature; points inside the
 guard band switch to an 8x trigonometrically upsampled rule (smooth contours)
-or to local panel subdivision (polygons).  Boundary values are obtained by
-evaluating along the inward or outward normal at geometrically shrinking
-offsets and extrapolating the offset to zero (Neville scheme); no
-principal-value quadrature is used anywhere.
+or to local panel subdivision (polygons).
+
+Boundary values are taken here and only here: ``boundary_values`` evaluates
+one Cauchy-type integral along the inward or outward normal at geometrically
+shrinking offsets and extrapolates the offset to zero (Neville scheme), at
+the smooth nodes.  Callers tabulate each integral once per side and build
+products such as X+- (psi~+- + P) from those tables; no product of integrals
+is ever extrapolated, and no principal-value quadrature is used anywhere.
 """
 
 from __future__ import annotations
@@ -46,14 +50,9 @@ FieldFn = Union["_expr.Expr", Callable[[PointE], DualComplex]]
 
 # -- sampling helpers ----------------------------------------------------------
 
-def _is_expr(f) -> bool:
-    return isinstance(f, (_expr.Const, _expr.Var, _expr.Bin, _expr.Pow,
-                          _expr.Call, _expr.Neg))
-
-
 def field_eval(f: FieldFn, point: PointE) -> DualComplex:
     """Evaluate a field function given as an expression or a callable."""
-    if _is_expr(f):
+    if _expr.is_expr(f):
         if not _expr.is_field_expr(f):
             raise NotAFieldExpressionError(
                 "field operation got an expression with boundary variables")
@@ -68,7 +67,7 @@ def boundary_samples(f, contour: Contour) -> DualComplex:
     or a precomputed sample set."""
     if isinstance(f, DualComplex):
         out = f
-    elif _is_expr(f):
+    elif _expr.is_expr(f):
         out = _expr.evaluate(f, z=contour.points(), tau=contour.values(),
                              t=contour.t)
     elif callable(f):
@@ -162,12 +161,6 @@ class CauchyIntegralFn:
     def at_infinity(self) -> DualComplex:
         return DualComplex(0j, 0j)
 
-    def boundary(self, side: str) -> "BoundaryTable":
-        key = ("boundary", side)
-        if key not in self._cache:
-            self._cache[key] = boundary_values(self, self.contour, side)
-        return self._cache[key]
-
     # near-curve machinery
 
     def _near_eval(self, z1: np.ndarray, z2: np.ndarray) -> DualComplex:
@@ -212,19 +205,17 @@ class CauchyIntegralFn:
         return DualComplex(out1, out2)
 
 
-def cauchy_integral(contour: Contour, density, point: PointE,
-                    allow_near: bool = False) -> DualComplex:
+def cauchy_integral(contour: Contour, density, point: PointE) -> DualComplex:
     """Cauchy-type integral at a point (or points) off the curve.
 
-    Without ``allow_near`` the point must lie outside the guard band of the
-    contour, where the native quadrature meets its accuracy target.
+    The point must lie outside the guard band of the contour, where the
+    native quadrature meets its accuracy target.
     """
     dens = boundary_samples(density, contour)
-    if not allow_near:
-        d = contour.dist_to(point.x, point.y)
-        if np.any(d < contour.guard_band):
-            raise TooCloseToBoundaryError(
-                f"point within guard band {contour.guard_band:.3e} of the contour")
+    d = contour.dist_to(point.x, point.y)
+    if np.any(d < contour.guard_band):
+        raise TooCloseToBoundaryError(
+            f"point within guard band {contour.guard_band:.3e} of the contour")
     return CauchyIntegralFn(contour, dens)(point)
 
 
@@ -343,7 +334,9 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
 
     Approaches each node along its inward ('+') or outward ('-') normal at
     offsets h, h/2, ..., h/2^(J-1) and extrapolates the offset to zero.
-    The evaluator must accept array-valued points.
+    The evaluator must accept array-valued points; the solvers pass a single
+    CauchyIntegralFn and keep the table.  ``error_estimates`` is the change
+    made by the last extrapolation step.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
@@ -407,8 +400,8 @@ class JumpReport:
 def jump_check(contour: Contour, density) -> JumpReport:
     dens = boundary_samples(density, contour)
     fn = CauchyIntegralFn(contour, dens)
-    plus = fn.boundary("+")
-    minus = fn.boundary("-")
+    plus = boundary_values(fn, contour, "+")
+    minus = boundary_values(fn, contour, "-")
     idx = plus.indices
     d_at = DualComplex(np.asarray(dens.c1)[idx], np.asarray(dens.c2)[idx])
     diff = DualComplex(plus.values.c1 - minus.values.c1 - d_at.c1,
@@ -632,6 +625,6 @@ def component_decompose(f: FieldFn, grid: PointE,
 
 def _eval_on_algebra(f, value: DualComplex) -> DualComplex:
     """Evaluate at a raw algebra element (off the plane E) when possible."""
-    if _is_expr(f):
+    if _expr.is_expr(f):
         return _expr.evaluate(f, z=value)
     return f(value)

@@ -22,8 +22,7 @@ from . import expr as _expr
 RESULT_FORMAT = "dualrbvp-result@1"
 VERIFY_FORMAT = "dualrbvp-verify@1"
 
-DEFAULT_TOLERANCES = {"quadrature": 1e-10, "residual": 1e-6,
-                      "index_integrality": 1e-3}
+DEFAULT_TOLERANCES = {"residual": 1e-6, "index_integrality": 1e-3}
 DEFAULT_BOUNDARY_SAMPLES = 128
 
 
@@ -110,8 +109,8 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     tol_node.update(extra)
     if residual_tol_override is not None:
         tol_node["residual"] = float(residual_tol_override)
-    tols = Tolerances(quadrature=float(tol_node["quadrature"]),
-                      residual=float(tol_node["residual"]),
+    # other keys, such as "quadrature" in older files, are read and ignored
+    tols = Tolerances(residual=float(tol_node["residual"]),
                       index_integrality=float(tol_node["index_integrality"]),
                       moment=tol_node.get("moment"))
 
@@ -207,7 +206,6 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         "format": RESULT_FORMAT,
         "contour_hash": spec.contour.content_hash(),
         "tolerances": {
-            "quadrature": spec.problem.tolerances.quadrature,
             "residual": spec.problem.tolerances.residual,
             "index_integrality": spec.problem.tolerances.index_integrality,
         },
@@ -220,8 +218,6 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         doc["kappa"] = solution.kappa
         doc["raw_index"] = (solution.canonical.raw_index
                             if solution.canonical is not None else None)
-        doc["hypothesis_route"] = (solution.canonical.hypothesis_route
-                                   if solution.canonical is not None else None)
         doc["trivial_only"] = solution.trivial_only
         doc["polynomial"] = [dc_to_list(c) for c in solution.poly_coeffs]
         doc["constant"] = (dc_to_list(solution.constant)
@@ -234,7 +230,6 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         doc["kind"] = kind
         doc["kappa"] = sol_report.kappa if sol_report is not None else None
         doc["raw_index"] = None
-        doc["hypothesis_route"] = None
         doc["trivial_only"] = False
         doc["polynomial"] = []
         doc["constant"] = None

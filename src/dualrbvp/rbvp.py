@@ -9,8 +9,13 @@ Three cases, dispatched on the data:
   subject to moment conditions  integral of psi(tau) tau^(s-1) = 0,
   s = 1..-kappa, when kappa < 0.
 
-Solutions carry vectorized side evaluators, node boundary tables computed by
-offset extrapolation of the assembled evaluators, and residual reporting.
+Solutions carry vectorized side evaluators, boundary tables and residual
+reporting.  Each side's table is assembled at the smooth nodes from the
+one-sided limits of the solution's two Cauchy-type integrals, each taken
+once per side: X+- from the exponent (``CanonicalX.boundary``) and psi~+-.
+Phi- is never derived from Phi+, so the residual stays an independent
+check.  ``boundary_error_estimate`` is the largest first-order propagated
+extrapolation error |X| (e_psi + |psi~ + P| e_E) over both sides.
 """
 
 from __future__ import annotations
@@ -29,13 +34,18 @@ from .errors import (
     PolynomialDegreeError,
     UnsolvableError,
 )
-from .integral import CauchyIntegralFn, boundary_samples, boundary_values, contour_integral
+from .integral import (
+    BoundaryTable,
+    CauchyIntegralFn,
+    boundary_samples,
+    boundary_values,
+    contour_integral,
+)
 from . import expr as _expr
 
 
 @dataclass
 class Tolerances:
-    quadrature: float = 1e-10
     residual: float = 1e-6
     index_integrality: float = 1e-3
     moment: Optional[float] = None
@@ -151,13 +161,39 @@ class RBVPSolution:
     def minus(self, points: PointE) -> DualComplex:
         return self.minus_fn(points)
 
-    def boundary_table(self, side: str):
-        """Boundary values of the assembled side evaluator at smooth nodes."""
-        key = f"table{side}"
-        if key not in self._cache:
-            fn = self.plus_fn if side == "+" else self.minus_fn
-            self._cache[key] = boundary_values(fn, self.problem.contour, side)
-        return self._cache[key]
+    def boundary_table(self, side: str) -> BoundaryTable:
+        """Phi+ or Phi- at the smooth nodes, assembled from component tables:
+
+        * jump: psi~+- + c;
+        * homogeneous: X+- P(tau), or 0 when only the trivial solution exists;
+        * non-homogeneous: X+- (psi~+- + P(tau)).
+        """
+        if side not in self._cache:
+            self._cache[side] = self._assemble(side)
+        return self._cache[side]
+
+    def _assemble(self, side: str) -> BoundaryTable:
+        contour = self.problem.contour
+        if self.trivial_only:
+            idx = contour.smooth_indices()
+            zero = np.zeros(len(idx), dtype=complex)
+            return BoundaryTable(indices=idx, values=DualComplex(zero, zero.copy()),
+                                 error_estimates=np.zeros(len(idx)), side=side)
+        if self.kind == "jump":
+            t = boundary_values(self.psi_tilde, contour, side)
+            return replace(t, values=t.values + self.constant)
+        x = self.canonical.boundary(side)
+        tau = contour.values()
+        factor = _poly_eval(self.poly_coeffs,
+                            DualComplex(np.asarray(tau.c1)[x.indices],
+                                        np.asarray(tau.c2)[x.indices]))
+        err = 0.0
+        if self.kind == "nonhomogeneous":
+            t = boundary_values(self.psi_tilde, contour, side)
+            factor = t.values + factor
+            err = np.asarray(dc_norm(x.values)) * t.error_estimates
+        err = err + np.asarray(dc_norm(factor)) * x.error_estimates
+        return replace(x, values=dc_mul(x.values, factor), error_estimates=err)
 
     def scaled(self, k: DualComplex) -> "RBVPSolution":
         """Constant multiple of the solution (module structure over the algebra).
@@ -170,11 +206,15 @@ class RBVPSolution:
                       psi=None, psi_tilde=None, _cache={})
         for side in ("+", "-"):
             t = self.boundary_table(side)
-            out._cache[f"table{side}"] = replace(t, values=dc_mul(k, t.values))
+            out._cache[side] = replace(
+                t, values=dc_mul(k, t.values),
+                error_estimates=float(dc_norm(k)) * t.error_estimates)
         return out
 
     def superposed(self, other: "RBVPSolution") -> "RBVPSolution":
         """Pointwise sum with another solution on the same contour."""
+        if other.problem.contour.content_hash() != self.problem.contour.content_hash():
+            raise InputError("superposed solutions must share one contour")
         out = replace(self,
                       plus_fn=lambda p: self.plus_fn(p) + other.plus_fn(p),
                       minus_fn=lambda p: self.minus_fn(p) + other.minus_fn(p),
@@ -182,11 +222,9 @@ class RBVPSolution:
         for side in ("+", "-"):
             a = self.boundary_table(side)
             b = other.boundary_table(side)
-            if np.array_equal(a.indices, b.indices):
-                out._cache[f"table{side}"] = replace(
-                    a, values=DualComplex(a.values.c1 + b.values.c1,
-                                          a.values.c2 + b.values.c2),
-                    error_estimates=a.error_estimates + b.error_estimates)
+            out._cache[side] = replace(
+                a, values=a.values + b.values,
+                error_estimates=a.error_estimates + b.error_estimates)
         return out
 
 
@@ -258,33 +296,19 @@ def _zero_evaluator():
 def _psi_samples(problem: RBVPProblem, x: CanonicalX) -> DualComplex:
     """Density psi = g (X+)^(-1) at all contour nodes.
 
-    The node values of X+ are exp of the continuous log Cauchy integral's
-    interior limit; on the curve itself that limit is taken by extrapolation
-    at smooth nodes and by one-sided parameter interpolation at corners.
+    X+ is the canonical factor's interior table at the smooth nodes; a
+    corner node takes X+ of its nearest smooth node (corner nodes are
+    excluded from residual accounting anyway).
     """
-    g = problem.g_samples()
-    table = boundary_values(x.exponent, problem.contour, "+",
-                            indices=np.arange(problem.contour.n)
-                            if not problem.contour.corner_mask.any()
-                            else problem.contour.smooth_indices())
-    from .algebra import dc_exp
-    xplus = dc_exp(table.values)
-    if problem.contour.corner_mask.any():
-        # corner nodes get psi by nearest smooth neighbor (they are excluded
-        # from residual accounting anyway)
-        full1 = np.empty(problem.contour.n, dtype=complex)
-        full2 = np.empty(problem.contour.n, dtype=complex)
-        full1[:] = np.nan
-        full2[:] = np.nan
-        full1[table.indices] = xplus.c1
-        full2[table.indices] = xplus.c2
-        smooth = table.indices
-        for k in np.nonzero(problem.contour.corner_mask)[0]:
-            j = smooth[np.argmin(np.abs(smooth - k))]
-            full1[k] = full1[j]
-            full2[k] = full2[j]
-        xplus = DualComplex(full1, full2)
-    return dc_mul(g, dc_inv(xplus))
+    table = x.boundary("+")
+    smooth = table.indices
+    nearest = np.arange(problem.contour.n)
+    for k in np.nonzero(problem.contour.corner_mask)[0]:
+        nearest[k] = smooth[np.argmin(np.abs(smooth - k))]
+    pos = np.searchsorted(smooth, nearest)
+    xplus = DualComplex(np.asarray(table.values.c1)[pos],
+                        np.asarray(table.values.c2)[pos])
+    return dc_mul(problem.g_samples(), dc_inv(xplus))
 
 
 def check_solvability(problem: RBVPProblem, x: CanonicalX,
@@ -309,12 +333,10 @@ def check_solvability(problem: RBVPProblem, x: CanonicalX,
                              solvable=solvable, tolerance=tol)
 
 
-def solve_nonhomogeneous(problem: RBVPProblem,
-                         hypothesis_route: str = "dini-free-term") -> RBVPSolution:
+def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
     """General problem Phi+ = G Phi- + g via the canonical factorization."""
     x = build_canonical_X(problem.contour, problem.G,
-                          integrality_tol=problem.tolerances.index_integrality,
-                          hypothesis_route=hypothesis_route)
+                          integrality_tol=problem.tolerances.index_integrality)
     psi = _psi_samples(problem, x)
     report = check_solvability(problem, x, psi=psi)
     if not report.solvable:
@@ -345,9 +367,9 @@ def residual_report(solution: RBVPSolution, problem: Optional[RBVPProblem] = Non
                     radii=DEFAULT_INFINITY_RADII) -> ResidualReport:
     """Boundary-condition defect and boundedness of the exterior part.
 
-    Phi+ and Phi- on the curve are taken as extrapolated limits of the
-    assembled evaluators at the smooth nodes; the exterior part is sampled
-    on rings of growing radius around the contour.
+    Phi+ and Phi- on the curve are the solution's boundary tables at the
+    smooth nodes; the exterior part is sampled on rings of growing radius
+    around the contour.
     """
     p = problem if problem is not None else solution.problem
     plus = solution.boundary_table("+")

@@ -70,8 +70,12 @@ class GakhovOracle:
         return ker.sum(axis=1) / (self.n * 2j * np.pi)
 
     def _pv_plus(self, dens: np.ndarray) -> np.ndarray:
-        """Interior boundary values of the Cauchy integral of ``dens``:
-        subtracted principal value plus half the density."""
+        """Interior boundary values of the Cauchy integral of ``dens``.
+
+        The subtracted sum is the integral of (dens - dens_j) / (u - u_j),
+        which equals the principal value minus dens_j / 2; the interior
+        limit is the principal value plus dens_j / 2, so the whole density
+        is added back."""
         dens_dt = _fft_derivative(dens)
         out = np.empty(self.n, dtype=complex)
         for j in range(self.n):
@@ -80,7 +84,7 @@ class GakhovOracle:
             mask = np.arange(self.n) != j
             ker[mask] = diff[mask] * self.dnodes[mask] / (self.nodes[mask] - self.nodes[j])
             ker[j] = dens_dt[j]
-            out[j] = ker.sum() / (self.n * 2j * np.pi) + dens[j] / 2.0
+            out[j] = ker.sum() / (self.n * 2j * np.pi) + dens[j]
         return out
 
     def solvable(self, tol: float = 1e-6) -> bool:
@@ -104,7 +108,7 @@ class GakhovOracle:
         return w ** (-self.kappa) * self.y0(w) \
             * (self._cauchy(self.phi, w) + self._poly_at(w))
 
-    def jump_plus(self, dens, w_eval=None):
+    def jump_plus(self, dens):
         """Interior limits of the plain Cauchy integral of a density."""
         return self._pv_plus(np.asarray(dens, dtype=complex))
 
@@ -112,9 +116,16 @@ class GakhovOracle:
         d = np.asarray(dens, dtype=complex)
         return self._pv_plus(d) - d
 
+    def boundary_sides(self) -> tuple:
+        """(F+, F-) at the nodes: Y+- (phi~+- + P), with phi~- = phi~+ - phi."""
+        p = self._poly_at(self.nodes)
+        phi_plus = self._pv_plus(self.phi)
+        return (self.y_plus * (phi_plus + p),
+                self.y_minus * (phi_plus - self.phi + p))
 
-def circle_samples(contour_xy: np.ndarray, basis_a1: complex, basis_a2: complex,
-                   n: int, center=(0.0, 0.0), radius: float = 1.0):
+
+def circle_samples(basis_a1: complex, basis_a2: complex, n: int,
+                   center=(0.0, 0.0), radius: float = 1.0):
     """Uniform samples of the complex trace of a circle and its parameter
     derivative, computed from first principles (no package code)."""
     t = np.arange(n) / n

@@ -159,11 +159,12 @@ class TestCanonicalX:
     def test_boundary_relation_in_invertible_form(self, unit_circle):
         g = parse("exp(tau)*tau^2")
         x = build_canonical_X(unit_circle, g)
-        idx = x.boundary_indices()
+        plus, minus = x.boundary("+"), x.boundary("-")
+        idx = plus.indices
         from dualrbvp.integral import boundary_samples
         gv = boundary_samples(g, unit_circle)
         g_at = DualComplex(np.asarray(gv.c1)[idx], np.asarray(gv.c2)[idx])
-        ratio = dc_mul(x.boundary_plus(), dc_inv(x.boundary_minus()))
+        ratio = dc_mul(plus.values, dc_inv(minus.values))
         assert norm_of(dc_sub(ratio, g_at)) <= 1e-4
 
     def test_x0_invertible_everywhere_sampled(self, bih, unit_circle, rng):

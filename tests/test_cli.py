@@ -82,6 +82,42 @@ class TestSolve:
                      "nodes": 16})
         assert main(["solve", str(prob)]) == 4
 
+    def test_square_without_smooth_nodes_exit_4(self, tmp_path, capsys):
+        # every node of a 64-node square lies in a corner panel
+        prob = write_problem(
+            tmp_path / "p.json", G="tau", g="1",
+            contour={"kind": "polygon", "nodes": 64,
+                     "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]})
+        assert main(["solve", str(prob), "--out", str(tmp_path / "r.json")]) == 4
+        err = capsys.readouterr().err
+        assert "corner" in err and len(err.strip().splitlines()) == 1
+
+    def test_unexpected_exception_exit_4_without_traceback(
+            self, tmp_path, capsys, monkeypatch, caplog):
+        import dualrbvp.cli as cli
+
+        caplog.set_level("DEBUG", logger="dualrbvp.cli")
+
+        def broken(*args, **kwargs):
+            raise ValueError("attempt to get argmin of an empty sequence")
+
+        monkeypatch.setattr(cli, "compute_index", broken)
+        prob = write_problem(tmp_path / "p.json", G="tau")
+        assert main(["index", str(prob)]) == 4
+        err = capsys.readouterr().err
+        assert "ValueError" in err and "Traceback" not in err
+        assert len(err.strip().splitlines()) == 1
+        assert [r.exc_info[0] for r in caplog.records] == [ValueError]
+
+    def test_retired_quadrature_tolerance_still_loads(self, tmp_path):
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             tolerances={"quadrature": 1e-12})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert set(doc["tolerances"]) == {"residual", "index_integrality"}
+        assert "hypothesis_route" not in doc
+
     def test_deterministic_output(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
                              output={"boundary_samples": 16,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dualrbvp import (
     build_contour,
@@ -10,7 +12,8 @@ from dualrbvp import (
     polygon_contour,
     theta_measure,
 )
-from dualrbvp.errors import EmptySpecError, SelfIntersectingError
+from dualrbvp.contour import _trig_interp
+from dualrbvp.errors import CornerNodeError, EmptySpecError, SelfIntersectingError
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
@@ -163,3 +166,26 @@ class TestGeometryHelpers:
         assert unit_circle.guard_band == pytest.approx(
             3 * unit_circle.max_spacing)
         assert unit_circle.max_spacing == pytest.approx(2 * np.pi / 512, rel=1e-3)
+
+    def test_no_smooth_node_is_a_corner_error(self, bih):
+        c = polygon_contour(bih, SQUARE, nodes=64)
+        assert c.corner_mask.all()
+        with pytest.raises(CornerNodeError):
+            c.smooth_indices()
+
+
+class TestTrigInterp:
+    def test_nyquist_mode_is_not_doubled(self):
+        up = _trig_interp(np.array([1.0, -1.0] * 4), 16)
+        assert np.allclose(up, np.cos(np.pi * np.arange(16) / 2), atol=1e-12)
+
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=33),
+           factor=st.integers(2, 8))
+    @example(values=[1.0, -1.0, 1.0, -1.0], factor=2)
+    @example(values=[0.5, 2.0, -1.0], factor=3)
+    def test_upsampled_signal_reproduces_its_nodes(self, values, factor):
+        f = np.asarray(values)
+        up = _trig_interp(f, factor * len(f))
+        scale = max(1.0, float(np.max(np.abs(f))))
+        assert np.max(np.abs(up[::factor] - f)) <= 1e-12 * len(f) * scale

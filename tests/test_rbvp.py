@@ -197,11 +197,6 @@ class TestNonhomogeneous:
         assert r.sup_residual <= 1e-4
         assert r.infinity_bound < 1e3
 
-    def test_route_tag_recorded(self, bih, unit_circle):
-        s = solve_nonhomogeneous(problem(bih, unit_circle, G="tau", g="1"),
-                                 hypothesis_route="dini-coefficient")
-        assert s.canonical.hypothesis_route == "dini-coefficient"
-
 
 class TestResidualReport:
     def test_perturbed_free_term_shifts_residual(self, bih, unit_circle):
@@ -236,6 +231,13 @@ class TestModuleStructure:
         combined = nonhom.superposed(hom)
         r = residual_report(combined, nonhom.problem)
         assert r.sup_residual <= 1e-4
+
+    def test_superposition_needs_one_contour(self, bih, unit_circle):
+        a = solve_jump(problem(bih, unit_circle, g="tau"))
+        other = circle_contour(bih, radius=1.0, nodes=256)
+        b = solve_jump(problem(bih, other, g="tau"))
+        with pytest.raises(InputError):
+            a.superposed(b)
 
     def test_dimension_count(self, bih, unit_circle, rng):
         # each of the kappa + 1 coefficients independently moves the solution
