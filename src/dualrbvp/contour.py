@@ -6,7 +6,8 @@ f_k is ``sum f_k * w_k`` after mapping weights through the basis.  Smooth
 parametric kinds (circle, ellipse) use the uniform-parameter trapezoid rule
 with exact tangents, which is spectrally accurate for analytic integrands;
 polygons use composite 8-point Gauss-Legendre panels on each edge; explicit
-node lists fall back to central-difference weights.
+node lists, taken as uniform samples of a periodic curve, use the same
+trapezoid rule with spectral-derivative weights.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from .errors import CornerNodeError, EmptySpecError, SelfIntersectingError
 DEFAULT_NODES = 512
 GAUSS_ORDER = 8
 GUARD_SPACING_FACTOR = 3.0
+UPSAMPLE = 8
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -43,7 +45,6 @@ class Contour:
     corner_mask: np.ndarray    # (N,) True near polygon corners
     panels: Optional[list] = None   # polygon: (start_idx, p0_xy, p1_xy)
     orientation_reversed: bool = False
-    uniform_param: bool = True
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic views -----------------------------------------------------------
@@ -195,14 +196,11 @@ class Contour:
 
     # -- upsampled geometry (smooth kinds) ----------------------------------------
 
-    def refined_geometry(self, factor: int):
-        """(xy, dtau-weights) resampled at factor * N uniform parameters."""
-        key = ("refined", factor)
-        if key in self._cache:
-            return self._cache[key]
-        if not self.uniform_param:
-            raise ValueError("refined geometry needs a uniform-parameter contour")
-        m = self.n * factor
+    def refined_geometry(self):
+        """(xy, dtau-weights) resampled at UPSAMPLE * N uniform parameters."""
+        if "refined" in self._cache:
+            return self._cache["refined"]
+        m = self.n * UPSAMPLE
         tq = np.arange(m) / m
         if self.kind in ("circle", "ellipse"):
             xy = self.point_at(tq)
@@ -214,14 +212,12 @@ class Contour:
             d = np.stack([_trig_derivative(self.xy[:, 0], m),
                           _trig_derivative(self.xy[:, 1], m)], axis=1) / m
         w = self.basis.vector(d[:, 0], d[:, 1])
-        self._cache[key] = (xy, w)
-        return self._cache[key]
+        self._cache["refined"] = (xy, w)
+        return self._cache["refined"]
 
-    def upsample_samples(self, values: DualComplex, factor: int) -> DualComplex:
+    def upsample_samples(self, values: DualComplex) -> DualComplex:
         """Trigonometric interpolation of node samples onto the refined grid."""
-        if not self.uniform_param:
-            raise ValueError("upsampling needs a uniform-parameter contour")
-        m = self.n * factor
+        m = self.n * UPSAMPLE
         return DualComplex(_trig_interp(np.asarray(values.c1, dtype=complex), m),
                            _trig_interp(np.asarray(values.c2, dtype=complex), m))
 
@@ -346,7 +342,7 @@ def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES,
                 cum_len=arcs, length=total,
                 max_spacing=float(np.hypot(*(np.roll(xy, -1, axis=0) - xy).T).max()),
                 corner_mask=np.asarray(corner, dtype=bool),
-                panels=panels, uniform_param=False)
+                panels=panels)
     if check_simple:
         _check_simple(np.concatenate([verts, verts[:1]], axis=0))
     return c
@@ -361,10 +357,11 @@ def explicit_contour(basis: BasisE, points) -> Contour:
         pts = np.concatenate([pts[:1], pts[:0:-1]], axis=0)
     n = len(pts)
     t = np.arange(n) / n
-    # central-difference weights telescope exactly for constant integrands
-    w_xy = (np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)) / 2.0
-    tang = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    tang /= np.maximum(np.hypot(tang[:, 0], tang[:, 1]), 1e-300)[:, None]
+    # periodic trapezoid rule: weights are the spectral derivative d tau / dt
+    # over n, the same rule refined_geometry upsamples
+    w_xy = np.stack([_trig_derivative(pts[:, 0], n),
+                     _trig_derivative(pts[:, 1], n)], axis=1) / n
+    tang = w_xy / np.maximum(np.hypot(w_xy[:, 0], w_xy[:, 1]), 1e-300)[:, None]
     chords = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
     cum = np.concatenate([[0.0], np.cumsum(chords)[:-1]])
     params = {"points": pts.tolist()}
@@ -372,8 +369,7 @@ def explicit_contour(basis: BasisE, points) -> Contour:
                    w_xy=w_xy, tangent=tang, cum_len=cum,
                    length=float(chords.sum()),
                    max_spacing=float(chords.max()),
-                   corner_mask=np.zeros(n, dtype=bool),
-                   uniform_param=True)
+                   corner_mask=np.zeros(n, dtype=bool))
 
 
 def build_contour(basis: BasisE, spec: dict) -> Contour:
@@ -431,8 +427,7 @@ def _finalize(kind, basis, params, t, xy, w_xy, deriv, reversed_input=False) -> 
                    tangent=tang, cum_len=cum, length=length,
                    max_spacing=float(chords.max()),
                    corner_mask=np.zeros(n, dtype=bool),
-                   orientation_reversed=reversed_input,
-                   uniform_param=True)
+                   orientation_reversed=reversed_input)
 
 
 def _signed_area(xy: np.ndarray) -> float:

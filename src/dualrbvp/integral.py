@@ -6,8 +6,9 @@ The Cauchy-type integral of a density psi on a contour gamma is
 
 a function of zeta that is monogenic off the curve and vanishes at infinity.
 Off-curve evaluation uses the contour's native quadrature; points inside the
-guard band switch to an 8x trigonometrically upsampled rule (smooth contours)
-or to local panel subdivision (polygons).
+guard band use one refined rule per integral, built on first use: an 8x
+trigonometrically upsampled rule on smooth and explicit contours, and 16 Gauss
+sub-panels per panel on polygons.
 
 Boundary values are taken here and only here: ``boundary_values`` evaluates
 one Cauchy-type integral along the inward or outward normal at geometrically
@@ -25,7 +26,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import DualComplex, PointE, dc_inv, dc_mul, dc_norm
-from .contour import Contour
+from .contour import GAUSS_ORDER, UPSAMPLE, Contour, _GL_W, _GL_X
 from .errors import (
     CornerNodeError,
     DegenerateTriangleError,
@@ -40,7 +41,6 @@ from .errors import (
 )
 from . import expr as _expr
 
-UPSAMPLE = 8
 N_OFFSETS = 5
 OFFSET_SPACING_FACTOR = 8.0
 GL16_X, GL16_W = np.polynomial.legendre.leggauss(16)
@@ -126,10 +126,7 @@ class CauchyIntegralFn:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def min_eval_distance(self) -> float:
-        c = self.contour
-        if c.kind == "polygon":
-            return c.max_spacing / 8.0
-        return c.guard_band / UPSAMPLE
+        return self.contour.guard_band / UPSAMPLE
 
     def __call__(self, points: PointE) -> DualComplex:
         c = self.contour
@@ -164,45 +161,17 @@ class CauchyIntegralFn:
     # near-curve machinery
 
     def _near_eval(self, z1: np.ndarray, z2: np.ndarray) -> DualComplex:
-        c = self.contour
-        if c.kind == "polygon":
-            return self._near_eval_polygon(z1, z2)
+        """Kernel sum over the contour's refined rule, built once per integral."""
         if "up" not in self._cache:
-            xy_up, w_up = c.refined_geometry(UPSAMPLE)
-            tau_up = c.basis.vector(xy_up[:, 0], xy_up[:, 1])
-            dens_up = c.upsample_samples(self.density, UPSAMPLE)
-            self._cache["up"] = (tau_up, w_up, dens_up)
+            c = self.contour
+            if c.kind == "polygon":
+                self._cache["up"] = _refined_panel_integral(c, self.density)
+            else:
+                xy_up, w_up = c.refined_geometry()
+                tau_up = c.basis.vector(xy_up[:, 0], xy_up[:, 1])
+                self._cache["up"] = (tau_up, w_up, c.upsample_samples(self.density))
         tau_up, w_up, dens_up = self._cache["up"]
         return _kernel_sum(tau_up, w_up, dens_up, z1, z2)
-
-    def _near_eval_polygon(self, z1: np.ndarray, z2: np.ndarray) -> DualComplex:
-        c = self.contour
-        base = _kernel_sum(c.values(), c.dtau(), self.density, z1, z2)
-        out1 = np.asarray(base.c1, dtype=complex).copy()
-        out2 = np.asarray(base.c2, dtype=complex).copy()
-        xq, yq = c.basis.xy_from_xi1(z1)
-        for m in range(len(z1)):
-            for (start, p0, p1) in c.panels:
-                plen = float(np.hypot(*(p1 - p0)))
-                dist = _point_segment_dist(xq[m], yq[m], p0, p1)
-                if dist >= 2.0 * plen:
-                    continue
-                idx = slice(start, start + len(_PANEL_S))
-                # remove the panel's plain contribution, add a refined one
-                plain = _kernel_sum(
-                    DualComplex(np.asarray(c.values().c1)[idx],
-                                np.asarray(c.values().c2)[idx]),
-                    DualComplex(np.asarray(c.dtau().c1)[idx],
-                                np.asarray(c.dtau().c2)[idx]),
-                    DualComplex(np.asarray(self.density.c1)[idx],
-                                np.asarray(self.density.c2)[idx]),
-                    z1[m:m + 1], z2[m:m + 1])
-                refined = _refined_panel_integral(
-                    c, self.density, start, p0, p1, z1[m], z2[m],
-                    (xq[m], yq[m]))
-                out1[m] += refined.c1 - complex(plain.c1[0])
-                out2[m] += refined.c2 - complex(plain.c2[0])
-        return DualComplex(out1, out2)
 
 
 def cauchy_integral(contour: Contour, density, point: PointE) -> DualComplex:
@@ -221,80 +190,30 @@ def cauchy_integral(contour: Contour, density, point: PointE) -> DualComplex:
 
 # polygon panel refinement ------------------------------------------------------
 
-from .contour import _GL_X as _PANEL_GLX, _GL_W as _PANEL_GLW  # noqa: E402
-
-_PANEL_S = (_PANEL_GLX + 1.0) / 2.0
-_PANEL_BARY = np.array([1.0 / np.prod([_PANEL_S[j] - _PANEL_S[k]
-                                       for k in range(len(_PANEL_S)) if k != j])
-                        for j in range(len(_PANEL_S))])
-
-
-def _point_segment_dist(px, py, a, b) -> float:
-    ab = b - a
-    denom = float(ab @ ab)
-    s = 0.0 if denom == 0 else float(np.clip(((px - a[0]) * ab[0] + (py - a[1]) * ab[1]) / denom, 0, 1))
-    cx, cy = a + s * ab
-    return float(np.hypot(px - cx, py - cy))
+# Each 8-node Gauss panel is split into PANEL_SPLIT equal sub-panels with the
+# same Gauss rule; node samples move onto them through one Lagrange matrix.
+PANEL_SPLIT = 16
+_SUB_S = ((np.arange(PANEL_SPLIT)[:, None] + (_GL_X[None, :] + 1.0) / 2.0)
+          / PANEL_SPLIT).ravel()                  # sub-panel nodes on [0, 1]
+_SUB_W = np.tile(_GL_W, PANEL_SPLIT) / (2.0 * PANEL_SPLIT)
+_SUB_LAGRANGE = (np.polynomial.legendre.legvander(2.0 * _SUB_S - 1.0, GAUSS_ORDER - 1)
+                 @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, GAUSS_ORDER - 1)))
 
 
-def _panel_density_interp(dens: DualComplex, start: int, s: np.ndarray) -> DualComplex:
-    """Barycentric interpolation of the panel's 8 node samples at s in [0, 1]."""
-    d1 = np.asarray(dens.c1)[start:start + len(_PANEL_S)]
-    d2 = np.asarray(dens.c2)[start:start + len(_PANEL_S)]
-    diff = s[:, None] - _PANEL_S[None, :]
-    exact = np.isclose(diff, 0.0, atol=1e-15)
-    diff = np.where(exact, 1.0, diff)
-    w = _PANEL_BARY[None, :] / diff
-    num1 = (w * d1[None, :]).sum(axis=1)
-    num2 = (w * d2[None, :]).sum(axis=1)
-    den = w.sum(axis=1)
-    out1 = num1 / den
-    out2 = num2 / den
-    hit = exact.any(axis=1)
-    if np.any(hit):
-        j = exact[hit].argmax(axis=1)
-        out1[hit] = d1[j]
-        out2[hit] = d2[j]
-    return DualComplex(out1, out2)
-
-
-def _refined_panel_integral(contour: Contour, dens: DualComplex, start: int,
-                            p0: np.ndarray, p1: np.ndarray,
-                            z1: complex, z2: complex, pxy) -> DualComplex:
-    """Adaptive Gauss-Legendre integration of the panel against the Cauchy
-    kernel, bisecting until each piece is no longer than its distance to
-    the target."""
-    basis = contour.basis
-    edge = basis.vector(p1[0] - p0[0], p1[1] - p0[1])  # d tau over the panel
-    plen = float(np.hypot(*(p1 - p0)))
-
-    total1, total2 = 0j, 0j
-    stack = [(0.0, 1.0, 0)]
-    while stack:
-        s0, s1, depth = stack.pop()
-        a = p0 + (p1 - p0) * s0
-        b = p0 + (p1 - p0) * s1
-        size = plen * (s1 - s0)
-        dist = _point_segment_dist(pxy[0], pxy[1], a, b)
-        if dist < size and depth < 12:
-            mid = (s0 + s1) / 2.0
-            stack.append((s0, mid, depth + 1))
-            stack.append((mid, s1, depth + 1))
-            continue
-        s = s0 + (_PANEL_S * (s1 - s0))
-        pv = _panel_density_interp(dens, start, s)
-        pts = p0[None, :] + (p1 - p0)[None, :] * s[:, None]
-        tau = basis.vector(pts[:, 0], pts[:, 1])
-        u = tau.c1 - z1
-        v = tau.c2 - z2
-        inv_u = 1.0 / u
-        a1 = pv.c1 * inv_u
-        a2 = (pv.c2 - pv.c1 * v * inv_u) * inv_u
-        wgt = _PANEL_GLW / 2.0 * (s1 - s0)
-        total1 += (a1 * wgt).sum() * edge.c1
-        total2 += ((a1 * wgt).sum() * edge.c2 + (a2 * wgt).sum() * edge.c1)
-    scale = 1.0 / (2j * np.pi)
-    return DualComplex(total1 * scale, total2 * scale)
+def _refined_panel_integral(contour: Contour, dens: DualComplex
+                            ) -> tuple[DualComplex, DualComplex, DualComplex]:
+    """Refined rule of a polygon integral: (tau, dtau, density) at the nodes
+    of PANEL_SPLIT Gauss sub-panels per panel, for every panel at once."""
+    starts = np.array([p[0] for p in contour.panels])
+    p0 = np.array([p[1] for p in contour.panels])
+    edge = np.array([p[2] for p in contour.panels]) - p0
+    pts = (p0[:, None, :] + _SUB_S[None, :, None] * edge[:, None, :]).reshape(-1, 2)
+    w = (_SUB_W[None, :, None] * edge[:, None, :]).reshape(-1, 2)
+    idx = starts[:, None] + np.arange(GAUSS_ORDER)[None, :]
+    d1 = (np.asarray(dens.c1)[idx] @ _SUB_LAGRANGE.T).ravel()
+    d2 = (np.asarray(dens.c2)[idx] @ _SUB_LAGRANGE.T).ravel()
+    return (contour.basis.vector(pts[:, 0], pts[:, 1]),
+            contour.basis.vector(w[:, 0], w[:, 1]), DualComplex(d1, d2))
 
 
 # -- boundary limits --------------------------------------------------------------
@@ -327,9 +246,7 @@ def _neville_to_zero(ds: np.ndarray, v1: list[np.ndarray], v2: list[np.ndarray])
 
 
 def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour,
-                    side: str, indices: Optional[np.ndarray] = None,
-                    base_offset: Optional[float] = None,
-                    n_offsets: int = N_OFFSETS) -> BoundaryTable:
+                    side: str, indices: Optional[np.ndarray] = None) -> BoundaryTable:
     """One-sided limits of an off-curve evaluator at contour nodes.
 
     Approaches each node along its inward ('+') or outward ('-') normal at
@@ -346,11 +263,10 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     if np.any(contour.corner_mask[indices]):
         bad = indices[contour.corner_mask[indices]]
         raise CornerNodeError(f"boundary limit at corner node(s) {bad[:4].tolist()}")
-    h0 = base_offset if base_offset is not None else \
-        OFFSET_SPACING_FACTOR * contour.max_spacing
+    h0 = OFFSET_SPACING_FACTOR * contour.max_spacing
     sign = 1.0 if side == "+" else -1.0
     normals = contour.inward_normals()[indices]
-    ds = h0 / (2.0 ** np.arange(n_offsets))
+    ds = h0 / (2.0 ** np.arange(N_OFFSETS))
     vals1, vals2 = [], []
     for d in ds:
         px = contour.xy[indices, 0] + sign * d * normals[:, 0]

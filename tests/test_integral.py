@@ -134,6 +134,50 @@ class TestCauchyIntegral:
         assert norm_of(fn.at_infinity()) == 0.0
 
 
+def jittered_square(bih):
+    """The benchmark's square: vertices moved by up to 0.01, 128 nodes."""
+    rng = np.random.default_rng(7)
+    verts = np.round(np.asarray(SQUARE) + rng.uniform(-0.01, 0.01, (4, 2)), 6)
+    c = polygon_contour(bih, verts.tolist(), nodes=112)
+    assert c.n == 128
+    return c
+
+
+class TestPolygonNearPath:
+    """Near-curve values on polygons against closed forms, along the normals
+    of the smooth nodes at offsets h/2, h and 2h (h = max node spacing)."""
+
+    @pytest.mark.parametrize("text, side, want", [
+        ("exp(z)*z", "+", "exp(z)*z"),
+        ("exp(z)*z", "-", "0"),
+        ("1/tau", "+", "0"),
+        ("1/tau", "-", "-1/z"),
+    ])
+    @pytest.mark.parametrize("square", ["512", "jittered-128"])
+    def test_closed_forms(self, bih, square, text, side, want):
+        c = polygon_contour(bih, SQUARE, nodes=512) if square == "512" \
+            else jittered_square(bih)
+        # eight Gauss nodes resolve 1/tau on a panel of the 128-node square
+        # (half-length 1/4 at distance 1 from the pole) to ~(4 + 15^0.5)^-8
+        tol = 1e-7 if (square, text) == ("jittered-128", "1/tau") else 1e-9
+        fn = CauchyIntegralFn(c, boundary_samples(parse(text), c))
+        idx = c.smooth_indices()
+        normals = c.inward_normals()[idx] * (1.0 if side == "+" else -1.0)
+        h = c.max_spacing
+        for d in (h / 2, h, 2 * h):
+            pts = PointE(c.xy[idx, 0] + d * normals[:, 0],
+                         c.xy[idx, 1] + d * normals[:, 1], bih)
+            assert norm_of(dc_sub(fn(pts), evaluate(parse(want), z=pts))) < tol, d
+
+    def test_too_close_rejected(self, bih):
+        c = polygon_contour(bih, SQUARE, nodes=512)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("1"), c))
+        k = int(c.smooth_indices()[0])
+        x, y = c.xy[k] + 0.3 * c.max_spacing * c.inward_normals()[k]
+        with pytest.raises(TooCloseToBoundaryError):
+            fn(bih.embed(x, y))
+
+
 class TestBoundaryLimits:
     def test_constant_density_limits(self, unit_circle):
         fn = CauchyIntegralFn(unit_circle,

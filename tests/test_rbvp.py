@@ -10,6 +10,8 @@ from dualrbvp import (
     dc_mul,
     dc_norm,
     dc_sub,
+    ellipse_contour,
+    explicit_contour,
     parse,
     residual_report,
     solve_auto,
@@ -196,6 +198,17 @@ class TestNonhomogeneous:
         r = residual_report(s)
         assert r.sup_residual <= 1e-4
         assert r.infinity_bound < 1e3
+
+
+    def test_explicit_nodes_reach_parametric_accuracy(self, bih):
+        # the same 400 ellipse nodes, once with exact parametric weights and
+        # once as an explicit node list with trapezoid-rule weights
+        par = ellipse_contour(bih, semi_axes=(1.3, 0.8), nodes=400)
+        residuals = [
+            residual_report(solve_nonhomogeneous(problem(
+                bih, c, G="tau*exp(tau)", g="1+tau^2"))).sup_residual
+            for c in (par, explicit_contour(bih, par.xy))]
+        assert residuals[1] <= 10 * residuals[0]
 
 
 class TestResidualReport:
