@@ -13,7 +13,6 @@ a sectionally monogenic invertible function with X+ = G X- on the curve.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable
 
 import numpy as np
 
@@ -27,23 +26,9 @@ from .errors import (
     OriginNotInteriorError,
 )
 from .integral import BoundaryTable, CauchyIntegralFn, boundary_samples, boundary_values
-from . import expr as _expr
 
 MAX_REFINE_DEPTH = 4
 TURN_LIMIT = np.pi / 2.0
-
-
-def _coefficient_sampler(contour: Contour, G) -> Callable[[np.ndarray], np.ndarray]:
-    """Complex-part samples of the coefficient at arbitrary curve parameters."""
-
-    def sample(tq: np.ndarray) -> np.ndarray:
-        tq = np.asarray(tq, dtype=float)
-        tau = contour.value_at(tq)
-        vals = _expr.evaluate(G, tau=tau, t=tq) if _expr.is_expr(G) else G(tau, tq)
-        c1 = np.asarray(vals.c1, dtype=complex)
-        return np.array(np.broadcast_to(c1, tq.shape))
-
-    return sample
 
 
 def _refined_step_angle(sample, t0: float, t1: float, g0: complex, g1: complex,
@@ -100,8 +85,8 @@ def compute_index(contour: Contour, G, integrality_tol: float = 1e-3) -> IndexRe
     The rho part of the logarithm is single-valued, so it contributes
     nothing over a closed loop; only the accumulated argument matters.
     """
-    sample = _coefficient_sampler(contour, G)
-    _, total = _accumulated_argument(contour, sample)
+    _, total = _accumulated_argument(
+        contour, lambda tq: boundary_samples(G, contour, tq).c1)
     raw = total / (2.0 * np.pi)
     kappa = int(np.rint(raw))
     if abs(raw - kappa) > integrality_tol:
@@ -119,15 +104,12 @@ def continuous_log(contour: Contour, G, kappa: int,
     to close signals a wrong kappa.
     """
     tau = contour.values()
-    gv = boundary_samples(G, contour) if not isinstance(G, DualComplex) else G
-    w = dc_mul(dc_pow_int(tau, -int(kappa)), gv)
-    coefficient = _coefficient_sampler(contour, G)
+    w = dc_mul(dc_pow_int(tau, -int(kappa)), boundary_samples(G, contour))
 
     def sample(tq: np.ndarray) -> np.ndarray:
-        tq = np.asarray(tq, dtype=float)
         tval = contour.value_at(tq)
-        return coefficient(tq) * np.power(np.asarray(tval.c1, dtype=complex),
-                                          -int(kappa))
+        return boundary_samples(G, contour, tq).c1 * np.power(
+            np.asarray(tval.c1, dtype=complex), -int(kappa))
 
     steps, total = _accumulated_argument(contour, sample)
     if abs(total) > 2.0 * np.pi * closure_tol + 1e-9:

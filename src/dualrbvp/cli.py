@@ -16,6 +16,7 @@ Exit codes: 0 success; 1 verification residual failure; 2 unsolvable
 from __future__ import annotations
 
 import argparse
+import functools
 import logging
 import sys
 
@@ -60,6 +61,7 @@ EXIT_NUMERICAL = 4
 _log = logging.getLogger(__name__)
 
 
+@functools.lru_cache(maxsize=None)
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="dualrbvp",
                                 description="Boundary value problem solver "

@@ -228,34 +228,35 @@ def interior_test(contour: Contour, point: PointE) -> str:
     return {1: "interior", 0: "exterior", -1: "near-boundary"}[code]
 
 
-def theta_measure(contour: Contour, node_index: int, eps: float) -> float:
+def theta_measure(contour: Contour, node_index, eps):
     """Arc length of the curve within distance eps of the given node.
 
     Distances use the plane modulus |.|; portions are clipped per polyline
     segment by solving the quadratic |p(s) - tau|^2 = eps^2 exactly, then
-    scaled to the arc-length table.
+    scaled to the arc-length table.  Node indices and radii broadcast
+    against each other; scalar arguments give a float.
     """
-    if eps <= 0:
+    eps = np.asarray(eps, dtype=float)
+    if np.any(eps <= 0):
         raise ValueError("eps must be positive")
-    center = contour.xy[int(node_index) % contour.n]
+    k = np.asarray(node_index, dtype=int) % contour.n
     a = contour.xy
     b = np.roll(contour.xy, -1, axis=0)
     seg_arc = np.diff(np.append(contour.cum_len, contour.length))
     d = b - a
-    f = a - center[None, :]
+    f = a - contour.xy[k][..., None, :]               # (..., N, 2)
     A = (d * d).sum(axis=1)
-    B = 2.0 * (f * d).sum(axis=1)
-    C = (f * f).sum(axis=1) - eps * eps
-    frac = np.zeros(contour.n)
+    B = 2.0 * (f * d).sum(axis=-1)
+    C = (f * f).sum(axis=-1) - (eps * eps)[..., None]
     disc = B * B - 4.0 * A * C
     ok = (disc > 0) & (A > 1e-300)
     sq = np.sqrt(np.where(ok, disc, 0.0))
     s1 = np.clip((-B - sq) / (2.0 * np.maximum(A, 1e-300)), 0.0, 1.0)
     s2 = np.clip((-B + sq) / (2.0 * np.maximum(A, 1e-300)), 0.0, 1.0)
-    frac[ok] = (s2 - s1)[ok]
-    degen = (A <= 1e-300) & (C <= 0)
-    frac[degen] = 1.0
-    return float((frac * seg_arc).sum())
+    frac = np.where(ok, s2 - s1, 0.0)
+    frac[(A <= 1e-300) & (C <= 0)] = 1.0
+    out = (frac * seg_arc).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 # -- builders -----------------------------------------------------------------

@@ -6,8 +6,10 @@ The Dini estimate is an upper-sum approximation of
     sup over anchors tau of  integral_0^1  omega(eta) / eta  d theta_tau(eta)
 
 on a geometrically refined eta grid, with theta_tau the arc length of the
-curve within distance eta of the anchor.  Finite sampling cannot decide the
-underlying condition; the estimate is advisory and is reported with a
+curve within distance eta of the anchor.  omega is read from one sorted
+table of node-pair distances per function, theta for all anchors and eta
+from one array call.  Finite sampling cannot decide the underlying
+condition; the estimate is advisory and is reported with a
 refinement-stability flag instead of a verdict.
 """
 
@@ -23,53 +25,59 @@ from .contour import Contour, theta_measure
 from .integral import boundary_samples
 
 ANCHOR_COUNT = 32
+DINI_LEVELS = 40
 ETA_RATIO = 2.0 ** 0.25  # refined dyadic grid: 4 points per octave
+
+
+def _pair_table(contour: Contour, g):
+    """Node-pair distances, sorted, and run_max, where run_max[k] is the
+    largest ||g(t1) - g(t2)|| over the k nearest pairs (run_max[0] = 0)."""
+    vals = boundary_samples(g, contour)
+    x, y = contour.xy.T
+    d1, d2 = np.asarray(vals.c1), np.asarray(vals.c2)
+    i, j = np.triu_indices(contour.n, k=1)
+    dist = np.hypot(x[i] - x[j], y[i] - y[j])
+    gap = np.hypot(np.abs(d1[i] - d1[j]), np.abs(d2[i] - d2[j]))
+    order = np.argsort(dist)
+    run_max = np.maximum.accumulate(np.concatenate([[0.0], gap[order]]))
+    return dist[order], run_max
+
+
+def _modulus(table, eps_grid=None):
+    """(eps_grid, omega) read from a pair table; the default grid halves
+    from the largest pair distance down past the smallest nonzero one."""
+    dist, run_max = table
+    if eps_grid is None:
+        lo = max(float(dist[np.searchsorted(dist, 0.0, side="right")]), 1e-12)
+        hi = float(dist[-1])
+        m = int(np.ceil(np.log(hi / lo) / np.log(2.0))) + 1
+        eps_grid = hi / (2.0 ** np.arange(m))[::-1]
+    eps_grid = np.asarray(eps_grid, dtype=float)
+    return eps_grid, run_max[np.searchsorted(dist, eps_grid, side="right")]
 
 
 def modulus_of_continuity(contour: Contour, g, eps_grid=None):
     """Sampled modulus omega(eps) = max ||g(t1) - g(t2)|| over node pairs
     with |t1 - t2| <= eps.  Returns (eps_grid, omega) arrays."""
-    vals = boundary_samples(g, contour)
-    xy = contour.xy
-    dx = xy[:, 0][:, None] - xy[:, 0][None, :]
-    dy = xy[:, 1][:, None] - xy[:, 1][None, :]
-    dist = np.hypot(dx, dy)
-    d1 = np.asarray(vals.c1)
-    d2 = np.asarray(vals.c2)
-    gap = np.hypot(np.abs(d1[:, None] - d1[None, :]),
-                   np.abs(d2[:, None] - d2[None, :]))
-    if eps_grid is None:
-        lo = max(float(dist[dist > 0].min()), 1e-12)
-        hi = float(dist.max())
-        m = int(np.ceil(np.log(hi / lo) / np.log(2.0))) + 1
-        eps_grid = hi / (2.0 ** np.arange(m))[::-1]
-    eps_grid = np.asarray(eps_grid, dtype=float)
-    omega = np.array([gap[dist <= e].max() if np.any(dist <= e) else 0.0
-                      for e in eps_grid])
-    return eps_grid, omega
+    return _modulus(_pair_table(contour, g), eps_grid)
 
 
-def dini_estimate(contour: Contour, g, levels: int = 40,
-                  n_anchors: int = ANCHOR_COUNT) -> float:
+def dini_estimate(contour: Contour, g, levels: int = DINI_LEVELS) -> float:
     """Upper-sum estimate of the Dini integral over a subsample of anchors."""
-    est, _ = _dini_partial_sums(contour, g, levels, n_anchors)
+    est, _ = _dini_partial_sums(contour, _pair_table(contour, g), levels)
     return float(est[-1])
 
 
-def _dini_partial_sums(contour: Contour, g, levels: int, n_anchors: int):
+def _dini_partial_sums(contour: Contour, table, levels: int):
     """Partial sums of the upper Darboux estimate, coarse eta first."""
     eta = 1.0 / (ETA_RATIO ** np.arange(levels + 1))
     eta = eta[eta >= max(contour.max_spacing, 1e-12)]
     if len(eta) < 2:
         eta = np.array([1.0, contour.max_spacing])
-    _, omega = modulus_of_continuity(contour, g, eps_grid=eta[::-1])
-    omega = omega[::-1]  # align with descending eta
-    anchors = np.linspace(0, contour.n, n_anchors, endpoint=False).astype(int)
-    sums = np.zeros((len(anchors), len(eta) - 1))
-    for a, k in enumerate(anchors):
-        theta = np.array([theta_measure(contour, k, e) for e in eta])
-        inc = theta[:-1] - theta[1:]
-        sums[a] = (omega[:-1] / eta[1:]) * inc
+    _, omega = _modulus(table, eta)
+    anchors = np.linspace(0, contour.n, ANCHOR_COUNT, endpoint=False).astype(int)
+    theta = theta_measure(contour, anchors[:, None], eta[None, :])
+    sums = (omega[:-1] / eta[1:]) * (theta[:, :-1] - theta[:, 1:])
     partial = np.cumsum(sums, axis=1).max(axis=0)
     return partial, eta
 
@@ -85,10 +93,11 @@ class RegularityReport:
     divergence_suspected: bool
 
 
-def regularity_report(contour: Contour, g, levels: int = 40) -> RegularityReport:
+def regularity_report(contour: Contour, g) -> RegularityReport:
     """Bundle of regularity diagnostics used by the verification report."""
-    eps, omega = modulus_of_continuity(contour, g)
-    partial, _ = _dini_partial_sums(contour, g, levels, ANCHOR_COUNT)
+    table = _pair_table(contour, g)
+    eps, omega = _modulus(table)
+    partial, _ = _dini_partial_sums(contour, table, DINI_LEVELS)
     full = float(partial[-1])
     half = float(partial[(len(partial) - 1) // 2])
     is_const = bool(omega.max() <= 1e-14)

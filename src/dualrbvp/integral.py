@@ -62,20 +62,29 @@ def field_eval(f: FieldFn, point: PointE) -> DualComplex:
     raise TypeError(f"cannot evaluate {type(f).__name__} as a field function")
 
 
-def boundary_samples(f, contour: Contour) -> DualComplex:
-    """Density samples at contour nodes from an expression, callable,
-    or a precomputed sample set."""
+def boundary_samples(f, contour: Contour, t=None) -> DualComplex:
+    """Samples of an expression, callable, or precomputed sample set at the
+    contour nodes, or, given curve parameters ``t``, at ``contour.point_at(t)``
+    in an array shaped like ``t`` (a sample set has no values between nodes)."""
+    if t is None:
+        t, points, tau = contour.t, contour.points(), contour.values()
+    elif isinstance(f, DualComplex):
+        raise TypeError("a sample set cannot be resampled at curve parameters")
+    else:
+        t = np.asarray(t, dtype=float)
+        p = contour.point_at(t)
+        points = PointE(p[..., 0], p[..., 1], contour.basis)
+        tau = points.value()
     if isinstance(f, DualComplex):
         out = f
     elif _expr.is_expr(f):
-        out = _expr.evaluate(f, z=contour.points(), tau=contour.values(),
-                             t=contour.t)
+        out = _expr.evaluate(f, z=points, tau=tau, t=t)
     elif callable(f):
-        out = f(contour.points())
+        out = f(points)
     else:
         raise TypeError(f"cannot sample {type(f).__name__} on a contour")
-    c1 = np.array(np.broadcast_to(np.asarray(out.c1, dtype=complex), (contour.n,)))
-    c2 = np.array(np.broadcast_to(np.asarray(out.c2, dtype=complex), (contour.n,)))
+    c1 = np.array(np.broadcast_to(np.asarray(out.c1, dtype=complex), t.shape))
+    c2 = np.array(np.broadcast_to(np.asarray(out.c2, dtype=complex), t.shape))
     return DualComplex(c1, c2)
 
 

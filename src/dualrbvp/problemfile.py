@@ -121,8 +121,7 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
         raise ProblemFormatError("'G' and 'g' must be expression strings")
     problem = RBVPProblem(basis=basis, contour=contour,
                           G=_expr.parse(g_text), g=_expr.parse(f_text),
-                          poly_coeffs=coeffs, tolerances=tols,
-                          declarations=dict(raw.get("declarations", {})))
+                          poly_coeffs=coeffs, tolerances=tols)
 
     out_node = raw.get("output", {})
     if not isinstance(out_node, dict):
@@ -209,7 +208,6 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
             "residual": spec.problem.tolerances.residual,
             "index_integrality": spec.problem.tolerances.index_integrality,
         },
-        "declarations": spec.problem.declarations,
     }
     sol_report = solvability
     if solution is not None:

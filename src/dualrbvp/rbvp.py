@@ -81,7 +81,6 @@ class RBVPProblem:
     g: object = None                      # expression; None means constant 0
     poly_coeffs: list = field(default_factory=list)   # DualComplex coefficients
     tolerances: Tolerances = field(default_factory=Tolerances)
-    declarations: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.G = _as_expr(self.G, "1")

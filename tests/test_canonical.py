@@ -55,6 +55,12 @@ class TestComputeIndex:
         r = compute_index(unit_circle, parse("exp(tau)*tau^2"))
         assert r.kappa == 2
 
+    def test_callable_coefficient(self, unit_circle):
+        # a callable takes the curve points, as everywhere else
+        r = compute_index(unit_circle, lambda p: p.value())
+        assert r.kappa == 1
+        assert abs(r.raw - 1) < 1e-12
+
     def test_vanishing_coefficient_rejected(self, unit_circle):
         with pytest.raises(NotInvertibleOnContourError):
             compute_index(unit_circle, parse("tau-1"))

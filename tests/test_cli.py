@@ -111,12 +111,14 @@ class TestSolve:
 
     def test_retired_quadrature_tolerance_still_loads(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
-                             tolerances={"quadrature": 1e-12})
+                             tolerances={"quadrature": 1e-12},
+                             declarations={"G": "coefficient"})
         out = tmp_path / "r.json"
         assert main(["solve", str(prob), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
         assert set(doc["tolerances"]) == {"residual", "index_integrality"}
         assert "hypothesis_route" not in doc
+        assert "declarations" not in doc
 
     def test_deterministic_output(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",

@@ -124,6 +124,21 @@ class TestThetaMeasure:
     def test_rejects_nonpositive_eps(self, unit_circle):
         with pytest.raises(ValueError):
             theta_measure(unit_circle, 0, 0.0)
+        with pytest.raises(ValueError):
+            theta_measure(unit_circle, np.arange(4)[:, None],
+                          np.array([[0.5, 0.1, -0.2]]))
+
+    @pytest.mark.parametrize("kind", ["circle", "square"])
+    def test_array_form_matches_scalar_calls(self, bih, unit_circle, kind):
+        c = unit_circle if kind == "circle" else polygon_contour(bih, SQUARE, nodes=128)
+        nodes = np.array([0, 3, 17, 64, c.n - 1])
+        eps = np.array([2.5, 0.4, 0.1, 0.03, 1e-3])
+        got = theta_measure(c, nodes[:, None], eps[None, :])
+        want = np.array([[theta_measure(c, k, e) for e in eps] for k in nodes])
+        assert got.shape == (len(nodes), len(eps))
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+        assert isinstance(theta_measure(c, 3, 0.1), float)
+        assert theta_measure(c, 3, eps).shape == eps.shape
 
 
 class TestGeometryHelpers:

@@ -7,10 +7,13 @@ from dualrbvp import (
     dini_estimate,
     modulus_of_continuity,
     parse,
+    polygon_contour,
     regularity_report,
     sup_norm,
+    theta_measure,
 )
 from dualrbvp.algebra import PointE
+from dualrbvp.diagnostics import ANCHOR_COUNT, DINI_LEVELS, ETA_RATIO
 from dualrbvp.integral import boundary_samples
 
 
@@ -76,6 +79,61 @@ class TestDiniEstimate:
         assert rep.dini_estimate >= rep.dini_half_depth > 0
         const = regularity_report(unit_circle, parse("1"))
         assert const.is_constant
+
+
+def _reference_report(contour, g):
+    """The report built the direct way: a full N x N modulus on each grid
+    and one scalar theta per anchor and eta."""
+    vals = boundary_samples(g, contour)
+    xy = contour.xy
+    dist = np.hypot(xy[:, 0][:, None] - xy[:, 0][None, :],
+                    xy[:, 1][:, None] - xy[:, 1][None, :])
+    d1 = np.asarray(vals.c1)
+    d2 = np.asarray(vals.c2)
+    gap = np.hypot(np.abs(d1[:, None] - d1[None, :]),
+                   np.abs(d2[:, None] - d2[None, :]))
+
+    def omega_at(grid):
+        return np.array([gap[dist <= e].max() for e in grid])
+
+    lo = float(dist[dist > 0].min())
+    hi = float(dist.max())
+    m = int(np.ceil(np.log(hi / lo) / np.log(2.0))) + 1
+    eps = hi / (2.0 ** np.arange(m))[::-1]
+    omega = omega_at(eps)
+    eta = 1.0 / (ETA_RATIO ** np.arange(DINI_LEVELS + 1))
+    eta = eta[eta >= contour.max_spacing]
+    om_eta = omega_at(eta)
+    anchors = np.linspace(0, contour.n, ANCHOR_COUNT, endpoint=False).astype(int)
+    sums = []
+    for k in anchors:
+        theta = np.array([theta_measure(contour, k, e) for e in eta])
+        sums.append(np.cumsum((om_eta[:-1] / eta[1:]) * (theta[:-1] - theta[1:])))
+    partial = np.max(sums, axis=0)
+    full = float(partial[-1])
+    half = float(partial[(len(partial) - 1) // 2])
+    small = eps <= 0.25 * eps.max()
+    slope = float(np.polyfit(eps[small], omega[small], 1)[0])
+    return eps, omega, full, half, slope, full / half > 1.8
+
+
+class TestReportAgainstReference:
+    @pytest.mark.parametrize("case", ["exp-circle", "square-tau2"])
+    def test_all_fields(self, bih, unit_circle, case):
+        if case == "exp-circle":
+            c, g = unit_circle, parse("exp(tau)")
+        else:
+            c, g = polygon_contour(bih, [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+                                   nodes=128), parse("tau^2")
+        eps, omega, full, half, slope, divergent = _reference_report(c, g)
+        rep = regularity_report(c, g)
+        np.testing.assert_array_equal(rep.eps_grid, eps)
+        np.testing.assert_allclose(rep.omega, omega, rtol=1e-12, atol=0.0)
+        assert rep.dini_estimate == pytest.approx(full, rel=1e-12)
+        assert rep.dini_half_depth == pytest.approx(half, rel=1e-12)
+        assert rep.lipschitz_slope == pytest.approx(slope, rel=1e-12)
+        assert rep.divergence_suspected == divergent
+        assert not rep.is_constant
 
 
 class TestSupNorm:
