@@ -139,14 +139,22 @@ class CanonicalX:
     def x0(self, points: PointE) -> DualComplex:
         return dc_exp(self.exponent(points))
 
+    def from_exponent(self, side: str, zeta: DualComplex,
+                      exponent: DualComplex) -> DualComplex:
+        """X+ = exp(E) or X- = zeta^(-kappa) exp(E), from values E of the
+        exponent at zeta (off the curve, or its one-sided limits on it)."""
+        val = dc_exp(exponent)
+        if side == "-":
+            val = dc_mul(dc_pow_int(zeta, -self.kappa), val)
+        return val
+
     def plus(self, points: PointE) -> DualComplex:
         """X on the interior side (caller supplies interior points)."""
         return self.x0(points)
 
     def minus(self, points: PointE) -> DualComplex:
         """X on the exterior side: zeta^(-kappa) X0(zeta)."""
-        zeta = points.value()
-        return dc_mul(dc_pow_int(zeta, -self.kappa), self.x0(points))
+        return self.from_exponent("-", points.value(), self.exponent(points))
 
     def boundary(self, side: str) -> BoundaryTable:
         """X+ or X- at the smooth nodes, from one table of the exponent.
@@ -158,12 +166,10 @@ class CanonicalX:
         """
         if side not in self._cache:
             table = boundary_values(self.exponent, self.contour, side)
-            val = dc_exp(table.values)
-            if side == "-":
-                tau = self.contour.values()
-                tau_at = DualComplex(np.asarray(tau.c1)[table.indices],
-                                     np.asarray(tau.c2)[table.indices])
-                val = dc_mul(dc_pow_int(tau_at, -self.kappa), val)
+            tau = self.contour.values()
+            tau_at = DualComplex(np.asarray(tau.c1)[table.indices],
+                                 np.asarray(tau.c2)[table.indices])
+            val = self.from_exponent(side, tau_at, table.values)
             self._cache[side] = replace(
                 table, values=val,
                 error_estimates=np.asarray(dc_norm(val)) * table.error_estimates)
@@ -187,7 +193,7 @@ def build_canonical_X(contour: Contour, G,
     (otherwise zeta^(-kappa) is not invertible throughout the exterior).
     """
     idx = compute_index(contour, G, integrality_tol=integrality_tol)
-    origin_interior = int(np.rint(contour.winding_number(0.0, 0.0)[0])) != 0
+    origin_interior = bool(contour.winding_number(0.0, 0.0)[0] != 0)
     if idx.kappa != 0 and not origin_interior:
         raise OriginNotInteriorError(
             f"index {idx.kappa} requires the origin inside the curve")

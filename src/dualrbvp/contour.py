@@ -26,6 +26,10 @@ DEFAULT_NODES = 512
 GAUSS_ORDER = 8
 GUARD_SPACING_FACTOR = 3.0
 UPSAMPLE = 8
+# (target, source) pairs per chunk of a distance query or kernel sum: each
+# temporary plane stays ~1 MB, so memory does not grow with the number of
+# targets; kernel time measured flat from 2^12 to 2^17 pairs, slower above
+PAIR_CHUNK = 2 ** 16
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -147,51 +151,55 @@ class Contour:
         return self.basis.vector(p[..., 0], p[..., 1])
 
     def dist_to(self, x, y) -> np.ndarray:
-        """Distance from point(s) to the sampled polyline."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        p = np.stack([x, y], axis=1)                       # (M, 2)
-        a = self.xy                                        # (N, 2)
-        b = np.roll(self.xy, -1, axis=0)
-        ab = b - a                                         # (N, 2)
-        ab2 = np.maximum((ab * ab).sum(axis=1), 1e-300)
-        out = np.empty(len(p))
-        chunk = max(1, int(2e6) // max(1, self.n))
-        for s in range(0, len(p), chunk):
-            q = p[s:s + chunk]                             # (m, 2)
-            ap = q[:, None, :] - a[None, :, :]             # (m, N, 2)
-            s_proj = np.clip((ap * ab[None]).sum(-1) / ab2[None], 0.0, 1.0)
-            closest = a[None] + s_proj[..., None] * ab[None]
-            d = np.hypot(*(q[:, None, :] - closest).transpose(2, 0, 1))
-            out[s:s + chunk] = d.min(axis=1)
+        """Exact distance from point(s) to the sampled polyline, flattened.
+
+        Targets go in chunks of PAIR_CHUNK (target, segment) pairs, each on
+        (targets, segments) coordinate planes: project onto every segment,
+        clip to it, keep the smallest squared distance, and take one square
+        root per target.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        ax, ay = self.xy[:, 0], self.xy[:, 1]
+        ex, ey = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
+        inv_len2 = 1.0 / np.maximum(ex * ex + ey * ey, 1e-300)
+        out = np.empty(x.size)
+        chunk = max(1, PAIR_CHUNK // self.n)
+        for s in range(0, x.size, chunk):
+            dx = x[s:s + chunk, None] - ax
+            dy = y[s:s + chunk, None] - ay
+            t = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
+            dx -= t * ex
+            dy -= t * ey
+            out[s:s + chunk] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
         return out
 
     def winding_number(self, x, y) -> np.ndarray:
-        """Winding of the (x, y) trace about the point(s), by angle summation."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        out = np.empty(len(x))
-        a = self.xy
-        b = np.roll(self.xy, -1, axis=0)
-        chunk = max(1, int(2e6) // max(1, self.n))
-        for s in range(0, len(x), chunk):
-            vx1 = a[None, :, 0] - x[s:s + chunk, None]
-            vy1 = a[None, :, 1] - y[s:s + chunk, None]
-            vx2 = b[None, :, 0] - x[s:s + chunk, None]
-            vy2 = b[None, :, 1] - y[s:s + chunk, None]
-            ang = np.arctan2(vx1 * vy2 - vy1 * vx2, vx1 * vx2 + vy1 * vy2)
-            out[s:s + chunk] = ang.sum(axis=1) / (2.0 * np.pi)
+        """Integer winding of the (x, y) trace about the point(s), flattened.
+
+        Signed crossings (Sunday's rule): an edge crossing the point's
+        horizontal line upward with the point on its left counts +1, one
+        crossing downward with the point on its right counts -1.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        ax, ay = self.xy[:, 0], self.xy[:, 1]
+        bx, by = np.roll(ax, -1), np.roll(ay, -1)
+        out = np.empty(x.size, dtype=int)
+        chunk = max(1, PAIR_CHUNK // self.n)
+        for s in range(0, x.size, chunk):
+            px = x[s:s + chunk, None]
+            py = y[s:s + chunk, None]
+            left = (bx - ax) * (py - ay) - (px - ax) * (by - ay)
+            up = (ay <= py) & (by > py) & (left > 0)
+            down = (ay > py) & (by <= py) & (left < 0)
+            out[s:s + chunk] = up.sum(axis=1) - down.sum(axis=1)
         return out
 
     def interior_mask(self, x, y) -> np.ndarray:
         """1 interior, 0 exterior, -1 within the guard band of the curve."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
-        y = np.atleast_1d(np.asarray(y, dtype=float))
-        code = np.zeros(len(x), dtype=int)
-        near = self.dist_to(x, y) < self.guard_band
-        w = np.rint(self.winding_number(x, y)).astype(int)
-        code[w != 0] = 1
-        code[near] = -1
+        code = (self.winding_number(x, y) != 0).astype(int)
+        code[self.dist_to(x, y) < self.guard_band] = -1
         return code
 
     # -- upsampled geometry (smooth kinds) ----------------------------------------
@@ -216,7 +224,8 @@ class Contour:
         return self._cache["refined"]
 
     def upsample_samples(self, values: DualComplex) -> DualComplex:
-        """Trigonometric interpolation of node samples onto the refined grid."""
+        """Trigonometric interpolation of node samples onto the refined grid,
+        along the last axis (a (K, N) stack gives (K, UPSAMPLE * N))."""
         m = self.n * UPSAMPLE
         return DualComplex(_trig_interp(np.asarray(values.c1, dtype=complex), m),
                            _trig_interp(np.asarray(values.c2, dtype=complex), m))
@@ -485,16 +494,17 @@ def _check_simple(closed: np.ndarray) -> None:
 
 
 def _trig_interp(f: np.ndarray, m: int) -> np.ndarray:
-    """Zero-padded FFT interpolation of periodic uniform samples onto m points."""
-    n = len(f)
+    """Zero-padded FFT interpolation of periodic uniform samples onto m
+    points, along the last axis."""
+    n = f.shape[-1]
     spec = np.fft.fft(f)
-    out = np.zeros(m, dtype=complex)
+    out = np.zeros(f.shape[:-1] + (m,), dtype=complex)
     half = n // 2
-    out[:half] = spec[:half]
-    out[m - (n - half):] = spec[half:]
+    out[..., :half] = spec[..., :half]
+    out[..., m - (n - half):] = spec[..., half:]
     if n % 2 == 0 and m > n:
         # split the Nyquist coefficient symmetrically
-        out[half] = out[m - half] = spec[half] / 2.0
+        out[..., half] = out[..., m - half] = spec[..., half] / 2.0
     vals = np.fft.ifft(out) * (m / n)
     if np.isrealobj(f):
         return vals.real

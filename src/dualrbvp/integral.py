@@ -10,6 +10,14 @@ guard band use one refined rule per integral, built on first use: an 8x
 trigonometrically upsampled rule on smooth and explicit contours, and 16 Gauss
 sub-panels per panel on polygons.
 
+Either rule is one kernel sum.  A density may be a (K, N) stack of sample
+sets, such as the exponent ln(tau^(-kappa) G) and psi = g/X+ of one
+solution, and the sum over (target, source) pairs is then two matrix
+products shared by all K: with u = tau - z, the pairwise factors
+1/u1 and u2/u1^2 multiply the (N, K) blocks of weighted densities, because
+(tau - z)^(-1) = 1/u1 - (u2/u1^2) rho.  Targets go in chunks of a fixed
+number of pairs, so memory does not grow with the number of targets.
+
 Boundary values are taken here and only here: ``boundary_values`` evaluates
 one Cauchy-type integral along the inward or outward normal at geometrically
 shrinking offsets and extrapolates the offset to zero (Neville scheme), at
@@ -26,7 +34,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import DualComplex, PointE, dc_inv, dc_mul, dc_norm
-from .contour import GAUSS_ORDER, UPSAMPLE, Contour, _GL_W, _GL_X
+from .contour import GAUSS_ORDER, PAIR_CHUNK, UPSAMPLE, Contour, _GL_W, _GL_X
 from .errors import (
     CornerNodeError,
     DegenerateTriangleError,
@@ -101,34 +109,44 @@ def contour_integral(contour: Contour, samples) -> DualComplex:
 
 def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
                 z1: np.ndarray, z2: np.ndarray) -> DualComplex:
-    """sum_k dens_k (tau_k - z)^(-1) w_k / (2 pi i), vectorized over targets."""
-    t1 = np.asarray(tau.c1)
-    t2 = np.asarray(tau.c2)
-    d1 = np.broadcast_to(np.asarray(dens.c1), t1.shape)
-    d2 = np.broadcast_to(np.asarray(dens.c2), t1.shape)
-    w1 = np.asarray(w.c1)
-    w2 = np.asarray(w.c2)
-    m = z1.size
-    out1 = np.empty(m, dtype=complex)
-    out2 = np.empty(m, dtype=complex)
-    chunk = max(1, int(4e6) // max(1, t1.size))
-    for s in range(0, m, chunk):
-        u = t1[None, :] - z1[s:s + chunk, None]
-        v = t2[None, :] - z2[s:s + chunk, None]
-        inv_u = 1.0 / u
-        a1 = d1[None, :] * inv_u
-        a2 = (d2[None, :] - d1[None, :] * v * inv_u) * inv_u
-        out1[s:s + chunk] = (a1 * w1[None, :]).sum(axis=1)
-        out2[s:s + chunk] = (a1 * w2[None, :] + a2 * w1[None, :]).sum(axis=1)
+    """sum_k dens_k (tau_k - z)^(-1) w_k / (2 pi i) at every target z.
+
+    ``dens`` is a (K, N) stack of densities; the result is (K, M) for M
+    targets.  Per (target, source) pair only inv_u = 1/(tau1 - z1) and
+    q = (tau2 - z2) inv_u^2 are formed, because
+    (tau - z)^(-1) = inv_u - (tau2 - z2) inv_u^2 rho; with the (N, K) blocks
+    a = d1 w1 and b = d1 w2 + d2 w1 the two components are
+    inv_u @ a and inv_u @ b - q @ a.
+    """
+    t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
+    w1, w2 = np.asarray(w.c1), np.asarray(w.c2)
+    d1, d2 = np.asarray(dens.c1), np.asarray(dens.c2)
+    a = np.ascontiguousarray((d1 * w1).T)
+    b = np.ascontiguousarray((d1 * w2 + d2 * w1).T)
+    out1 = np.empty((z1.size, a.shape[1]), dtype=complex)
+    out2 = np.empty_like(out1)
+    chunk = max(1, PAIR_CHUNK // t1.size)
+    for s in range(0, z1.size, chunk):
+        inv_u = 1.0 / (t1 - z1[s:s + chunk, None])
+        q = t2 - z2[s:s + chunk, None]
+        q *= inv_u
+        q *= inv_u
+        out1[s:s + chunk] = inv_u @ a
+        out2[s:s + chunk] = inv_u @ b - q @ a
     scale = 1.0 / (2j * np.pi)
-    return DualComplex(out1 * scale, out2 * scale)
+    return DualComplex(out1.T * scale, out2.T * scale)
 
 
 # -- Cauchy-type integral ---------------------------------------------------------
 
 @dataclass(eq=False)
 class CauchyIntegralFn:
-    """Evaluable Cauchy-type integral of a fixed density on a fixed contour."""
+    """Evaluable Cauchy-type integral of a fixed density on a fixed contour.
+
+    ``density`` is one sample set, shape (N,), or a stack of K sample sets,
+    shape (K, N).  A stack is evaluated with one distance query and one
+    kernel pass per call, and its values are shaped (K, *points).
+    """
 
     contour: Contour
     density: DualComplex
@@ -139,46 +157,51 @@ class CauchyIntegralFn:
 
     def __call__(self, points: PointE) -> DualComplex:
         c = self.contour
-        x = np.atleast_1d(np.asarray(points.x, dtype=float))
-        y = np.atleast_1d(np.asarray(points.y, dtype=float))
-        scalar = np.ndim(points.x) == 0
-        z = PointE(x, y, c.basis).value()
-        z1 = np.asarray(z.c1).ravel()
-        z2 = np.asarray(z.c2).ravel()
+        shape = np.shape(points.x)
+        x = np.asarray(points.x, dtype=float).ravel()
+        y = np.asarray(points.y, dtype=float).ravel()
+        z = c.basis.vector(x, y)
         dist = c.dist_to(x, y)
         if np.any(dist < self.min_eval_distance()):
             raise TooCloseToBoundaryError(
                 f"evaluation within {self.min_eval_distance():.3e} of the contour")
         near = dist < c.guard_band
-        out1 = np.empty(len(z1), dtype=complex)
-        out2 = np.empty(len(z1), dtype=complex)
         far = ~near
+        stacked = np.ndim(self.density.c1) == 2
+        dens = DualComplex(np.atleast_2d(self.density.c1),
+                           np.atleast_2d(self.density.c2))
+        out1 = np.empty((len(dens.c1), x.size), dtype=complex)
+        out2 = np.empty_like(out1)
         if np.any(far):
-            v = _kernel_sum(c.values(), c.dtau(), self.density, z1[far], z2[far])
-            out1[far], out2[far] = v.c1, v.c2
+            v = _kernel_sum(c.values(), c.dtau(), dens, z.c1[far], z.c2[far])
+            out1[:, far], out2[:, far] = v.c1, v.c2
         if np.any(near):
-            v = self._near_eval(z1[near], z2[near])
-            out1[near], out2[near] = v.c1, v.c2
-        if scalar:
-            return DualComplex(complex(out1[0]), complex(out2[0]))
-        return DualComplex(out1.reshape(np.shape(points.x)),
-                           out2.reshape(np.shape(points.x)))
+            v = self._near_eval(dens, z.c1[near], z.c2[near])
+            out1[:, near], out2[:, near] = v.c1, v.c2
+        if not stacked:
+            if not shape:
+                return DualComplex(complex(out1[0, 0]), complex(out2[0, 0]))
+            return DualComplex(out1[0].reshape(shape), out2[0].reshape(shape))
+        return DualComplex(out1.reshape(out1.shape[:1] + shape),
+                           out2.reshape(out2.shape[:1] + shape))
 
     def at_infinity(self) -> DualComplex:
         return DualComplex(0j, 0j)
 
     # near-curve machinery
 
-    def _near_eval(self, z1: np.ndarray, z2: np.ndarray) -> DualComplex:
-        """Kernel sum over the contour's refined rule, built once per integral."""
+    def _near_eval(self, dens: DualComplex, z1: np.ndarray,
+                   z2: np.ndarray) -> DualComplex:
+        """Kernel sum over the contour's refined rule, built once per integral
+        for all stacked densities at once."""
         if "up" not in self._cache:
             c = self.contour
             if c.kind == "polygon":
-                self._cache["up"] = _refined_panel_integral(c, self.density)
+                self._cache["up"] = _refined_panel_integral(c, dens)
             else:
                 xy_up, w_up = c.refined_geometry()
                 tau_up = c.basis.vector(xy_up[:, 0], xy_up[:, 1])
-                self._cache["up"] = (tau_up, w_up, c.upsample_samples(self.density))
+                self._cache["up"] = (tau_up, w_up, c.upsample_samples(dens))
         tau_up, w_up, dens_up = self._cache["up"]
         return _kernel_sum(tau_up, w_up, dens_up, z1, z2)
 
@@ -212,15 +235,17 @@ _SUB_LAGRANGE = (np.polynomial.legendre.legvander(2.0 * _SUB_S - 1.0, GAUSS_ORDE
 def _refined_panel_integral(contour: Contour, dens: DualComplex
                             ) -> tuple[DualComplex, DualComplex, DualComplex]:
     """Refined rule of a polygon integral: (tau, dtau, density) at the nodes
-    of PANEL_SPLIT Gauss sub-panels per panel, for every panel at once."""
+    of PANEL_SPLIT Gauss sub-panels per panel, for every panel at once; a
+    (K, N) density stack is carried over along its last axis."""
     starts = np.array([p[0] for p in contour.panels])
     p0 = np.array([p[1] for p in contour.panels])
     edge = np.array([p[2] for p in contour.panels]) - p0
     pts = (p0[:, None, :] + _SUB_S[None, :, None] * edge[:, None, :]).reshape(-1, 2)
     w = (_SUB_W[None, :, None] * edge[:, None, :]).reshape(-1, 2)
     idx = starts[:, None] + np.arange(GAUSS_ORDER)[None, :]
-    d1 = (np.asarray(dens.c1)[idx] @ _SUB_LAGRANGE.T).ravel()
-    d2 = (np.asarray(dens.c2)[idx] @ _SUB_LAGRANGE.T).ravel()
+    lead = np.shape(dens.c1)[:-1]
+    d1 = (np.asarray(dens.c1)[..., idx] @ _SUB_LAGRANGE.T).reshape(lead + (-1,))
+    d2 = (np.asarray(dens.c2)[..., idx] @ _SUB_LAGRANGE.T).reshape(lead + (-1,))
     return (contour.basis.vector(pts[:, 0], pts[:, 1]),
             contour.basis.vector(w[:, 0], w[:, 1]), DualComplex(d1, d2))
 
@@ -350,7 +375,7 @@ def taylor_coeffs(f: FieldFn, center: PointE, contour: Contour,
     d = float(contour.dist_to(center.x, center.y)[0])
     if d < contour.guard_band:
         raise TooCloseToBoundaryError("expansion center is inside the guard band")
-    if int(np.rint(contour.winding_number(center.x, center.y)[0])) == 0:
+    if contour.winding_number(center.x, center.y)[0] == 0:
         raise InputError("expansion center is not inside the contour")
     samples = boundary_samples(f, contour)
     tau = contour.values()

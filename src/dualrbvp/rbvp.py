@@ -88,8 +88,7 @@ class RBVPProblem:
         if self.contour.basis is not self.basis:
             raise InputError("contour was built on a different basis")
         if not expr_is_one(self.G):
-            w = int(np.rint(self.contour.winding_number(0.0, 0.0)[0]))
-            if w == 0:
+            if self.contour.winding_number(0.0, 0.0)[0] == 0:
                 raise OriginNotInteriorError(
                     "a non-constant coefficient requires the origin inside the curve")
 
@@ -342,19 +341,24 @@ def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
         raise UnsolvableError(report)
     coeffs = _check_poly(problem.poly_coeffs, x.kappa)
     psi_tilde = CauchyIntegralFn(problem.contour, psi)
+    # off the curve the exponent of X and psi~ are one stacked integral: one
+    # distance query and one kernel pass per set of points
+    logs = x.log_samples
+    both = CauchyIntegralFn(problem.contour, DualComplex(
+        np.stack([logs.c1, psi.c1]), np.stack([logs.c2, psi.c2])))
 
-    def plus(points: PointE) -> DualComplex:
-        v = psi_tilde(points)
-        p = _poly_eval(coeffs, points.value())
-        return dc_mul(x.plus(points), DualComplex(v.c1 + p.c1, v.c2 + p.c2))
+    def evaluator(side: str):
+        def phi(points: PointE) -> DualComplex:
+            v = both(points)
+            zeta = points.value()
+            p = _poly_eval(coeffs, zeta)
+            xs = x.from_exponent(side, zeta, DualComplex(v.c1[0], v.c2[0]))
+            return dc_mul(xs, DualComplex(v.c1[1] + p.c1, v.c2[1] + p.c2))
+        return phi
 
-    def minus(points: PointE) -> DualComplex:
-        v = psi_tilde(points)
-        p = _poly_eval(coeffs, points.value())
-        return dc_mul(x.minus(points), DualComplex(v.c1 + p.c1, v.c2 + p.c2))
-
-    return RBVPSolution(kind="nonhomogeneous", problem=problem, plus_fn=plus,
-                        minus_fn=minus, canonical=x, psi=psi,
+    return RBVPSolution(kind="nonhomogeneous", problem=problem,
+                        plus_fn=evaluator("+"), minus_fn=evaluator("-"),
+                        canonical=x, psi=psi,
                         psi_tilde=psi_tilde, poly_coeffs=coeffs,
                         solvability=report)
 

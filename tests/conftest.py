@@ -3,10 +3,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dualrbvp import biharmonic_basis, circle_contour, classical_basis
+
+# property tests must neither miss a deadline on a loaded machine nor draw
+# different examples from one run to the next
+settings.register_profile("dualrbvp", deadline=None, derandomize=True)
+settings.load_profile("dualrbvp")
 
 
 @pytest.fixture(scope="session")

@@ -105,6 +105,65 @@ class TestInteriorTest:
             assert np.array_equal(code[ok] == 1, inside(x, y)[ok]), kind
 
 
+L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+
+
+def brute_force_distance(contour, x, y):
+    """Distance to the node polyline from (M, N, 2) projections onto every
+    segment."""
+    p = np.stack([x, y], axis=1)
+    a = contour.xy
+    ab = np.roll(contour.xy, -1, axis=0) - a
+    ap = p[:, None, :] - a[None, :, :]
+    s = np.clip((ap * ab[None]).sum(-1) / (ab * ab).sum(-1)[None], 0.0, 1.0)
+    closest = a[None] + s[..., None] * ab[None]
+    return np.hypot(*(p[:, None, :] - closest).transpose(2, 0, 1)).min(axis=1)
+
+
+def angle_sum_winding(contour, x, y):
+    """Winding of the node polyline by summing the angle each edge subtends."""
+    a = contour.xy
+    b = np.roll(contour.xy, -1, axis=0)
+    v1x, v1y = a[None, :, 0] - x[:, None], a[None, :, 1] - y[:, None]
+    v2x, v2y = b[None, :, 0] - x[:, None], b[None, :, 1] - y[:, None]
+    ang = np.arctan2(v1x * v2y - v1y * v2x, v1x * v2x + v1y * v2y)
+    return np.rint(ang.sum(axis=1) / (2.0 * np.pi)).astype(int)
+
+
+class TestDistanceAndWinding:
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "polygon", "explicit"])
+    def test_dist_to_matches_brute_force(self, bih, rng, kind):
+        c = {"circle": lambda: circle_contour(bih, center=(0.2, -0.1), nodes=256),
+             "ellipse": lambda: ellipse_contour(bih, semi_axes=(1.5, 0.8), nodes=192),
+             "polygon": lambda: polygon_contour(bih, L_SHAPE, nodes=128),
+             "explicit": lambda: explicit_contour(
+                 bih, ellipse_contour(bih, semi_axes=(1.2, 0.7), nodes=128).xy),
+             }[kind]()
+        mid = (c.xy + np.roll(c.xy, -1, axis=0)) / 2.0
+        lo, hi = c.xy.min(axis=0) - 0.5, c.xy.max(axis=0) + 0.5
+        x = np.concatenate([rng.uniform(lo[0], hi[0], 3000), c.xy[:, 0], mid[:, 0]])
+        y = np.concatenate([rng.uniform(lo[1], hi[1], 3000), c.xy[:, 1], mid[:, 1]])
+        got = c.dist_to(x, y)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - brute_force_distance(c, x, y))) <= 1e-14
+        assert np.all(got[3000:3000 + c.n] == 0.0)
+
+    def test_winding_of_l_shape_matches_angle_sum(self, bih, rng):
+        c = polygon_contour(bih, L_SHAPE, nodes=128)
+        # points at vertex heights and in the notch, then random ones
+        x = np.concatenate([[0.5, 3.0, -1.0, -1.0, 3.0, 1.5, 0.5, 1.5],
+                            rng.uniform(-0.5, 2.5, 4000)])
+        y = np.concatenate([[1.0, 1.0, 1.0, 2.0, 0.0, 1.5, 1.5, 0.5],
+                            rng.uniform(-0.5, 2.5, 4000)])
+        keep = brute_force_distance(c, x, y) > 1e-6
+        x, y = x[keep], y[keep]
+        got = c.winding_number(x, y)
+        assert got.dtype.kind == "i"
+        assert np.array_equal(got, angle_sum_winding(c, x, y))
+        assert list(got[:8]) == [1, 0, 0, 0, 0, 0, 1, 1]
+        assert 0 < got.sum() < got.size
+
+
 class TestThetaMeasure:
     def test_saturates_at_full_length(self, unit_circle):
         assert theta_measure(unit_circle, 0, 2.5) == pytest.approx(
@@ -194,7 +253,7 @@ class TestTrigInterp:
         up = _trig_interp(np.array([1.0, -1.0] * 4), 16)
         assert np.allclose(up, np.cos(np.pi * np.arange(16) / 2), atol=1e-12)
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=33),
            factor=st.integers(2, 8))
     @example(values=[1.0, -1.0, 1.0, -1.0], factor=2)

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrbvp import (
     DualComplex,
@@ -15,6 +19,7 @@ from dualrbvp import (
     differentiate,
     ellipse_contour,
     evaluate,
+    explicit_contour,
     jump_check,
     log_residue,
     monogenicity_check,
@@ -24,7 +29,12 @@ from dualrbvp import (
     taylor_coeffs,
 )
 from dualrbvp.algebra import PointE
-from dualrbvp.integral import CauchyIntegralFn, boundary_samples, boundary_values
+from dualrbvp.integral import (
+    CauchyIntegralFn,
+    _refined_panel_integral,
+    boundary_samples,
+    boundary_values,
+)
 from dualrbvp.errors import (
     CornerNodeError,
     DegenerateTriangleError,
@@ -176,6 +186,127 @@ class TestPolygonNearPath:
         x, y = c.xy[k] + 0.3 * c.max_spacing * c.inward_normals()[k]
         with pytest.raises(TooCloseToBoundaryError):
             fn(bih.embed(x, y))
+
+
+@pytest.fixture(scope="session")
+def kernel_contours(bih):
+    t = 2 * np.pi * np.arange(128) / 128
+    return {"circle": circle_contour(bih, radius=1.0, nodes=128),
+            "explicit-ellipse": explicit_contour(
+                bih, np.stack([1.4 * np.cos(t), 0.9 * np.sin(t)], axis=1)),
+            "square": polygon_contour(bih, SQUARE, nodes=128)}
+
+
+def reference_cauchy(contour, dens, pts):
+    """Per-pair Cauchy sums, one target and one density at a time: the
+    native rule outside the guard band, the refined rule inside it."""
+    if contour.kind == "polygon":
+        near_rule = _refined_panel_integral(contour, dens)
+    else:
+        xy_up, w_up = contour.refined_geometry()
+        near_rule = (contour.basis.vector(xy_up[:, 0], xy_up[:, 1]), w_up,
+                     contour.upsample_samples(dens))
+    far_rule = (contour.values(), contour.dtau(), dens)
+    z = pts.value()
+    dist = contour.dist_to(pts.x, pts.y)
+    out1, out2 = [], []
+    for z1, z2, d in zip(z.c1, z.c2, dist):
+        tau, w, f = near_rule if d < contour.guard_band else far_rule
+        inv_u = 1.0 / (tau.c1 - z1)
+        v = tau.c2 - z2
+        a1 = f.c1 * inv_u
+        a2 = (f.c2 - f.c1 * v * inv_u) * inv_u
+        out1.append(np.sum(a1 * w.c1) / (2j * np.pi))
+        out2.append(np.sum(a1 * w.c2 + a2 * w.c1) / (2j * np.pi))
+    return DualComplex(np.array(out1), np.array(out2))
+
+
+class TestStackedKernel:
+    """A (K, N) density stack is one kernel pass; each row must equal its own
+    single-density integral and a per-pair sum, near the curve and far."""
+
+    @settings(max_examples=12)
+    @given(seed=st.integers(0, 2 ** 32 - 1),
+           kind=st.sampled_from(["circle", "explicit-ellipse", "square"]))
+    def test_stack_matches_single_and_reference(self, bih, kernel_contours,
+                                                seed, kind):
+        c = kernel_contours[kind]
+        assert c.n == 128
+        rng = np.random.default_rng(seed)
+        rows = [DualComplex(rng.normal(size=c.n) + 1j * rng.normal(size=c.n),
+                            rng.normal(size=c.n) + 1j * rng.normal(size=c.n))
+                for _ in range(2)]
+        stack = DualComplex(np.stack([r.c1 for r in rows]),
+                            np.stack([r.c2 for r in rows]))
+        idx = rng.choice(c.smooth_indices(), 6, replace=False)
+        nrm = c.inward_normals()[idx]
+        h = c.max_spacing
+        offsets = [s * d for s in (1.0, -1.0) for d in (h / 2, h, 2 * h)]
+        px = np.concatenate([c.xy[idx, 0] + d * nrm[:, 0] for d in offsets]
+                            + [[0.1, -0.2, 2.5, -3.0]])
+        py = np.concatenate([c.xy[idx, 1] + d * nrm[:, 1] for d in offsets]
+                            + [[0.05, 0.3, 1.0, -2.0]])
+        pts = PointE(px, py, bih)
+        dist = c.dist_to(px, py)
+        assert np.all(dist[:-4] < c.guard_band) and np.all(dist[-4:] > c.guard_band)
+
+        got = CauchyIntegralFn(c, stack)(pts)
+        assert np.shape(got.c1) == (2, px.size)
+        for k, row in enumerate(rows):
+            single = CauchyIntegralFn(c, row)(pts)
+            ref = reference_cauchy(c, row, pts)
+            scale = max(1.0, norm_of(ref))
+            stacked_row = DualComplex(got.c1[k], got.c2[k])
+            assert norm_of(dc_sub(stacked_row, single)) <= 1e-13 * scale
+            assert norm_of(dc_sub(single, ref)) <= 1e-13 * scale
+
+    def test_scalar_point_gives_scalars(self, bih, unit_circle):
+        f = boundary_samples(parse("exp(z)"), unit_circle)
+        pt = bih.embed(0.2, -0.1)
+        one = CauchyIntegralFn(unit_circle, f)(pt)
+        assert np.ndim(one.c1) == 0 and np.ndim(one.c2) == 0
+        two = CauchyIntegralFn(unit_circle, DualComplex(
+            np.stack([f.c1, 2 * f.c1]), np.stack([f.c2, 2 * f.c2])))(pt)
+        assert np.shape(two.c1) == np.shape(two.c2) == (2,)
+        assert two.c1[1] == pytest.approx(2 * one.c1, abs=1e-14)
+        assert two.c2[0] == pytest.approx(one.c2, abs=1e-14)
+
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "explicit"])
+    def test_too_close_rejected_on_smooth_kinds(self, bih, kind):
+        """0.3 h from a node is inside the refused band 3h/8 (polygons:
+        TestPolygonNearPath.test_too_close_rejected)."""
+        circle = circle_contour(bih, nodes=128)
+        c = {"circle": circle,
+             "ellipse": ellipse_contour(bih, semi_axes=(1.5, 0.8), nodes=128),
+             "explicit": explicit_contour(bih, circle.xy)}[kind]
+        fn = CauchyIntegralFn(c, boundary_samples(parse("1"), c))
+        for k in (0, 37):
+            x, y = c.xy[k] + 0.3 * c.max_spacing * c.inward_normals()[k]
+            with pytest.raises(TooCloseToBoundaryError):
+                fn(bih.embed(x, y))
+
+    def test_stacked_call_memory_is_bounded(self, bih, rng):
+        """16384 targets, near and far, against a 256-node circle: the
+        kernel works in fixed chunks, so the peak stays a few MB."""
+        c = circle_contour(bih, radius=1.0, nodes=256)
+        dens = DualComplex(rng.normal(size=(2, c.n)) + 0j,
+                           rng.normal(size=(2, c.n)) + 0j)
+        radii = np.concatenate([np.linspace(0.5, 0.985, 64),
+                                np.linspace(1.015, 1.5, 64)])
+        ang = np.linspace(0.0, 2 * np.pi, 128, endpoint=False)
+        r, a = np.meshgrid(radii, ang)
+        x, y = (r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()
+        near = c.dist_to(x, y) < c.guard_band
+        assert x.size == 16384 and near.any() and not near.all()
+        fn = CauchyIntegralFn(c, dens)
+        tracemalloc.start()
+        try:
+            out = fn(PointE(x, y, bih))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.shape(out.c1) == (2, 16384)
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 class TestBoundaryLimits:
