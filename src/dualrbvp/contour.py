@@ -77,11 +77,12 @@ class Contour:
         return self._cache["dtau"]
 
     def smooth_indices(self) -> np.ndarray:
-        """Nodes away from polygon corners, where boundary limits are taken."""
+        """Nodes away from polygon corners, where offset extrapolation
+        (``integral.boundary_values``) can approach the curve."""
         idx = np.nonzero(~self.corner_mask)[0]
         if idx.size == 0:
             raise CornerNodeError(
-                f"all {self.n} nodes are corner nodes; no boundary limit can "
+                f"all {self.n} nodes are corner nodes; no offset limit can "
                 "be taken (use more nodes)")
         return idx
 
@@ -512,16 +513,17 @@ def _trig_interp(f: np.ndarray, m: int) -> np.ndarray:
 
 
 def _trig_derivative(f: np.ndarray, m: int) -> np.ndarray:
-    """Spectral derivative d/dt of periodic samples, on m points."""
-    n = len(f)
+    """Spectral derivative d/dt of periodic samples, on m points, along the
+    last axis."""
+    n = f.shape[-1]
     spec = np.fft.fft(f)
     k = np.fft.fftfreq(n, d=1.0 / n)
     if n % 2 == 0:
         k[n // 2] = 0.0
     dspec = spec * (2j * np.pi * k)
-    out = np.zeros(m, dtype=complex)
+    out = np.zeros(f.shape[:-1] + (m,), dtype=complex)
     half = n // 2
-    out[:half] = dspec[:half]
-    out[m - (n - half):] = dspec[half:]
+    out[..., :half] = dspec[..., :half]
+    out[..., m - (n - half):] = dspec[..., half:]
     vals = np.fft.ifft(out) * (m / n)
     return vals.real if np.isrealobj(f) else vals

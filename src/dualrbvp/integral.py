@@ -18,12 +18,22 @@ products shared by all K: with u = tau - z, the pairwise factors
 (tau - z)^(-1) = 1/u1 - (u2/u1^2) rho.  Targets go in chunks of a fixed
 number of pairs, so memory does not grow with the number of targets.
 
-Boundary values are taken here and only here: ``boundary_values`` evaluates
-one Cauchy-type integral along the inward or outward normal at geometrically
-shrinking offsets and extrapolates the offset to zero (Neville scheme), at
-the smooth nodes.  Callers tabulate each integral once per side and build
-products such as X+- (psi~+- + P) from those tables; no product of integrals
-is ever extrapolated, and no principal-value quadrature is used anywhere.
+Boundary values at the nodes come from one on-curve rule, singularity
+subtraction (Helsing & Ojala, J. Comput. Phys. 2008; Plemelj-Sokhotski as
+in Gakhov, *Boundary Value Problems*).  With
+
+    S_j = (1 / (2 pi i)) [ sum_{k != j} (phi_k - phi_j)(tau_k - tau_j)^(-1) dtau_k + D_j ],
+
+the one-sided limits at node j are C+ = phi_j + S_j and C- = S_j.  The
+subtracted integrand is smooth on the curve, so the native quadrature keeps
+its accuracy at every node, polygon corner nodes included; D_j is its
+diagonal value phi'(tau_j) dtau_j.  ``CauchyIntegralFn.node_limits`` gives
+these tables, and every construction reads them.
+
+``boundary_values`` is the independent check: it evaluates an integral along
+the inward or outward normal at shrinking offsets and extrapolates the
+offset to zero (Neville scheme), at the smooth nodes.  Solutions call it
+once per side on one integral and report its gap to the node limits.
 """
 
 from __future__ import annotations
@@ -34,7 +44,15 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .algebra import DualComplex, PointE, dc_inv, dc_mul, dc_norm
-from .contour import GAUSS_ORDER, PAIR_CHUNK, UPSAMPLE, Contour, _GL_W, _GL_X
+from .contour import (
+    GAUSS_ORDER,
+    PAIR_CHUNK,
+    UPSAMPLE,
+    Contour,
+    _GL_W,
+    _GL_X,
+    _trig_derivative,
+)
 from .errors import (
     CornerNodeError,
     DegenerateTriangleError,
@@ -107,6 +125,15 @@ def contour_integral(contour: Contour, samples) -> DualComplex:
     return DualComplex(s1, s2)
 
 
+def _weighted_blocks(w: DualComplex, dens: DualComplex):
+    """The (N, K) blocks a = d1 w1 and b = d1 w2 + d2 w1 of a (K, N)
+    density stack times the weights."""
+    w1, w2 = np.asarray(w.c1), np.asarray(w.c2)
+    d1, d2 = np.asarray(dens.c1), np.asarray(dens.c2)
+    return (np.ascontiguousarray((d1 * w1).T),
+            np.ascontiguousarray((d1 * w2 + d2 * w1).T))
+
+
 def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
                 z1: np.ndarray, z2: np.ndarray) -> DualComplex:
     """sum_k dens_k (tau_k - z)^(-1) w_k / (2 pi i) at every target z.
@@ -119,10 +146,7 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     inv_u @ a and inv_u @ b - q @ a.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
-    w1, w2 = np.asarray(w.c1), np.asarray(w.c2)
-    d1, d2 = np.asarray(dens.c1), np.asarray(dens.c2)
-    a = np.ascontiguousarray((d1 * w1).T)
-    b = np.ascontiguousarray((d1 * w2 + d2 * w1).T)
+    a, b = _weighted_blocks(w, dens)
     out1 = np.empty((z1.size, a.shape[1]), dtype=complex)
     out2 = np.empty_like(out1)
     chunk = max(1, PAIR_CHUNK // t1.size)
@@ -135,6 +159,88 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
         out2[s:s + chunk] = inv_u @ b - q @ a
     scale = 1.0 / (2j * np.pi)
     return DualComplex(out1.T * scale, out2.T * scale)
+
+
+def _node_kernel_sum(tau: DualComplex, w: DualComplex,
+                     dens: DualComplex) -> DualComplex:
+    """sum_{k != j} dens_k (tau_k - tau_j)^(-1) w_k / (2 pi i) at every node j.
+
+    The same two matrix products as ``_kernel_sum`` with the nodes as
+    targets, in chunks of PAIR_CHUNK pairs; the k = j pair is dropped by
+    zeroing its factors.
+    """
+    t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
+    a, b = _weighted_blocks(w, dens)
+    n = t1.size
+    out1 = np.empty((n, a.shape[1]), dtype=complex)
+    out2 = np.empty_like(out1)
+    chunk = max(1, PAIR_CHUNK // n)
+    for s in range(0, n, chunk):
+        rows = np.arange(s, min(s + chunk, n))
+        diag = (np.arange(rows.size), rows)
+        u = t1 - t1[rows, None]
+        u[diag] = 1.0
+        inv_u = 1.0 / u
+        inv_u[diag] = 0.0
+        q = t2 - t2[rows, None]
+        q *= inv_u
+        q *= inv_u
+        out1[rows] = inv_u @ a
+        out2[rows] = inv_u @ b - q @ a
+    scale = 1.0 / (2j * np.pi)
+    return DualComplex(out1.T * scale, out2.T * scale)
+
+
+# Legendre differentiation on the Gauss nodes of [-1, 1], one matrix for
+# every panel: (f at the nodes) -> (df/dx at the nodes), exact to degree 7
+_GL_DIFF = (np.polynomial.legendre.legvander(_GL_X, GAUSS_ORDER - 2)
+            @ np.polynomial.legendre.legder(np.eye(GAUSS_ORDER))
+            @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, GAUSS_ORDER - 1)))
+
+
+def _panel_nodes(contour: Contour) -> np.ndarray:
+    """(panels, GAUSS_ORDER) node indices of a polygon's Gauss panels."""
+    starts = np.array([p[0] for p in contour.panels])
+    return starts[:, None] + np.arange(GAUSS_ORDER)[None, :]
+
+
+def _diagonal_term(contour: Contour, d1: np.ndarray, d2: np.ndarray):
+    """D_j = phi'(tau_j) dtau_j, the k = j value of the subtracted integrand,
+    for a (K, N) stack (phi' is the derivative in dual arithmetic).
+
+    On trapezoid kinds dtau_j = (dtau/dt)_j / N, so D_j = (dphi/dt)_j / N.
+    On a polygon phi' = (dphi/dx)(dtau/dx)^(-1) in the panel coordinate x,
+    and dtau_j = w_j dtau/dx on a straight panel with Gauss weight w_j, so
+    D_j = w_j (dphi/dx)_j.
+    """
+    if contour.kind != "polygon":
+        n = contour.n
+        return _trig_derivative(d1, n) / n, _trig_derivative(d2, n) / n
+    idx = _panel_nodes(contour)
+    out1, out2 = np.empty_like(d1), np.empty_like(d2)
+    out1[..., idx] = (d1[..., idx] @ _GL_DIFF.T) * _GL_W
+    out2[..., idx] = (d2[..., idx] @ _GL_DIFF.T) * _GL_W
+    return out1, out2
+
+
+def _subtracted_sum(contour: Contour, dens: DualComplex) -> DualComplex:
+    """S_j at every node, shaped like ``dens``: the kernel sum of the stack
+    [phi..., 1] without the k = j pair gives sum phi_k K_jk and
+    sum K_jk, and S_j = sum phi_k K_jk - phi_j sum K_jk + D_j / (2 pi i)."""
+    shape = np.shape(dens.c1)
+    d1 = np.atleast_2d(np.asarray(dens.c1, dtype=complex))
+    d2 = np.atleast_2d(np.asarray(dens.c2, dtype=complex))
+    k = len(d1)
+    v = _node_kernel_sum(contour.values(), contour.dtau(), DualComplex(
+        np.vstack([d1, np.ones((1, contour.n))]),
+        np.vstack([d2, np.zeros((1, contour.n))])))
+    ones_sum = DualComplex(v.c1[k], v.c2[k])
+    held = dc_mul(DualComplex(d1, d2), ones_sum)
+    diag1, diag2 = _diagonal_term(contour, d1, d2)
+    scale = 1.0 / (2j * np.pi)
+    s1 = v.c1[:k] - held.c1 + diag1 * scale
+    s2 = v.c2[:k] - held.c2 + diag2 * scale
+    return DualComplex(s1.reshape(shape), s2.reshape(shape))
 
 
 # -- Cauchy-type integral ---------------------------------------------------------
@@ -188,6 +294,17 @@ class CauchyIntegralFn:
     def at_infinity(self) -> DualComplex:
         return DualComplex(0j, 0j)
 
+    def node_limits(self, side: str) -> DualComplex:
+        """One-sided limits at every node, shaped like the density:
+        C+ = phi + S and C- = S by singularity subtraction (module
+        docstring); S is computed once per integral."""
+        if side not in ("+", "-"):
+            raise ValueError("side must be '+' or '-'")
+        if "S" not in self._cache:
+            self._cache["S"] = _subtracted_sum(self.contour, self.density)
+        s = self._cache["S"]
+        return s + self.density if side == "+" else s
+
     # near-curve machinery
 
     def _near_eval(self, dens: DualComplex, z1: np.ndarray,
@@ -237,12 +354,11 @@ def _refined_panel_integral(contour: Contour, dens: DualComplex
     """Refined rule of a polygon integral: (tau, dtau, density) at the nodes
     of PANEL_SPLIT Gauss sub-panels per panel, for every panel at once; a
     (K, N) density stack is carried over along its last axis."""
-    starts = np.array([p[0] for p in contour.panels])
     p0 = np.array([p[1] for p in contour.panels])
     edge = np.array([p[2] for p in contour.panels]) - p0
     pts = (p0[:, None, :] + _SUB_S[None, :, None] * edge[:, None, :]).reshape(-1, 2)
     w = (_SUB_W[None, :, None] * edge[:, None, :]).reshape(-1, 2)
-    idx = starts[:, None] + np.arange(GAUSS_ORDER)[None, :]
+    idx = _panel_nodes(contour)
     lead = np.shape(dens.c1)[:-1]
     d1 = (np.asarray(dens.c1)[..., idx] @ _SUB_LAGRANGE.T).reshape(lead + (-1,))
     d2 = (np.asarray(dens.c2)[..., idx] @ _SUB_LAGRANGE.T).reshape(lead + (-1,))
@@ -254,7 +370,8 @@ def _refined_panel_integral(contour: Contour, dens: DualComplex
 
 @dataclass
 class BoundaryTable:
-    """Extrapolated one-sided boundary values at the smooth contour nodes."""
+    """One-sided boundary values at the contour nodes ``indices``, with a
+    per-node error estimate (NaN where none was taken)."""
 
     indices: np.ndarray
     values: DualComplex
@@ -285,9 +402,10 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
 
     Approaches each node along its inward ('+') or outward ('-') normal at
     offsets h, h/2, ..., h/2^(J-1) and extrapolates the offset to zero.
-    The evaluator must accept array-valued points; the solvers pass a single
-    CauchyIntegralFn and keep the table.  ``error_estimates`` is the change
-    made by the last extrapolation step.
+    The evaluator must accept array-valued points; a (K, N) stacked
+    integral gives (K, nodes) values.  Solutions call it once per side, as
+    the check of their node limits.  ``error_estimates`` is the change made
+    by the last extrapolation step.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")

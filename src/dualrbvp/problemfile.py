@@ -2,7 +2,9 @@
 
 Complex numbers are stored as [re, im]; algebra values as four floats
 [re c1, im c1, re c2, im c2].  Result files contain no timestamps and use
-sorted keys, so identical inputs produce byte-identical outputs.
+sorted keys, so identical inputs produce byte-identical outputs.  The
+boundary section records Phi+ and Phi- at every contour node, in node
+order, because ``verify`` integrates them with the contour's quadrature.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ RESULT_FORMAT = "dualrbvp-result@1"
 VERIFY_FORMAT = "dualrbvp-verify@1"
 
 DEFAULT_TOLERANCES = {"residual": 1e-6, "index_integrality": 1e-3}
-DEFAULT_BOUNDARY_SAMPLES = 128
 
 
 def dc_to_list(c: DualComplex) -> list:
@@ -40,8 +41,7 @@ def dc_from_list(v) -> DualComplex:
 def dc_array_to_lists(c: DualComplex) -> list:
     c1 = np.atleast_1d(np.asarray(c.c1, dtype=complex))
     c2 = np.atleast_1d(np.asarray(c.c2, dtype=complex))
-    return [[float(a.real), float(a.imag), float(b.real), float(b.imag)]
-            for a, b in zip(c1, c2)]
+    return np.stack([c1.real, c1.imag, c2.real, c2.imag], axis=1).tolist()
 
 
 def dc_array_from_lists(rows) -> DualComplex:
@@ -52,17 +52,11 @@ def dc_array_from_lists(rows) -> DualComplex:
 
 
 @dataclass
-class OutputSpec:
-    boundary_samples: int = DEFAULT_BOUNDARY_SAMPLES
-    grid: Optional[dict] = None  # {"nx", "ny", "margin"}
-
-
-@dataclass
 class ProblemSpec:
     basis: BasisE
     contour: Contour
     problem: RBVPProblem
-    output: OutputSpec
+    grid: Optional[dict]    # output grid {"nx", "ny", "margin"}, or None
     raw: dict
 
 
@@ -126,24 +120,23 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     out_node = raw.get("output", {})
     if not isinstance(out_node, dict):
         raise ProblemFormatError("'output' must be an object")
-    output = OutputSpec(
-        boundary_samples=int(out_node.get("boundary_samples",
-                                          DEFAULT_BOUNDARY_SAMPLES)),
-        grid=out_node.get("grid"))
-    if output.grid is not None:
+    # other keys, such as "boundary_samples" in older files, are ignored:
+    # the boundary section records every node
+    grid = out_node.get("grid")
+    if grid is not None:
         for key in ("nx", "ny"):
-            if key not in output.grid:
+            if key not in grid:
                 raise ProblemFormatError(f"grid spec needs '{key}'")
     return ProblemSpec(basis=basis, contour=contour, problem=problem,
-                       output=output, raw=raw)
+                       grid=grid, raw=raw)
 
 
 def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
-    if spec.output.grid is None:
+    if spec.grid is None:
         return None
-    nx = int(spec.output.grid["nx"])
-    ny = int(spec.output.grid["ny"])
-    margin = float(spec.output.grid.get("margin", 0.5))
+    nx = int(spec.grid["nx"])
+    ny = int(spec.grid["ny"])
+    margin = float(spec.grid.get("margin", 0.5))
     lo = spec.contour.xy.min(axis=0)
     hi = spec.contour.xy.max(axis=0)
     pad = margin * max(hi[0] - lo[0], hi[1] - lo[1])
@@ -169,30 +162,15 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
 
 def _boundary_section(spec: ProblemSpec, solution: RBVPSolution) -> dict:
     from .integral import boundary_samples as _samples
-    plus = solution.boundary_table("+")
-    minus = solution.boundary_table("-")
-    idx = plus.indices
-    count = max(1, min(spec.output.boundary_samples, len(idx)))
-    stride = max(1, len(idx) // count)
-    pick = np.arange(0, len(idx), stride)[:count]
-    sel = idx[pick]
     contour = spec.contour
-    tau = contour.values()
-    gv = _samples(spec.problem.g, contour)
-    Gv = _samples(spec.problem.G, contour)
-
-    def rows(c: DualComplex, take) -> list:
-        return dc_array_to_lists(DualComplex(np.asarray(c.c1)[take],
-                                             np.asarray(c.c2)[take]))
-
     return {
-        "node_indices": [int(v) for v in sel],
-        "t": [float(v) for v in contour.t[sel]],
-        "tau": rows(tau, sel),
-        "phi_plus": rows(plus.values, pick),
-        "phi_minus": rows(minus.values, pick),
-        "G": rows(Gv, sel),
-        "g": rows(gv, sel),
+        "node_indices": list(range(contour.n)),
+        "t": contour.t.tolist(),
+        "tau": dc_array_to_lists(contour.values()),
+        "phi_plus": dc_array_to_lists(solution.boundary_table("+").values),
+        "phi_minus": dc_array_to_lists(solution.boundary_table("-").values),
+        "G": dc_array_to_lists(_samples(spec.problem.G, contour)),
+        "g": dc_array_to_lists(_samples(spec.problem.g, contour)),
     }
 
 

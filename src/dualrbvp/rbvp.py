@@ -10,12 +10,16 @@ Three cases, dispatched on the data:
   s = 1..-kappa, when kappa < 0.
 
 Solutions carry vectorized side evaluators, boundary tables and residual
-reporting.  Each side's table is assembled at the smooth nodes from the
-one-sided limits of the solution's two Cauchy-type integrals, each taken
-once per side: X+- from the exponent (``CanonicalX.boundary``) and psi~+-.
-Phi- is never derived from Phi+, so the residual stays an independent
-check.  ``boundary_error_estimate`` is the largest first-order propagated
-extrapolation error |X| (e_psi + |psi~ + P| e_E) over both sides.
+reporting.  Each side's table is assembled at every node from the node
+limits (``CauchyIntegralFn.node_limits``) of the solution's Cauchy-type
+integrals: X+- from the exponent (``CanonicalX.boundary``) and psi~+-.
+Offset extrapolation only checks them: each solution calls
+``boundary_values`` once per side on one integral (the stacked
+[exponent, psi] integral, the exponent alone, or g~), at the smooth nodes,
+and the gap to the node limits, propagated to first order as
+|X| (e_psi + |psi~ + P| e_E), is the table's error estimate there.
+``boundary_error_estimate`` is the largest of them over both sides, or
+None when no node could be checked.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import BasisE, DualComplex, PointE, dc_inv, dc_mul, dc_norm, dc_pow_int
+from .algebra import BasisE, DualComplex, PointE, dc_exp, dc_mul, dc_norm, dc_pow_int
 from .canonical import CanonicalX, build_canonical_X
 from .contour import Contour
 from .errors import (
@@ -115,7 +119,7 @@ class ResidualReport:
     indices: np.ndarray
     infinity_bound: float
     infinity_by_radius: list
-    boundary_error_estimate: float
+    boundary_error_estimate: Optional[float]
 
 
 def _poly_eval(coeffs: list, zeta: DualComplex) -> DualComplex:
@@ -147,6 +151,8 @@ class RBVPSolution:
     constant: Optional[DualComplex] = None
     solvability: Optional[SolvabilityReport] = None
     trivial_only: bool = False
+    # the one integral whose offset limits check the boundary tables
+    check_integral: Optional[CauchyIntegralFn] = None
     _cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -160,7 +166,7 @@ class RBVPSolution:
         return self.minus_fn(points)
 
     def boundary_table(self, side: str) -> BoundaryTable:
-        """Phi+ or Phi- at the smooth nodes, assembled from component tables:
+        """Phi+ or Phi- at every node, assembled from node limits:
 
         * jump: psi~+- + c;
         * homogeneous: X+- P(tau), or 0 when only the trivial solution exists;
@@ -172,26 +178,50 @@ class RBVPSolution:
 
     def _assemble(self, side: str) -> BoundaryTable:
         contour = self.problem.contour
+        idx = np.arange(contour.n)
         if self.trivial_only:
-            idx = contour.smooth_indices()
-            zero = np.zeros(len(idx), dtype=complex)
+            zero = np.zeros(contour.n, dtype=complex)
             return BoundaryTable(indices=idx, values=DualComplex(zero, zero.copy()),
-                                 error_estimates=np.zeros(len(idx)), side=side)
+                                 error_estimates=np.zeros(contour.n), side=side)
         if self.kind == "jump":
-            t = boundary_values(self.psi_tilde, contour, side)
-            return replace(t, values=t.values + self.constant)
-        x = self.canonical.boundary(side)
-        tau = contour.values()
-        factor = _poly_eval(self.poly_coeffs,
-                            DualComplex(np.asarray(tau.c1)[x.indices],
-                                        np.asarray(tau.c2)[x.indices]))
-        err = 0.0
-        if self.kind == "nonhomogeneous":
-            t = boundary_values(self.psi_tilde, contour, side)
-            factor = t.values + factor
-            err = np.asarray(dc_norm(x.values)) * t.error_estimates
-        err = err + np.asarray(dc_norm(factor)) * x.error_estimates
-        return replace(x, values=dc_mul(x.values, factor), error_estimates=err)
+            limits = [self.psi_tilde.node_limits(side)]
+            values = limits[0] + self.constant
+        else:
+            x = self.canonical.boundary(side).values
+            factor = _poly_eval(self.poly_coeffs, contour.values())
+            limits = [self.canonical.exponent.node_limits(side)]
+            if self.kind == "nonhomogeneous":
+                limits.append(self.psi_tilde.node_limits(side))
+                factor = limits[1] + factor
+            values = dc_mul(x, factor)
+        err = np.full(contour.n, np.nan)
+        checked = self._check(side, limits)
+        if checked is not None:
+            at, gaps = checked
+            if self.kind == "jump":
+                err[at] = gaps[0]
+            else:
+                e_psi = gaps[1] if self.kind == "nonhomogeneous" else 0.0
+                err[at] = (np.asarray(dc_norm(x))[at]
+                           * (e_psi + np.asarray(dc_norm(factor))[at] * gaps[0]))
+        return BoundaryTable(indices=idx, values=values, error_estimates=err,
+                             side=side)
+
+    def _check(self, side: str, limits: list):
+        """Gap between the offset-extrapolated limits of ``check_integral``
+        (one row per entry of ``limits``) and the node limits, at the smooth
+        nodes: (indices, one gap array per row), or None without a smooth
+        node."""
+        contour = self.problem.contour
+        if contour.corner_mask.all():
+            return None
+        table = boundary_values(self.check_integral, contour, side)
+        at = table.indices
+        got1 = np.atleast_2d(table.values.c1)
+        got2 = np.atleast_2d(table.values.c2)
+        return at, [np.asarray(dc_norm(DualComplex(got1[r] - np.asarray(v.c1)[at],
+                                                   got2[r] - np.asarray(v.c2)[at])))
+                    for r, v in enumerate(limits)]
 
     def scaled(self, k: DualComplex) -> "RBVPSolution":
         """Constant multiple of the solution (module structure over the algebra).
@@ -239,7 +269,8 @@ def solve_jump(problem: RBVPProblem, constant: Optional[DualComplex] = None) -> 
         return DualComplex(v.c1 + c.c1, v.c2 + c.c2)
 
     return RBVPSolution(kind="jump", problem=problem, plus_fn=side, minus_fn=side,
-                        psi=gt.density, psi_tilde=gt, constant=c)
+                        psi=gt.density, psi_tilde=gt, constant=c,
+                        check_integral=gt)
 
 
 def _check_poly(coeffs: list, kappa: int) -> list:
@@ -280,7 +311,8 @@ def solve_homogeneous(problem: RBVPProblem) -> RBVPSolution:
         return dc_mul(x.minus(points), _poly_eval(coeffs, points.value()))
 
     return RBVPSolution(kind="homogeneous", problem=problem, plus_fn=plus,
-                        minus_fn=minus, canonical=x, poly_coeffs=coeffs)
+                        minus_fn=minus, canonical=x, poly_coeffs=coeffs,
+                        check_integral=x.exponent)
 
 
 def _zero_evaluator():
@@ -292,21 +324,10 @@ def _zero_evaluator():
 
 
 def _psi_samples(problem: RBVPProblem, x: CanonicalX) -> DualComplex:
-    """Density psi = g (X+)^(-1) at all contour nodes.
-
-    X+ is the canonical factor's interior table at the smooth nodes; a
-    corner node takes X+ of its nearest smooth node (corner nodes are
-    excluded from residual accounting anyway).
-    """
-    table = x.boundary("+")
-    smooth = table.indices
-    nearest = np.arange(problem.contour.n)
-    for k in np.nonzero(problem.contour.corner_mask)[0]:
-        nearest[k] = smooth[np.argmin(np.abs(smooth - k))]
-    pos = np.searchsorted(smooth, nearest)
-    xplus = DualComplex(np.asarray(table.values.c1)[pos],
-                        np.asarray(table.values.c2)[pos])
-    return dc_mul(problem.g_samples(), dc_inv(xplus))
+    """Density psi = g (X+)^(-1) = g exp(-E+) at every node, with E+ the
+    exponent's interior node limits."""
+    e = x.exponent.node_limits("+")
+    return dc_mul(problem.g_samples(), dc_exp(DualComplex(-e.c1, -e.c2)))
 
 
 def check_solvability(problem: RBVPProblem, x: CanonicalX,
@@ -342,7 +363,8 @@ def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
     coeffs = _check_poly(problem.poly_coeffs, x.kappa)
     psi_tilde = CauchyIntegralFn(problem.contour, psi)
     # off the curve the exponent of X and psi~ are one stacked integral: one
-    # distance query and one kernel pass per set of points
+    # distance query and one kernel pass per set of points, and one offset
+    # check per side of the boundary tables
     logs = x.log_samples
     both = CauchyIntegralFn(problem.contour, DualComplex(
         np.stack([logs.c1, psi.c1]), np.stack([logs.c2, psi.c2])))
@@ -360,7 +382,7 @@ def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
                         plus_fn=evaluator("+"), minus_fn=evaluator("-"),
                         canonical=x, psi=psi,
                         psi_tilde=psi_tilde, poly_coeffs=coeffs,
-                        solvability=report)
+                        solvability=report, check_integral=both)
 
 
 DEFAULT_INFINITY_RADII = (10.0, 100.0, 1000.0)
@@ -370,21 +392,17 @@ def residual_report(solution: RBVPSolution, problem: Optional[RBVPProblem] = Non
                     radii=DEFAULT_INFINITY_RADII) -> ResidualReport:
     """Boundary-condition defect and boundedness of the exterior part.
 
-    Phi+ and Phi- on the curve are the solution's boundary tables at the
-    smooth nodes; the exterior part is sampled on rings of growing radius
-    around the contour.
+    Phi+ and Phi- on the curve are the solution's boundary tables at every
+    node; the exterior part is sampled on rings of growing radius around
+    the contour.
     """
     p = problem if problem is not None else solution.problem
     plus = solution.boundary_table("+")
     minus = solution.boundary_table("-")
-    idx = plus.indices
-    gv = boundary_samples(p.g, p.contour)
-    Gv = boundary_samples(p.G, p.contour)
-    g_at = DualComplex(np.asarray(gv.c1)[idx], np.asarray(gv.c2)[idx])
-    G_at = DualComplex(np.asarray(Gv.c1)[idx], np.asarray(Gv.c2)[idx])
-    rhs = dc_mul(G_at, minus.values)
-    defect = DualComplex(plus.values.c1 - rhs.c1 - g_at.c1,
-                         plus.values.c2 - rhs.c2 - g_at.c2)
+    rhs = dc_mul(boundary_samples(p.G, p.contour), minus.values)
+    g = boundary_samples(p.g, p.contour)
+    defect = DualComplex(plus.values.c1 - rhs.c1 - g.c1,
+                         plus.values.c2 - rhs.c2 - g.c2)
     res = np.asarray(dc_norm(defect))
     cx, cy = p.contour.centroid
     half = max(p.contour.diameter / 2.0, 1e-12)
@@ -395,12 +413,54 @@ def residual_report(solution: RBVPSolution, problem: Optional[RBVPProblem] = Non
         py = cy + r * half * np.sin(ang)
         v = solution.minus(PointE(px, py, p.basis))
         by_radius.append(float(np.max(dc_norm(v))))
+    est = np.concatenate([plus.error_estimates, minus.error_estimates])
+    est = est[~np.isnan(est)]
     return ResidualReport(sup_residual=float(res.max()), per_node=res,
-                          indices=idx, infinity_bound=float(max(by_radius)),
+                          indices=plus.indices, infinity_bound=float(max(by_radius)),
                           infinity_by_radius=by_radius,
-                          boundary_error_estimate=float(
-                              max(plus.error_estimates.max(),
-                                  minus.error_estimates.max())))
+                          boundary_error_estimate=float(est.max()) if est.size else None)
+
+
+PROBE_RING = 32
+PROBE_LATTICE = 16
+
+
+def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
+                  ) -> tuple[Optional[float], Optional[float]]:
+    """Plemelj-Sokhotski test of two node tables (Gakhov, *Boundary Value
+    Problems*; Muskhelishvili, *Singular Integral Equations*).
+
+    ``plus`` is the interior trace of a monogenic function exactly when its
+    Cauchy-type integral vanishes outside the curve; ``minus`` is the trace
+    of one monogenic outside and bounded at infinity exactly when its
+    integral is constant (= Phi-(infinity)) inside.  Returns max |C[plus]|
+    on a ring of PROBE_RING points at twice the half-diameter around the
+    bounding-box centre, and the largest distance of C[minus] from its mean
+    over the points of a PROBE_LATTICE^2 lattice on the bounding box that
+    lie inside the curve; either is None when no probe qualifies.  Probes
+    stay two guard bands from the curve, so only the native rule runs:
+    neither the node-limit rule nor offset extrapolation takes part.
+    """
+    lo, hi = contour.xy.min(axis=0), contour.xy.max(axis=0)
+    mid, half = (lo + hi) / 2.0, float(np.hypot(*(hi - lo))) / 2.0
+    ang = 2.0 * np.pi * np.arange(PROBE_RING) / PROBE_RING
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], PROBE_LATTICE),
+                         np.linspace(lo[1], hi[1], PROBE_LATTICE))
+    out = []
+    for table, x, y, inside in (
+            (plus, mid[0] + 2.0 * half * np.cos(ang),
+             mid[1] + 2.0 * half * np.sin(ang), False),
+            (minus, gx.ravel(), gy.ravel(), True)):
+        keep = (((contour.winding_number(x, y) != 0) == inside)
+                & (contour.dist_to(x, y) >= 2.0 * contour.guard_band))
+        if not keep.any():
+            out.append(None)
+            continue
+        v = CauchyIntegralFn(contour, table)(PointE(x[keep], y[keep], contour.basis))
+        if inside:
+            v = DualComplex(v.c1 - np.mean(v.c1), v.c2 - np.mean(v.c2))
+        out.append(float(np.max(dc_norm(v))))
+    return out[0], out[1]
 
 
 def solve_auto(problem: RBVPProblem) -> RBVPSolution:

@@ -82,15 +82,22 @@ class TestSolve:
                      "nodes": 16})
         assert main(["solve", str(prob)]) == 4
 
-    def test_square_without_smooth_nodes_exit_4(self, tmp_path, capsys):
-        # every node of a 64-node square lies in a corner panel
+    def test_square_without_smooth_nodes_solves(self, tmp_path):
+        # every node of a 64-node square lies in a corner panel: the
+        # node-limit rule needs no smooth node, but the offset check does
         prob = write_problem(
             tmp_path / "p.json", G="tau", g="1",
             contour={"kind": "polygon", "nodes": 64,
                      "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]})
-        assert main(["solve", str(prob), "--out", str(tmp_path / "r.json")]) == 4
-        err = capsys.readouterr().err
-        assert "corner" in err and len(err.strip().splitlines()) == 1
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        plus = np.asarray(doc["boundary"]["phi_plus"])
+        minus = np.asarray(doc["boundary"]["phi_minus"])
+        assert plus.shape == (64, 4)
+        assert np.max(np.abs(plus - [1.0, 0.0, 0.0, 0.0])) <= 1e-12
+        assert np.max(np.abs(minus)) <= 1e-12
+        assert doc["boundary_error_estimate"] is None
 
     def test_unexpected_exception_exit_4_without_traceback(
             self, tmp_path, capsys, monkeypatch, caplog):
@@ -119,6 +126,17 @@ class TestSolve:
         assert set(doc["tolerances"]) == {"residual", "index_integrality"}
         assert "hypothesis_route" not in doc
         assert "declarations" not in doc
+
+    def test_retired_boundary_samples_still_loads(self, tmp_path):
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 96},
+                             output={"boundary_samples": 16})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        boundary = json.loads(out.read_text())["boundary"]
+        assert boundary["node_indices"] == list(range(96))
+        assert len(boundary["phi_plus"]) == len(boundary["phi_minus"]) == 96
 
     def test_deterministic_output(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
@@ -170,6 +188,56 @@ class TestVerify:
         rep = tmp_path / "v.json"
         assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 1
         assert json.loads(rep.read_text())["residual"] == pytest.approx(0.01, rel=1e-3)
+
+    def test_forged_tables_fail(self, tmp_path):
+        # Phi- := noise h and Phi+ := G h + g meet the boundary condition
+        # to rounding, but are not the traces of one monogenic function
+        prob = write_problem(tmp_path / "p.json", G="tau*exp(tau)",
+                             g="1+tau^2",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 128})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        rep = tmp_path / "v.json"
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+        genuine = json.loads(rep.read_text())
+        assert genuine["exterior_trace_defect"] <= genuine["trace_tolerance"]
+        assert genuine["interior_trace_spread"] <= genuine["trace_tolerance"]
+
+        doc = json.loads(out.read_text())
+        bnd = doc["boundary"]
+        rows = np.asarray(bnd["G"])
+        G = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+        rows = np.asarray(bnd["g"])
+        g = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+        noise = np.random.default_rng(7).normal(size=(4, 128))
+        h = noise[0] + 1j * noise[1], noise[2] + 1j * noise[3]
+        plus = (G[0] * h[0] + g[0], G[0] * h[1] + G[1] * h[0] + g[1])
+        bnd["phi_minus"] = [[a.real, a.imag, b.real, b.imag] for a, b in zip(*h)]
+        bnd["phi_plus"] = [[a.real, a.imag, b.real, b.imag] for a, b in zip(*plus)]
+        out.write_text(json.dumps(doc, sort_keys=True))
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 1
+        forged = json.loads(rep.read_text())
+        assert forged["residual"] <= 1e-12
+        assert forged["passed"] is False
+        assert forged["exterior_trace_defect"] > forged["trace_tolerance"]
+        assert forged["interior_trace_spread"] > forged["trace_tolerance"]
+
+    def test_nonconvex_polygon_verifies(self, tmp_path):
+        # L-shaped region with the origin inside; interior probes come
+        # from the lattice points the winding test keeps
+        prob = write_problem(tmp_path / "p.json",
+                             G="tau*exp((0.5+0.25*rho)*tau)", g="1+tau^2",
+                             contour={"kind": "polygon", "nodes": 256,
+                                      "vertices": [[-1, -1], [2, -1], [2, 0],
+                                                   [0.5, 0], [0.5, 2],
+                                                   [-1, 2]]})
+        out = tmp_path / "r.json"
+        rep = tmp_path / "v.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["passed"] is True and "jump_residual" not in doc
 
     def test_contour_hash_mismatch(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")

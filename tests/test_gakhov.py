@@ -4,7 +4,7 @@ Complex parts multiply independently of the rho parts, so the complex part
 of Phi+- must equal the classical scalar solution F+- = Y+- (phi~+- + P)
 of F+ = a F- + b, where a and b are the complex parts of G and g on the
 xi1 trace of the curve.  The oracle takes its boundary values by
-principal-value quadrature, the package by offset extrapolation.
+principal-value quadrature, the package by singularity subtraction.
 """
 
 import numpy as np
@@ -73,6 +73,17 @@ def test_error_estimate_covers_oracle_miss_for_nonentire_free_term():
                                 a_fn, lambda w: w ** 2 + (0.5 + 0.2j) / w, poly)
     for table, want in tables:
         assert _miss(table, want) <= float(np.max(table.error_estimates))
+
+
+def test_pole_free_term_meets_oracle_at_every_node():
+    # psi~- = -(0.5+0.2i)/zeta has its pole at the curve's scale; offset
+    # extrapolation met it only to ~1e-7, the node-limit rule to rounding
+    G, _, a_fn, _, poly = CASES["kappa1-nonhomogeneous"]
+    tables = _tables_and_oracle(biharmonic_basis(), G, "tau^2+(0.5+0.2i)/tau",
+                                a_fn, lambda w: w ** 2 + (0.5 + 0.2j) / w, poly)
+    for table, want in tables:
+        assert len(table.indices) == N
+        assert _miss(table, want) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 
 def test_oracle_interior_limits_of_one_and_tau():

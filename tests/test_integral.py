@@ -309,6 +309,73 @@ class TestStackedKernel:
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
+@pytest.fixture(scope="session")
+def node_rule_contours(bih):
+    t = 2 * np.pi * np.arange(128) / 128
+    return {"circle": circle_contour(bih, radius=1.0, nodes=256),
+            "ellipse": ellipse_contour(bih, semi_axes=(1.3, 0.8), nodes=192),
+            "explicit-ellipse": explicit_contour(
+                bih, np.stack([1.3 * np.cos(t), 0.8 * np.sin(t)], axis=1)),
+            "square": polygon_contour(bih, SQUARE, nodes=128)}
+
+
+class TestNodeLimits:
+    """Singularity-subtraction limits at every node, polygon corner nodes
+    included, against closed forms."""
+
+    POLE = "(0.2+0.1i)"
+
+    @pytest.mark.parametrize("text, plus, minus", [
+        ("z*exp(z)", "z*exp(z)", "0"),
+        (f"1/(z-{POLE})", "0", f"-1/(z-{POLE})"),
+    ])
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "explicit-ellipse",
+                                      "square"])
+    def test_closed_forms(self, node_rule_contours, kind, text, plus, minus):
+        c = node_rule_contours[kind]
+        tol = 1e-12
+        if kind == "square":
+            assert c.n == 128 and c.corner_mask.sum() == 64
+            # the diagonal term differentiates each panel's degree-7
+            # interpolant; the pole sits 3.2 half-panels from the right edge,
+            # so that derivative is good only to ~(3.2 + 3.0)^-8 = 4e-7
+            tol = 1e-9 if text == "z*exp(z)" else 1e-5
+        fn = CauchyIntegralFn(c, boundary_samples(parse(text), c))
+        pts = c.points()
+        for side, want in (("+", plus), ("-", minus)):
+            got = fn.node_limits(side)
+            assert np.shape(got.c1) == (c.n,)
+            assert norm_of(dc_sub(got, evaluate(parse(want), z=pts))) <= tol, side
+
+    def test_stack_matches_single_calls(self, node_rule_contours):
+        c = node_rule_contours["square"]
+        rows = [boundary_samples(parse(t), c) for t in ("z*exp(z)", "1/(z-0.3)")]
+        stack = CauchyIntegralFn(c, DualComplex(np.stack([r.c1 for r in rows]),
+                                                np.stack([r.c2 for r in rows])))
+        for side in "+-":
+            got = stack.node_limits(side)
+            assert np.shape(got.c1) == (2, c.n)
+            for k, row in enumerate(rows):
+                single = CauchyIntegralFn(c, row).node_limits(side)
+                assert norm_of(dc_sub(DualComplex(got.c1[k], got.c2[k]),
+                                      single)) <= 1e-13
+
+    def test_table_memory_is_bounded(self, bih):
+        """Both sides of one N=2048 table stay within 32 MB of traced
+        memory; a dense N x N plane alone would take 64 MB."""
+        c = circle_contour(bih, radius=1.0, nodes=2048)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("z*exp(z)"), c))
+        tracemalloc.start()
+        try:
+            plus, minus = fn.node_limits("+"), fn.node_limits("-")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert norm_of(dc_sub(plus, fn.density)) <= 1e-12
+        assert norm_of(minus) <= 1e-12
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
 class TestBoundaryLimits:
     def test_constant_density_limits(self, unit_circle):
         fn = CauchyIntegralFn(unit_circle,

@@ -11,8 +11,10 @@ from dualrbvp import (
     dc_norm,
     dc_sub,
     ellipse_contour,
+    evaluate,
     explicit_contour,
     parse,
+    polygon_contour,
     residual_report,
     solve_auto,
     solve_homogeneous,
@@ -209,6 +211,40 @@ class TestNonhomogeneous:
                 bih, c, G="tau*exp(tau)", g="1+tau^2"))).sup_residual
             for c in (par, explicit_contour(bih, par.xy))]
         assert residuals[1] <= 10 * residuals[0]
+
+
+class TestClosedFormsAtEveryNode:
+    """kappa = 1, G = tau exp(b tau), g = 1 + tau^2 and P = 0 have
+    Phi+ = g and Phi- = 0; the tables must meet them at every node, the
+    square's 64 corner nodes included."""
+
+    @pytest.mark.parametrize("kind, tol", [
+        ("circle", 1e-12), ("ellipse", 1e-12), ("explicit-ellipse", 1e-12),
+        ("square", 1e-9)])
+    def test_tables(self, bih, kind, tol):
+        t = 2 * np.pi * np.arange(128) / 128
+        contour = {
+            "circle": lambda: circle_contour(bih, radius=1.0, nodes=128),
+            "ellipse": lambda: ellipse_contour(bih, semi_axes=(1.3, 0.8),
+                                               nodes=192),
+            "explicit-ellipse": lambda: explicit_contour(
+                bih, np.stack([1.3 * np.cos(t), 0.8 * np.sin(t)], axis=1)),
+            "square": lambda: polygon_contour(
+                bih, [[-1, -1], [1, -1], [1, 1], [-1, 1]], nodes=128),
+        }[kind]()
+        s = solve_nonhomogeneous(problem(bih, contour,
+                                         G="tau*exp((0.5+0.25*rho)*tau)",
+                                         g="1+tau^2"))
+        want = evaluate(parse("1+z^2"), z=contour.points())
+        plus, minus = s.boundary_table("+"), s.boundary_table("-")
+        assert list(plus.indices) == list(range(contour.n))
+        scale = max(1.0, norm_of(want))
+        assert norm_of(dc_sub(plus.values, want)) <= tol * scale
+        assert norm_of(minus.values) <= tol * scale
+        # the offset check covers the smooth nodes only
+        checked = ~np.isnan(plus.error_estimates)
+        assert np.array_equal(checked, ~contour.corner_mask)
+        assert residual_report(s).boundary_error_estimate is not None
 
 
 class TestResidualReport:
