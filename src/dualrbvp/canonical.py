@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import DualComplex, PointE, dc_exp, dc_mul, dc_norm, dc_pow_int
+from .algebra import DualComplex, PointE, dc_exp, dc_mul, dc_pow_int
 from .contour import Contour
 from .errors import (
     BranchAmbiguityError,
@@ -25,7 +25,7 @@ from .errors import (
     NotInvertibleOnContourError,
     OriginNotInteriorError,
 )
-from .integral import BoundaryTable, CauchyIntegralFn, boundary_samples
+from .integral import BoundaryTable, CauchyIntegralFn, boundary_defect, boundary_samples
 # no longer called here, but still a name of this module: the bench tracer
 # (bench/spans.py) rebinds it in every module that imports it
 from .integral import boundary_values  # noqa: F401
@@ -133,10 +133,7 @@ class CanonicalX:
     contour: Contour
     kappa: int
     raw_index: float
-    log_samples: DualComplex
-    exponent: CauchyIntegralFn
-    branch_start: complex
-    origin_interior: bool
+    exponent: CauchyIntegralFn        # Cauchy-type integral of the log samples
     _cache: dict = field(default_factory=dict, repr=False)
 
     def x0(self, points: PointE) -> DualComplex:
@@ -193,24 +190,16 @@ def build_canonical_X(contour: Contour, G,
     (otherwise zeta^(-kappa) is not invertible throughout the exterior).
     """
     idx = compute_index(contour, G, integrality_tol=integrality_tol)
-    origin_interior = bool(contour.winding_number(0.0, 0.0)[0] != 0)
-    if idx.kappa != 0 and not origin_interior:
+    if idx.kappa != 0 and contour.winding_number(0.0, 0.0)[0] == 0:
         raise OriginNotInteriorError(
             f"index {idx.kappa} requires the origin inside the curve")
-    logs = continuous_log(contour, G, idx.kappa)
-    exponent = CauchyIntegralFn(contour, logs)
     return CanonicalX(contour=contour, kappa=idx.kappa, raw_index=idx.raw,
-                      log_samples=logs, exponent=exponent,
-                      branch_start=complex(logs.c1[0]),
-                      origin_interior=origin_interior)
+                      exponent=CauchyIntegralFn(
+                          contour, continuous_log(contour, G, idx.kappa)))
 
 
 def verify_X_relation(x: CanonicalX, G) -> float:
     """Sup over the nodes of ||X+ - G X-||, the homogeneous relation."""
-    plus = x.boundary("+")
-    idx = plus.indices
-    gv = boundary_samples(G, x.contour)
-    g_at = DualComplex(np.asarray(gv.c1)[idx], np.asarray(gv.c2)[idx])
-    lhs = plus.values
-    rhs = dc_mul(g_at, x.boundary("-").values)
-    return float(np.max(dc_norm(DualComplex(lhs.c1 - rhs.c1, lhs.c2 - rhs.c2))))
+    return float(np.max(boundary_defect(x.contour, G, DualComplex(0j, 0j),
+                                        x.boundary("+").values,
+                                        x.boundary("-").values)))

@@ -2,11 +2,14 @@
 
 Subcommands:
 
-* solve   PROBLEM [--mode auto|jump|homogeneous|nonhomogeneous] [--out PATH]
-          [--nodes N] [--tol-residual X]
-* verify  PROBLEM SOLUTION [--out PATH] [--tol-residual X]
+* solve   PROBLEM [--out PATH] [--nodes N] [--tol-residual X]
+* verify  PROBLEM SOLUTION [--out PATH] [--nodes N] [--tol-residual X]
 * index   PROBLEM [--nodes N]
 * eval    EXPR [--x X --y Y] [--t T] [--basis biharmonic|classical]
+
+``solve`` reads the case off the data (``rbvp.solve_auto``): a coefficient
+identically 1 makes a jump problem and a free term identically 0 a
+homogeneous one, and every case is built by the one solution formula.
 
 ``verify`` passes when the boundary-condition residual of the recorded
 tables is within the residual tolerance and the tables are the traces of
@@ -28,14 +31,7 @@ import sys
 
 import numpy as np
 
-from .algebra import (
-    DualComplex,
-    PointE,
-    biharmonic_basis,
-    classical_basis,
-    dc_mul,
-    dc_norm,
-)
+from .algebra import PointE, biharmonic_basis, classical_basis, dc_norm
 from .diagnostics import regularity_report
 from .errors import (
     DualRbvpError,
@@ -44,7 +40,7 @@ from .errors import (
     ProblemFormatError,
     UnsolvableError,
 )
-from .integral import boundary_samples
+from .integral import boundary_defect
 from .problemfile import (
     RESULT_FORMAT,
     VERIFY_FORMAT,
@@ -55,14 +51,7 @@ from .problemfile import (
     result_document,
     write_json,
 )
-from .rbvp import (
-    residual_report,
-    solve_auto,
-    solve_homogeneous,
-    solve_jump,
-    solve_nonhomogeneous,
-    trace_defects,
-)
+from .rbvp import residual_report, solve_auto, trace_defects
 from .canonical import compute_index
 from . import expr as _expr
 
@@ -84,8 +73,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     s = sub.add_parser("solve", help="solve a problem file")
     s.add_argument("problem")
-    s.add_argument("--mode", default="auto",
-                   choices=["auto", "jump", "homogeneous", "nonhomogeneous"])
     s.add_argument("--out", default=None)
     s.add_argument("--nodes", type=int, default=None)
     s.add_argument("--tol-residual", type=float, default=None)
@@ -111,16 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def run_solve(path: str, mode: str = "auto", out_path: str | None = None,
+def run_solve(path: str, out_path: str | None = None,
               nodes: int | None = None, tol_residual: float | None = None) -> int:
     out_path = out_path or (path + ".result.json")
     spec = load_problem(path, nodes_override=nodes,
                         residual_tol_override=tol_residual)
-    solver = {"auto": solve_auto, "jump": solve_jump,
-              "homogeneous": solve_homogeneous,
-              "nonhomogeneous": solve_nonhomogeneous}[mode]
     try:
-        solution = solver(spec.problem)
+        solution = solve_auto(spec.problem)
     except UnsolvableError as u:
         doc = result_document(spec, None, None, solvability=u.report,
                               kind="nonhomogeneous")
@@ -161,11 +145,8 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
                 "boundary section must record every contour node in order")
         phi_p = dc_array_from_lists(boundary["phi_plus"])
         phi_m = dc_array_from_lists(boundary["phi_minus"])
-        G = boundary_samples(spec.problem.G, spec.contour)
-        g = boundary_samples(spec.problem.g, spec.contour)
-        rhs = dc_mul(G, phi_m)
-        defect = DualComplex(phi_p.c1 - rhs.c1 - g.c1, phi_p.c2 - rhs.c2 - g.c2)
-        residual = float(np.max(dc_norm(defect)))
+        residual = float(np.max(boundary_defect(
+            spec.contour, spec.problem.G, spec.problem.g, phi_p, phi_m)))
         exterior, interior = trace_defects(spec.contour, phi_p, phi_m)
         trace_tol = tol * max(1.0, float(np.max(dc_norm(phi_p))),
                               float(np.max(dc_norm(phi_m))))
@@ -226,7 +207,7 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         if args.command == "solve":
-            return run_solve(args.problem, mode=args.mode, out_path=args.out,
+            return run_solve(args.problem, out_path=args.out,
                              nodes=args.nodes, tol_residual=args.tol_residual)
         if args.command == "verify":
             return run_verify(args.problem, args.solution, out_path=args.out,

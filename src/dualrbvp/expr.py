@@ -349,7 +349,9 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "neg": 3, "^": 4}
 
 def to_str(e: Expr, parent_prec: int = 0) -> str:
     if isinstance(e, Const):
-        return _const_str(e)
+        s = _const_str(e)
+        # "-2^2" would read as -(2^2): a negative literal binds like a negation
+        return f"({s})" if s.startswith("-") and parent_prec > _PREC["neg"] else s
     if isinstance(e, Var):
         return e.name
     if isinstance(e, Neg):

@@ -16,7 +16,8 @@ solution, and the sum over (target, source) pairs is then two matrix
 products shared by all K: with u = tau - z, the pairwise factors
 1/u1 and u2/u1^2 multiply the (N, K) blocks of weighted densities, because
 (tau - z)^(-1) = 1/u1 - (u2/u1^2) rho.  Targets go in chunks of a fixed
-number of pairs, so memory does not grow with the number of targets.
+number of pairs, so memory does not grow with the number of targets, and
+rows that are identically zero are left out of the products.
 
 Boundary values at the nodes come from one on-curve rule, singularity
 subtraction (Helsing & Ojala, J. Comput. Phys. 2008; Plemelj-Sokhotski as
@@ -114,6 +115,16 @@ def boundary_samples(f, contour: Contour, t=None) -> DualComplex:
     return DualComplex(c1, c2)
 
 
+def boundary_defect(contour: Contour, G, g, plus: DualComplex,
+                    minus: DualComplex) -> np.ndarray:
+    """||Phi+ - G Phi- - g|| at every node, from node tables of Phi+- and
+    the coefficient and free term sampled on the contour."""
+    rhs = dc_mul(boundary_samples(G, contour), minus)
+    gs = boundary_samples(g, contour)
+    return np.asarray(dc_norm(DualComplex(plus.c1 - rhs.c1 - gs.c1,
+                                          plus.c2 - rhs.c2 - gs.c2)))
+
+
 # -- plain quadrature ------------------------------------------------------------
 
 def contour_integral(contour: Contour, samples) -> DualComplex:
@@ -126,12 +137,30 @@ def contour_integral(contour: Contour, samples) -> DualComplex:
 
 
 def _weighted_blocks(w: DualComplex, dens: DualComplex):
-    """The (N, K) blocks a = d1 w1 and b = d1 w2 + d2 w1 of a (K, N)
-    density stack times the weights."""
+    """The rows of a (K, N) density stack that are not identically zero, and
+    the (N, L) blocks a = d1 w1 and b = d1 w2 + d2 w1 of those L rows times
+    the weights.  A zero row has a zero kernel sum, so it is left out of the
+    matrix products: a vanishing exponent or psi in a stack costs nothing."""
     w1, w2 = np.asarray(w.c1), np.asarray(w.c2)
     d1, d2 = np.asarray(dens.c1), np.asarray(dens.c2)
-    return (np.ascontiguousarray((d1 * w1).T),
-            np.ascontiguousarray((d1 * w2 + d2 * w1).T))
+    live = np.flatnonzero(d1.any(axis=1) | d2.any(axis=1))
+    if live.size < len(d1):
+        d1, d2 = d1[live], d2[live]
+    return live, (np.ascontiguousarray((d1 * w1).T),
+                  np.ascontiguousarray((d1 * w2 + d2 * w1).T))
+
+
+def _scatter(live: np.ndarray, k: int, v1: np.ndarray, v2: np.ndarray) -> DualComplex:
+    """(K, M) sums from the (M, L) sums of the live rows over 2 pi i; the
+    other rows are zero."""
+    scale = 1.0 / (2j * np.pi)
+    if live.size == k:
+        return DualComplex(v1.T * scale, v2.T * scale)
+    out1 = np.zeros((k, len(v1)), dtype=complex)
+    out2 = np.zeros_like(out1)
+    out1[live] = v1.T * scale
+    out2[live] = v2.T * scale
+    return DualComplex(out1, out2)
 
 
 def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
@@ -141,41 +170,40 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     ``dens`` is a (K, N) stack of densities; the result is (K, M) for M
     targets.  Per (target, source) pair only inv_u = 1/(tau1 - z1) and
     q = (tau2 - z2) inv_u^2 are formed, because
-    (tau - z)^(-1) = inv_u - (tau2 - z2) inv_u^2 rho; with the (N, K) blocks
-    a = d1 w1 and b = d1 w2 + d2 w1 the two components are
+    (tau - z)^(-1) = inv_u - (tau2 - z2) inv_u^2 rho; with the (N, L) blocks
+    a = d1 w1 and b = d1 w2 + d2 w1 of the live rows the two components are
     inv_u @ a and inv_u @ b - q @ a.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
-    a, b = _weighted_blocks(w, dens)
-    out1 = np.empty((z1.size, a.shape[1]), dtype=complex)
+    live, (a, b) = _weighted_blocks(w, dens)
+    out1 = np.empty((z1.size, live.size), dtype=complex)
     out2 = np.empty_like(out1)
     chunk = max(1, PAIR_CHUNK // t1.size)
-    for s in range(0, z1.size, chunk):
+    for s in range(0, z1.size if live.size else 0, chunk):
         inv_u = 1.0 / (t1 - z1[s:s + chunk, None])
         q = t2 - z2[s:s + chunk, None]
         q *= inv_u
         q *= inv_u
         out1[s:s + chunk] = inv_u @ a
         out2[s:s + chunk] = inv_u @ b - q @ a
-    scale = 1.0 / (2j * np.pi)
-    return DualComplex(out1.T * scale, out2.T * scale)
+    return _scatter(live, len(dens.c1), out1, out2)
 
 
 def _node_kernel_sum(tau: DualComplex, w: DualComplex,
                      dens: DualComplex) -> DualComplex:
     """sum_{k != j} dens_k (tau_k - tau_j)^(-1) w_k / (2 pi i) at every node j.
 
-    The same two matrix products as ``_kernel_sum`` with the nodes as
-    targets, in chunks of PAIR_CHUNK pairs; the k = j pair is dropped by
-    zeroing its factors.
+    The same two matrix products as ``_kernel_sum`` over the same live rows,
+    with the nodes as targets, in chunks of PAIR_CHUNK pairs; the k = j pair
+    is dropped by zeroing its factors.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
-    a, b = _weighted_blocks(w, dens)
+    live, (a, b) = _weighted_blocks(w, dens)
     n = t1.size
-    out1 = np.empty((n, a.shape[1]), dtype=complex)
+    out1 = np.empty((n, live.size), dtype=complex)
     out2 = np.empty_like(out1)
     chunk = max(1, PAIR_CHUNK // n)
-    for s in range(0, n, chunk):
+    for s in range(0, n if live.size else 0, chunk):
         rows = np.arange(s, min(s + chunk, n))
         diag = (np.arange(rows.size), rows)
         u = t1 - t1[rows, None]
@@ -187,8 +215,7 @@ def _node_kernel_sum(tau: DualComplex, w: DualComplex,
         q *= inv_u
         out1[rows] = inv_u @ a
         out2[rows] = inv_u @ b - q @ a
-    scale = 1.0 / (2j * np.pi)
-    return DualComplex(out1.T * scale, out2.T * scale)
+    return _scatter(live, len(dens.c1), out1, out2)
 
 
 # Legendre differentiation on the Gauss nodes of [-1, 1], one matrix for
@@ -230,6 +257,10 @@ def _subtracted_sum(contour: Contour, dens: DualComplex) -> DualComplex:
     shape = np.shape(dens.c1)
     d1 = np.atleast_2d(np.asarray(dens.c1, dtype=complex))
     d2 = np.atleast_2d(np.asarray(dens.c2, dtype=complex))
+    if not (d1.any() or d2.any()):
+        # the ones row serves only live rows: a zero density has S = 0
+        return DualComplex(np.zeros(shape, dtype=complex),
+                           np.zeros(shape, dtype=complex))
     k = len(d1)
     v = _node_kernel_sum(contour.values(), contour.dtau(), DualComplex(
         np.vstack([d1, np.ones((1, contour.n))]),
@@ -304,6 +335,19 @@ class CauchyIntegralFn:
             self._cache["S"] = _subtracted_sum(self.contour, self.density)
         s = self._cache["S"]
         return s + self.density if side == "+" else s
+
+    def stacked_with(self, density: DualComplex) -> "CauchyIntegralFn":
+        """The integral of the stack [self.density, density] of two sample
+        sets.  Node limits go row by row, so the ones this integral already
+        computed are kept and only the new row's are computed."""
+        d = self.density
+        out = CauchyIntegralFn(self.contour, DualComplex(
+            np.stack([d.c1, density.c1]), np.stack([d.c2, density.c2])))
+        if "S" in self._cache:
+            s, t = self._cache["S"], _subtracted_sum(self.contour, density)
+            out._cache["S"] = DualComplex(np.stack([s.c1, t.c1]),
+                                          np.stack([s.c2, t.c2]))
+        return out
 
     # near-curve machinery
 

@@ -1,8 +1,18 @@
 """Problem and result files: a JSON schema with deterministic serialization.
 
 Complex numbers are stored as [re, im]; algebra values as four floats
-[re c1, im c1, re c2, im c2].  Result files contain no timestamps and use
-sorted keys, so identical inputs produce byte-identical outputs.  The
+[re c1, im c1, re c2, im c2].
+
+A problem file holds ``contour``, ``basis``, the coefficient ``G`` (default
+"1") and free term ``g`` (default "0") as expressions, ``tolerances``,
+``output.grid`` and ``polynomial``: the coefficients of P, constant term
+first, one four-float row each.  P has degree at most kappa, so a jump
+problem (kappa = 0) takes at most one row, its additive constant, and a
+negative index takes none that is nonzero; more rows are invalid input.
+
+Result files contain no timestamps and use sorted keys, so identical inputs
+produce byte-identical outputs.  ``polynomial`` records P, ``psi`` records
+g exp(-E+) at every node (zero rows for a homogeneous problem), and the
 boundary section records Phi+ and Phi- at every contour node, in node
 order, because ``verify`` integrates them with the contour's quadrature.
 """
@@ -192,14 +202,12 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         sol_report = solution.solvability if sol_report is None else sol_report
         doc["kind"] = solution.kind
         doc["kappa"] = solution.kappa
+        # a jump problem records no index, like its kappa label
         doc["raw_index"] = (solution.canonical.raw_index
-                            if solution.canonical is not None else None)
+                            if solution.kappa is not None else None)
         doc["trivial_only"] = solution.trivial_only
         doc["polynomial"] = [dc_to_list(c) for c in solution.poly_coeffs]
-        doc["constant"] = (dc_to_list(solution.constant)
-                           if solution.constant is not None else None)
-        doc["psi"] = (dc_array_to_lists(solution.psi)
-                      if solution.psi is not None else None)
+        doc["psi"] = dc_array_to_lists(solution.psi)
         doc["boundary"] = _boundary_section(spec, solution)
         doc["grid"] = _grid_section(spec, solution)
     else:
@@ -208,7 +216,6 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         doc["raw_index"] = None
         doc["trivial_only"] = False
         doc["polynomial"] = []
-        doc["constant"] = None
         doc["psi"] = None
         doc["boundary"] = None
         doc["grid"] = None

@@ -1,23 +1,29 @@
 """Solvers for the boundary relation  Phi+ = G Phi- + g  on a closed curve.
 
-Three cases, dispatched on the data:
+Every solution is one formula (Gakhov, *Boundary Value Problems*):
 
-* jump (G identically 1):      Phi+- = g~ + c  for an arbitrary constant c;
-* homogeneous (g identically 0): Phi+- = X+- P(zeta), P of degree <= kappa,
-  and only the zero solution when kappa < 0;
-* non-homogeneous:             Phi+- = X+- (psi~ + P), psi = g (X+)^(-1),
-  subject to moment conditions  integral of psi(tau) tau^(s-1) = 0,
-  s = 1..-kappa, when kappa < 0.
+    Phi+- = X+- (psi~ + P),   psi = g (X+)^(-1) = g exp(-E+),
 
-Solutions carry vectorized side evaluators, boundary tables and residual
-reporting.  Each side's table is assembled at every node from the node
-limits (``CauchyIntegralFn.node_limits``) of the solution's Cauchy-type
-integrals: X+- from the exponent (``CanonicalX.boundary``) and psi~+-.
-Offset extrapolation only checks them: each solution calls
-``boundary_values`` once per side on one integral (the stacked
-[exponent, psi] integral, the exponent alone, or g~), at the smooth nodes,
-and the gap to the node limits, propagated to first order as
-|X| (e_psi + |psi~ + P| e_E), is the table's error estimate there.
+with X the canonical factor of G (exponent E), psi~ the Cauchy-type
+integral of psi and P a polynomial of degree at most kappa, subject to the
+moment conditions  integral of psi(tau) tau^(s-1) = 0, s = 1..-kappa, and
+P = 0 when kappa < 0.  The special cases need no code of their own:
+
+* jump (G identically 1): kappa = 0, E = 0 and X = 1 exactly, so
+  Phi+- = g~ + P with P an arbitrary constant;
+* homogeneous (g identically 0): psi = 0 exactly, so Phi+- = X+- P, and only
+  the zero solution exists when kappa < 0.
+
+The entry points differ only in their input checks and in the ``kind``
+label they record.  A solution holds data (X, psi, P) and one stacked
+integral [E, psi]; a row that is identically zero (E for a jump problem,
+psi for a homogeneous one) is left out of every kernel sum, so the
+special cases cost no more than before.  Each side's table is assembled
+at every node from the node limits (``CauchyIntegralFn.node_limits``) of
+[E, psi].  Offset extrapolation only checks them: ``boundary_values`` runs
+once per side on [E, psi], at the smooth nodes, and the gaps e_E and e_psi
+to the node limits, propagated to first order as
+|X| (e_psi + |psi~ + P| e_E), are the table's error estimate there.
 ``boundary_error_estimate`` is the largest of them over both sides, or
 None when no node could be checked.
 """
@@ -25,7 +31,8 @@ None when no node could be checked.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from itertools import zip_longest
+from typing import Optional
 
 import numpy as np
 
@@ -41,6 +48,7 @@ from .errors import (
 from .integral import (
     BoundaryTable,
     CauchyIntegralFn,
+    boundary_defect,
     boundary_samples,
     boundary_values,
     contour_integral,
@@ -138,139 +146,93 @@ def _poly_eval(coeffs: list, zeta: DualComplex) -> DualComplex:
 
 @dataclass(eq=False)
 class RBVPSolution:
-    """A solved problem: side evaluators, boundary tables, and reports."""
+    """A solved problem as data: Phi+- = X+- (psi~ + P), with X from
+    ``canonical``, psi~ the Cauchy-type integral of ``psi`` and P the
+    polynomial of ``poly_coeffs``."""
 
-    kind: str                                   # jump | homogeneous | nonhomogeneous
+    kind: str                     # label: jump | homogeneous | nonhomogeneous
     problem: RBVPProblem
-    plus_fn: Callable[[PointE], DualComplex]
-    minus_fn: Callable[[PointE], DualComplex]
-    canonical: Optional[CanonicalX] = None
-    psi: Optional[DualComplex] = None
-    psi_tilde: Optional[CauchyIntegralFn] = None
-    poly_coeffs: list = field(default_factory=list)
-    constant: Optional[DualComplex] = None
-    solvability: Optional[SolvabilityReport] = None
-    trivial_only: bool = False
-    # the one integral whose offset limits check the boundary tables
-    check_integral: Optional[CauchyIntegralFn] = None
-    _cache: dict = field(default_factory=dict, repr=False)
+    canonical: CanonicalX
+    psi: DualComplex              # g exp(-E+) at every node
+    poly_coeffs: list
+    solvability: SolvabilityReport
+    # the stacked integral [E, psi]: one distance query and one kernel pass
+    # per set of points, and the one integral the offset check reads
+    integral: CauchyIntegralFn = field(init=False, repr=False)
+    _cache: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.integral = self.canonical.exponent.stacked_with(self.psi)
 
     @property
     def kappa(self) -> Optional[int]:
-        return self.canonical.kappa if self.canonical is not None else None
+        return None if self.kind == "jump" else self.canonical.kappa
+
+    @property
+    def trivial_only(self) -> bool:
+        return self.kind == "homogeneous" and self.canonical.kappa < 0
 
     def plus(self, points: PointE) -> DualComplex:
-        return self.plus_fn(points)
+        return self._side("+", points)
 
     def minus(self, points: PointE) -> DualComplex:
-        return self.minus_fn(points)
+        return self._side("-", points)
+
+    def _side(self, side: str, points: PointE) -> DualComplex:
+        v = self.integral(points)
+        zeta = points.value()
+        p = _poly_eval(self.poly_coeffs, zeta)
+        x = self.canonical.from_exponent(side, zeta, DualComplex(v.c1[0], v.c2[0]))
+        return dc_mul(x, DualComplex(v.c1[1] + p.c1, v.c2[1] + p.c2))
 
     def boundary_table(self, side: str) -> BoundaryTable:
-        """Phi+ or Phi- at every node, assembled from node limits:
-
-        * jump: psi~+- + c;
-        * homogeneous: X+- P(tau), or 0 when only the trivial solution exists;
-        * non-homogeneous: X+- (psi~+- + P(tau)).
-        """
+        """Phi+ or Phi- at every node: X+- (psi~+- + P(tau)) from the node
+        limits of [E, psi]."""
         if side not in self._cache:
             self._cache[side] = self._assemble(side)
         return self._cache[side]
 
     def _assemble(self, side: str) -> BoundaryTable:
         contour = self.problem.contour
-        idx = np.arange(contour.n)
-        if self.trivial_only:
-            zero = np.zeros(contour.n, dtype=complex)
-            return BoundaryTable(indices=idx, values=DualComplex(zero, zero.copy()),
-                                 error_estimates=np.zeros(contour.n), side=side)
-        if self.kind == "jump":
-            limits = [self.psi_tilde.node_limits(side)]
-            values = limits[0] + self.constant
-        else:
-            x = self.canonical.boundary(side).values
-            factor = _poly_eval(self.poly_coeffs, contour.values())
-            limits = [self.canonical.exponent.node_limits(side)]
-            if self.kind == "nonhomogeneous":
-                limits.append(self.psi_tilde.node_limits(side))
-                factor = limits[1] + factor
-            values = dc_mul(x, factor)
+        tau = contour.values()
+        lim = self.integral.node_limits(side)
+        x = self.canonical.from_exponent(side, tau, DualComplex(lim.c1[0], lim.c2[0]))
+        factor = DualComplex(lim.c1[1], lim.c2[1]) + _poly_eval(self.poly_coeffs, tau)
         err = np.full(contour.n, np.nan)
-        checked = self._check(side, limits)
-        if checked is not None:
-            at, gaps = checked
-            if self.kind == "jump":
-                err[at] = gaps[0]
-            else:
-                e_psi = gaps[1] if self.kind == "nonhomogeneous" else 0.0
-                err[at] = (np.asarray(dc_norm(x))[at]
-                           * (e_psi + np.asarray(dc_norm(factor))[at] * gaps[0]))
-        return BoundaryTable(indices=idx, values=values, error_estimates=err,
-                             side=side)
-
-    def _check(self, side: str, limits: list):
-        """Gap between the offset-extrapolated limits of ``check_integral``
-        (one row per entry of ``limits``) and the node limits, at the smooth
-        nodes: (indices, one gap array per row), or None without a smooth
-        node."""
-        contour = self.problem.contour
-        if contour.corner_mask.all():
-            return None
-        table = boundary_values(self.check_integral, contour, side)
-        at = table.indices
-        got1 = np.atleast_2d(table.values.c1)
-        got2 = np.atleast_2d(table.values.c2)
-        return at, [np.asarray(dc_norm(DualComplex(got1[r] - np.asarray(v.c1)[at],
-                                                   got2[r] - np.asarray(v.c2)[at])))
-                    for r, v in enumerate(limits)]
+        if not contour.corner_mask.all():
+            # gaps between the offset-extrapolated limits and the node limits
+            # of E and psi~ at the smooth nodes, to first order in Phi
+            table = boundary_values(self.integral, contour, side)
+            at = table.indices
+            e_exp, e_psi = (np.asarray(dc_norm(DualComplex(
+                table.values.c1[r] - lim.c1[r][at],
+                table.values.c2[r] - lim.c2[r][at]))) for r in (0, 1))
+            err[at] = (np.asarray(dc_norm(x))[at]
+                       * (e_psi + np.asarray(dc_norm(factor))[at] * e_exp))
+        return BoundaryTable(indices=np.arange(contour.n), values=dc_mul(x, factor),
+                             error_estimates=err, side=side)
 
     def scaled(self, k: DualComplex) -> "RBVPSolution":
-        """Constant multiple of the solution (module structure over the algebra).
-
-        Scaling commutes with boundary limits, so the parent's tables are
-        computed once and scaled in place.
-        """
-        out = replace(self, plus_fn=lambda p: dc_mul(k, self.plus_fn(p)),
-                      minus_fn=lambda p: dc_mul(k, self.minus_fn(p)),
-                      psi=None, psi_tilde=None, _cache={})
-        for side in ("+", "-"):
-            t = self.boundary_table(side)
-            out._cache[side] = replace(
-                t, values=dc_mul(k, t.values),
-                error_estimates=float(dc_norm(k)) * t.error_estimates)
-        return out
+        """Constant multiple of the solution (module structure over the
+        algebra): k psi and k P solve the problem with free term k g."""
+        kg = _expr.Bin("*", _expr.Const(complex(k.c1), complex(k.c2)), self.problem.g)
+        return replace(self, problem=replace(self.problem, g=kg),
+                       psi=dc_mul(k, self.psi),
+                       poly_coeffs=[dc_mul(k, c) for c in self.poly_coeffs])
 
     def superposed(self, other: "RBVPSolution") -> "RBVPSolution":
-        """Pointwise sum with another solution on the same contour."""
+        """Sum with a solution for the same contour and coefficient: psi and
+        P add, and so do the free terms."""
         if other.problem.contour.content_hash() != self.problem.contour.content_hash():
             raise InputError("superposed solutions must share one contour")
-        out = replace(self,
-                      plus_fn=lambda p: self.plus_fn(p) + other.plus_fn(p),
-                      minus_fn=lambda p: self.minus_fn(p) + other.minus_fn(p),
-                      psi=None, psi_tilde=None, _cache={})
-        for side in ("+", "-"):
-            a = self.boundary_table(side)
-            b = other.boundary_table(side)
-            out._cache[side] = replace(
-                a, values=a.values + b.values,
-                error_estimates=a.error_estimates + b.error_estimates)
-        return out
-
-
-def solve_jump(problem: RBVPProblem, constant: Optional[DualComplex] = None) -> RBVPSolution:
-    """Jump problem Phi+ - Phi- = g: both sides are the Cauchy-type integral
-    of g, plus one arbitrary additive constant."""
-    if not expr_is_one(problem.G):
-        raise InputError("jump solver requires coefficient identically 1")
-    c = constant if constant is not None else DualComplex(0j, 0j)
-    gt = CauchyIntegralFn(problem.contour, problem.g_samples())
-
-    def side(points: PointE) -> DualComplex:
-        v = gt(points)
-        return DualComplex(v.c1 + c.c1, v.c2 + c.c2)
-
-    return RBVPSolution(kind="jump", problem=problem, plus_fn=side, minus_fn=side,
-                        psi=gt.density, psi_tilde=gt, constant=c,
-                        check_integral=gt)
+        ga, gb = self.problem.G_samples(), other.problem.G_samples()
+        if not (np.array_equal(ga.c1, gb.c1) and np.array_equal(ga.c2, gb.c2)):
+            raise InputError("superposed solutions must share one coefficient")
+        coeffs = [p + q for p, q in zip_longest(self.poly_coeffs, other.poly_coeffs,
+                                                 fillvalue=DualComplex(0j, 0j))]
+        g = _expr.Bin("+", self.problem.g, other.problem.g)
+        return replace(self, problem=replace(self.problem, g=g),
+                       psi=self.psi + other.psi, poly_coeffs=coeffs)
 
 
 def _check_poly(coeffs: list, kappa: int) -> list:
@@ -284,43 +246,6 @@ def _check_poly(coeffs: list, kappa: int) -> list:
             f"index {kappa} admits at most {kappa + 1} coefficients, "
             f"got {len(coeffs)}")
     return list(coeffs)
-
-
-def solve_homogeneous(problem: RBVPProblem) -> RBVPSolution:
-    """Homogeneous problem Phi+ = G Phi-: X times a free polynomial of degree
-    at most kappa, or only the zero solution when kappa < 0."""
-    if not expr_is_zero(problem.g):
-        raise InputError("homogeneous solver requires free term identically 0")
-    x = build_canonical_X(problem.contour, problem.G,
-                          integrality_tol=problem.tolerances.index_integrality)
-    if x.kappa < 0:
-        zero = _zero_evaluator()
-        return RBVPSolution(kind="homogeneous", problem=problem,
-                            plus_fn=zero, minus_fn=zero, canonical=x,
-                            poly_coeffs=[], trivial_only=True,
-                            solvability=SolvabilityReport(
-                                kappa=x.kappa, moments=[], moment_norms=[],
-                                solvable=True,
-                                tolerance=problem.tolerances.moment_tol))
-    coeffs = _check_poly(problem.poly_coeffs, x.kappa)
-
-    def plus(points: PointE) -> DualComplex:
-        return dc_mul(x.plus(points), _poly_eval(coeffs, points.value()))
-
-    def minus(points: PointE) -> DualComplex:
-        return dc_mul(x.minus(points), _poly_eval(coeffs, points.value()))
-
-    return RBVPSolution(kind="homogeneous", problem=problem, plus_fn=plus,
-                        minus_fn=minus, canonical=x, poly_coeffs=coeffs,
-                        check_integral=x.exponent)
-
-
-def _zero_evaluator():
-    def zero(points: PointE) -> DualComplex:
-        shape = np.shape(points.x)
-        z = np.zeros(shape, dtype=complex) if shape else 0j
-        return DualComplex(z, np.copy(z) if shape else 0j)
-    return zero
 
 
 def _psi_samples(problem: RBVPProblem, x: CanonicalX) -> DualComplex:
@@ -352,37 +277,39 @@ def check_solvability(problem: RBVPProblem, x: CanonicalX,
                              solvable=solvable, tolerance=tol)
 
 
-def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
-    """General problem Phi+ = G Phi- + g via the canonical factorization."""
+def _solve(problem: RBVPProblem, kind: str) -> RBVPSolution:
+    """The one construction: X, then psi = g exp(-E+), then the moment
+    conditions and the polynomial part."""
     x = build_canonical_X(problem.contour, problem.G,
                           integrality_tol=problem.tolerances.index_integrality)
     psi = _psi_samples(problem, x)
     report = check_solvability(problem, x, psi=psi)
     if not report.solvable:
         raise UnsolvableError(report)
-    coeffs = _check_poly(problem.poly_coeffs, x.kappa)
-    psi_tilde = CauchyIntegralFn(problem.contour, psi)
-    # off the curve the exponent of X and psi~ are one stacked integral: one
-    # distance query and one kernel pass per set of points, and one offset
-    # check per side of the boundary tables
-    logs = x.log_samples
-    both = CauchyIntegralFn(problem.contour, DualComplex(
-        np.stack([logs.c1, psi.c1]), np.stack([logs.c2, psi.c2])))
+    return RBVPSolution(kind=kind, problem=problem, canonical=x, psi=psi,
+                        poly_coeffs=_check_poly(problem.poly_coeffs, x.kappa),
+                        solvability=report)
 
-    def evaluator(side: str):
-        def phi(points: PointE) -> DualComplex:
-            v = both(points)
-            zeta = points.value()
-            p = _poly_eval(coeffs, zeta)
-            xs = x.from_exponent(side, zeta, DualComplex(v.c1[0], v.c2[0]))
-            return dc_mul(xs, DualComplex(v.c1[1] + p.c1, v.c2[1] + p.c2))
-        return phi
 
-    return RBVPSolution(kind="nonhomogeneous", problem=problem,
-                        plus_fn=evaluator("+"), minus_fn=evaluator("-"),
-                        canonical=x, psi=psi,
-                        psi_tilde=psi_tilde, poly_coeffs=coeffs,
-                        solvability=report, check_integral=both)
+def solve_jump(problem: RBVPProblem) -> RBVPSolution:
+    """Jump problem Phi+ - Phi- = g: X = 1, so Phi+- = g~ + P with P a
+    constant."""
+    if not expr_is_one(problem.G):
+        raise InputError("jump solver requires coefficient identically 1")
+    return _solve(problem, "jump")
+
+
+def solve_homogeneous(problem: RBVPProblem) -> RBVPSolution:
+    """Homogeneous problem Phi+ = G Phi-: psi = 0, so Phi+- = X+- P with P of
+    degree at most kappa, or only the zero solution when kappa < 0."""
+    if not expr_is_zero(problem.g):
+        raise InputError("homogeneous solver requires free term identically 0")
+    return _solve(problem, "homogeneous")
+
+
+def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
+    """General problem Phi+ = G Phi- + g via the canonical factorization."""
+    return _solve(problem, "nonhomogeneous")
 
 
 DEFAULT_INFINITY_RADII = (10.0, 100.0, 1000.0)
@@ -399,11 +326,7 @@ def residual_report(solution: RBVPSolution, problem: Optional[RBVPProblem] = Non
     p = problem if problem is not None else solution.problem
     plus = solution.boundary_table("+")
     minus = solution.boundary_table("-")
-    rhs = dc_mul(boundary_samples(p.G, p.contour), minus.values)
-    g = boundary_samples(p.g, p.contour)
-    defect = DualComplex(plus.values.c1 - rhs.c1 - g.c1,
-                         plus.values.c2 - rhs.c2 - g.c2)
-    res = np.asarray(dc_norm(defect))
+    res = boundary_defect(p.contour, p.G, p.g, plus.values, minus.values)
     cx, cy = p.contour.centroid
     half = max(p.contour.diameter / 2.0, 1e-12)
     by_radius = []
@@ -438,8 +361,9 @@ def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
     bounding-box centre, and the largest distance of C[minus] from its mean
     over the points of a PROBE_LATTICE^2 lattice on the bounding box that
     lie inside the curve; either is None when no probe qualifies.  Probes
-    stay two guard bands from the curve, so only the native rule runs:
-    neither the node-limit rule nor offset extrapolation takes part.
+    stay at least one guard band from the curve, the native rule's own
+    contract (``cauchy_integral``), so only that rule runs: neither the
+    node-limit rule nor offset extrapolation takes part.
     """
     lo, hi = contour.xy.min(axis=0), contour.xy.max(axis=0)
     mid, half = (lo + hi) / 2.0, float(np.hypot(*(hi - lo))) / 2.0
@@ -452,7 +376,7 @@ def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
              mid[1] + 2.0 * half * np.sin(ang), False),
             (minus, gx.ravel(), gy.ravel(), True)):
         keep = (((contour.winding_number(x, y) != 0) == inside)
-                & (contour.dist_to(x, y) >= 2.0 * contour.guard_band))
+                & (contour.dist_to(x, y) >= contour.guard_band))
         if not keep.any():
             out.append(None)
             continue

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from dualrbvp import (
     BasisE,
@@ -224,3 +226,42 @@ class TestPointEmbedding:
             r = 10.0 ** rng.uniform(-9, 2, size=500)
             p = basis.embed(r * np.cos(ang), r * np.sin(ang))
             dc_inv(p.value())  # must not raise for any |zeta| >= 1e-9
+
+
+# -- properties ---------------------------------------------------------------
+
+_part = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+_duals = st.builds(lambda a, b, c, d: DualComplex(complex(a, b), complex(c, d)),
+                   _part, _part, _part, _part)
+
+
+def _near(a: DualComplex, b: DualComplex, scale: float) -> bool:
+    """Equal to rounding relative to ``scale``, the size of the terms."""
+    return float(dc_norm(dc_sub(a, b))) <= 1e-13 * (1.0 + scale)
+
+
+class TestProperties:
+    @given(a=_duals, b=_duals, c=_duals)
+    def test_ring_identities(self, a, b, c):
+        na, nb, nc = (float(dc_norm(v)) for v in (a, b, c))
+        assert _near(dc_add(a, b), dc_add(b, a), 0.0)
+        assert _near(dc_add(dc_add(a, b), c), dc_add(a, dc_add(b, c)), na + nb + nc)
+        assert _near(dc_mul(a, b), dc_mul(b, a), na * nb)
+        assert _near(dc_mul(dc_mul(a, b), c), dc_mul(a, dc_mul(b, c)), na * nb * nc)
+        assert _near(dc_mul(a, dc_add(b, c)), dc_add(dc_mul(a, b), dc_mul(a, c)),
+                     na * (nb + nc))
+        assert _near(dc_add(a, ZERO), a, 0.0) and _near(dc_mul(a, ONE), a, 0.0)
+        assert _near(dc_add(a, dc_neg(a)), ZERO, na)
+
+    @given(x=_duals)
+    def test_inverse(self, x):
+        assume(abs(x.c1) >= 1e-3 * max(1.0, float(dc_norm(x))))
+        inv = dc_inv(x)
+        assert _near(dc_mul(x, inv), ONE, float(dc_norm(x)) * float(dc_norm(inv)))
+
+    @given(a=_duals, b=_duals)
+    def test_exp_of_sum(self, a, b):
+        ea, eb = dc_exp(a), dc_exp(b)
+        assert _near(dc_exp(dc_add(a, b)), dc_mul(ea, eb),
+                     (1.0 + float(dc_norm(a)) + float(dc_norm(b)))
+                     * float(dc_norm(ea)) * float(dc_norm(eb)))

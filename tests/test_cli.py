@@ -99,6 +99,43 @@ class TestSolve:
         assert np.max(np.abs(minus)) <= 1e-12
         assert doc["boundary_error_estimate"] is None
 
+    def test_jump_polynomial_row_is_the_additive_constant(self, tmp_path):
+        # a jump problem's P has degree 0: its one row shifts both sides
+        c = [0.3, -0.2, 0.1, 0.4]
+        prob0 = write_problem(tmp_path / "p0.json", g="tau")
+        prob1 = write_problem(tmp_path / "p1.json", g="tau", polynomial=[c])
+        out0, out1 = tmp_path / "r0.json", tmp_path / "r1.json"
+        assert main(["solve", str(prob0), "--out", str(out0)]) == 0
+        assert main(["solve", str(prob1), "--out", str(out1)]) == 0
+        doc0, doc1 = (json.loads(p.read_text()) for p in (out0, out1))
+        assert doc1["polynomial"] == [c] and "constant" not in doc1
+        for key in ("phi_plus", "phi_minus"):
+            shift = (np.asarray(doc1["boundary"][key])
+                     - np.asarray(doc0["boundary"][key]))
+            assert np.max(np.abs(shift - c)) <= 1e-12
+        rep = tmp_path / "v.json"
+        assert main(["verify", str(prob1), str(out1), "--out", str(rep)]) == 0
+
+    def test_jump_with_three_polynomial_rows_exit_3(self, tmp_path):
+        prob = write_problem(tmp_path / "p.json", g="tau",
+                             polynomial=[[1.0, 0.0, 0.0, 0.0]] * 3)
+        assert main(["solve", str(prob)]) == 3
+
+    def test_negative_index_homogeneous_polynomial_exit_3(self, tmp_path):
+        prob = write_problem(tmp_path / "p.json", G="1/tau",
+                             polynomial=[[1.0, 0.0, 0.0, 0.0]])
+        assert main(["solve", str(prob)]) == 3
+
+    def test_homogeneous_records_zero_psi(self, tmp_path):
+        prob = write_problem(tmp_path / "p.json", G="tau",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 64},
+                             polynomial=[[1.0, 0.0, 0.0, 0.0]])
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        assert np.array_equal(json.loads(out.read_text())["psi"],
+                              np.zeros((64, 4)))
+
     def test_unexpected_exception_exit_4_without_traceback(
             self, tmp_path, capsys, monkeypatch, caplog):
         import dualrbvp.cli as cli
@@ -238,6 +275,25 @@ class TestVerify:
         assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
         doc = json.loads(rep.read_text())
         assert doc["passed"] is True and "jump_residual" not in doc
+
+    @pytest.mark.parametrize("contour", [
+        {"kind": "polygon", "nodes": 64,
+         "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+        {"kind": "circle", "radius": 1.0, "nodes": 40}])
+    def test_coarse_contours_verify(self, tmp_path, contour):
+        # interior probes one guard band from the curve still exist here
+        prob = write_problem(tmp_path / "p.json",
+                             G="tau*exp((0.3+0.2*rho)*tau)", g="1+tau^2",
+                             contour=contour,
+                             polynomial=[[0.5, -0.2, 0.1, 0.3],
+                                         [0.2, 0.1, -0.4, 0.05]])
+        out = tmp_path / "r.json"
+        rep = tmp_path / "v.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["interior_trace_spread"] is not None
+        assert doc["interior_trace_spread"] <= doc["trace_tolerance"]
 
     def test_contour_hash_mismatch(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")

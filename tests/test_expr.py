@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dualrbvp import DualComplex, dc_inv, dc_mul, dc_norm, dc_sub, differentiate, evaluate, parse, to_str
-from dualrbvp.expr import Bin, Call, Const, Pow, Var
+from dualrbvp.expr import Bin, Call, Const, Neg, Pow, Var
 from dualrbvp.errors import (
+    DualRbvpError,
     ExprSyntaxError,
     NotAFieldExpressionError,
     NotInvertibleError,
@@ -174,3 +177,60 @@ class TestDifferentiate:
                        dc_inv(h))
             errs.append(float(dc_norm(dc_sub(q, want))))
         assert errs[0] / errs[2] > 3.0
+
+
+# -- property: printing and parsing back keeps the value -----------------------
+
+_Z = DualComplex(0.7 + 0.3j, 0.2 - 0.1j)
+_TAU = DualComplex(-0.4 + 0.9j, 0.3 + 0.5j)
+_T = 0.37
+
+_part = st.floats(-10, 10, allow_nan=False, allow_infinity=False)
+_leaves = st.one_of(
+    st.sampled_from([Var("z"), Var("tau"), Var("t")]),
+    st.builds(lambda a, b, c, d: Const(complex(a, b), complex(c, d)),
+              _part, _part, _part, _part),
+    st.builds(lambda a: Const(complex(a)), _part))
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(Bin, st.sampled_from("+-*/"), children, children),
+        st.builds(Pow, children, st.integers(-3, 3)),
+        st.builds(Call, st.sampled_from(["exp", "ln", "inv"]), children),
+        st.builds(Neg, children))
+
+
+_trees = st.recursive(_leaves, _extend, max_leaves=8)
+
+
+def _value(tree_or_text):
+    """The tree's value at fixed z, tau and t, or the type of the error it
+    raises; overflow to inf is left to the caller."""
+    try:
+        with np.errstate(all="ignore"):
+            tree = (parse(tree_or_text) if isinstance(tree_or_text, str)
+                    else tree_or_text)
+            return evaluate(tree, z=_Z, tau=_TAU, t=_T)
+    except DualRbvpError as err:
+        return type(err)
+
+
+class TestRoundTripProperty:
+    @settings(max_examples=300)
+    @given(tree=_trees)
+    def test_parse_of_to_str_evaluates_like_the_tree(self, tree):
+        want = _value(tree)
+        got = _value(to_str(tree))
+        if isinstance(want, type):
+            assert got is want
+            return
+        finite = [np.isfinite(v).all() for v in (want.c1, want.c2)]
+        assume(all(finite) and float(dc_norm(want)) < 1e100)
+        assert not isinstance(got, type), got
+        assert close(got, want, tol=1e-9)
+
+    def test_negative_literal_as_power_base(self):
+        for c in (Const(-2 + 0j), Const(-2j), Const(-0.5 + 0j)):
+            tree = Pow(c, 2)
+            assert close(evaluate(parse(to_str(tree))), evaluate(tree))

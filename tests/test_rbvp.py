@@ -51,7 +51,7 @@ class TestJump:
 
     def test_zero_free_term_gives_constants(self, bih, unit_circle, rng):
         c = random_dc(rng)
-        s = solve_jump(problem(bih, unit_circle, g="0"), constant=c)
+        s = solve_jump(problem(bih, unit_circle, g="0", coeffs=[c]))
         for p in (bih.embed(0.1, 0.2), bih.embed(3.0, 0.5)):
             assert norm_of(dc_sub(s.plus(p), c)) < 1e-12
 
@@ -68,7 +68,7 @@ class TestJump:
     def test_solutions_differ_by_their_constant(self, bih, unit_circle, rng):
         k = random_dc(rng)
         s0 = solve_jump(problem(bih, unit_circle, g="tau"))
-        s1 = solve_jump(problem(bih, unit_circle, g="tau"), constant=k)
+        s1 = solve_jump(problem(bih, unit_circle, g="tau", coeffs=[k]))
         p = bih.embed(0.4, 0.1)
         assert norm_of(dc_sub(dc_sub(s1.plus(p), s0.plus(p)), k)) < 1e-12
 
@@ -154,7 +154,7 @@ class TestNonhomogeneous:
     def test_constant_coefficient_reduces_to_jump(self, bih, unit_circle, rng):
         g = "exp(i*t)+0.5*rho"
         c0 = random_dc(rng)
-        s_jump = solve_jump(problem(bih, unit_circle, g=g), constant=c0)
+        s_jump = solve_jump(problem(bih, unit_circle, g=g, coeffs=[c0]))
         s_gen = solve_nonhomogeneous(
             RBVPProblem(basis=bih, contour=unit_circle, G="1", g=g,
                         poly_coeffs=[c0]))
@@ -285,6 +285,12 @@ class TestModuleStructure:
         a = solve_jump(problem(bih, unit_circle, g="tau"))
         other = circle_contour(bih, radius=1.0, nodes=256)
         b = solve_jump(problem(bih, other, g="tau"))
+        with pytest.raises(InputError):
+            a.superposed(b)
+
+    def test_superposition_needs_one_coefficient(self, bih, unit_circle):
+        a = solve_nonhomogeneous(problem(bih, unit_circle, G="tau", g="1"))
+        b = solve_nonhomogeneous(problem(bih, unit_circle, G="tau^2", g="1"))
         with pytest.raises(InputError):
             a.superposed(b)
 
