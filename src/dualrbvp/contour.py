@@ -199,9 +199,16 @@ class Contour:
 
     def interior_mask(self, x, y) -> np.ndarray:
         """1 interior, 0 exterior, -1 within the guard band of the curve."""
+        return self._classify(x, y)[0]
+
+    def _classify(self, x, y) -> tuple[np.ndarray, np.ndarray]:
+        """The ``interior_mask`` codes and the distances they were read from,
+        so that a caller evaluating an integral there measures each point
+        once (``CauchyIntegralFn._at``)."""
         code = (self.winding_number(x, y) != 0).astype(int)
-        code[self.dist_to(x, y) < self.guard_band] = -1
-        return code
+        dist = self.dist_to(x, y)
+        code[dist < self.guard_band] = -1
+        return code, dist
 
     # -- upsampled geometry (smooth kinds) ----------------------------------------
 

@@ -293,12 +293,16 @@ class CauchyIntegralFn:
         return self.contour.guard_band / UPSAMPLE
 
     def __call__(self, points: PointE) -> DualComplex:
+        return self._at(points, self.contour.dist_to(points.x, points.y))
+
+    def _at(self, points: PointE, dist: np.ndarray) -> DualComplex:
+        """The integral at ``points``, given their flattened distances to the
+        curve (``Contour.dist_to``), for callers that have measured them."""
         c = self.contour
         shape = np.shape(points.x)
         x = np.asarray(points.x, dtype=float).ravel()
         y = np.asarray(points.y, dtype=float).ravel()
         z = c.basis.vector(x, y)
-        dist = c.dist_to(x, y)
         if np.any(dist < self.min_eval_distance()):
             raise TooCloseToBoundaryError(
                 f"evaluation within {self.min_eval_distance():.3e} of the contour")
@@ -378,7 +382,7 @@ def cauchy_integral(contour: Contour, density, point: PointE) -> DualComplex:
     if np.any(d < contour.guard_band):
         raise TooCloseToBoundaryError(
             f"point within guard band {contour.guard_band:.3e} of the contour")
-    return CauchyIntegralFn(contour, dens)(point)
+    return CauchyIntegralFn(contour, dens)._at(point, d)
 
 
 # polygon panel refinement ------------------------------------------------------

@@ -15,6 +15,10 @@ produce byte-identical outputs.  ``polynomial`` records P, ``psi`` records
 g exp(-E+) at every node (zero rows for a homogeneous problem), and the
 boundary section records Phi+ and Phi- at every contour node, in node
 order, because ``verify`` integrates them with the contour's quadrature.
+
+Result and verify files are compact: one line, ``json.dumps(doc,
+sort_keys=True)`` with its ", " and ": " separators, then a newline.
+Floats are written by ``repr``, so every value reads back exactly.
 """
 
 from __future__ import annotations
@@ -154,15 +158,17 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
     ys = np.linspace(lo[1] - pad, hi[1] + pad, ny)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     flat_x, flat_y = gx.ravel(), gy.ravel()
-    code = spec.contour.interior_mask(flat_x, flat_y)
+    # one distance query per grid point: the one that classifies it also
+    # picks the near or far rule of its evaluation
+    code, dist = spec.contour._classify(flat_x, flat_y)
     plus_rows: list = [None] * flat_x.size
     minus_rows: list = [None] * flat_x.size
-    for label, rows, side_code in (("plus", plus_rows, 1), ("minus", minus_rows, 0)):
+    for side, rows, side_code in (("+", plus_rows, 1), ("-", minus_rows, 0)):
         sel = np.nonzero(code == side_code)[0]
         if sel.size == 0:
             continue
         pts = PointE(flat_x[sel], flat_y[sel], spec.basis)
-        vals = solution.plus(pts) if side_code == 1 else solution.minus(pts)
+        vals = solution._side(side, pts, dist[sel])
         for j, row in zip(sel, dc_array_to_lists(vals)):
             rows[j] = row
     return {"nx": nx, "ny": ny, "x": [float(v) for v in xs],
@@ -241,8 +247,9 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
 
 
 def write_json(path: str, doc: dict) -> None:
+    # json.dumps without indent runs the C encoder; json.dump never does
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
+        fh.write(json.dumps(doc, sort_keys=True))
         fh.write("\n")
 
 

@@ -178,8 +178,11 @@ class RBVPSolution:
     def minus(self, points: PointE) -> DualComplex:
         return self._side("-", points)
 
-    def _side(self, side: str, points: PointE) -> DualComplex:
-        v = self.integral(points)
+    def _side(self, side: str, points: PointE,
+              dist: Optional[np.ndarray] = None) -> DualComplex:
+        """Phi+ or Phi- at points off the curve; ``dist`` passes on their
+        distances to it when the caller has already measured them."""
+        v = self.integral(points) if dist is None else self.integral._at(points, dist)
         zeta = points.value()
         p = _poly_eval(self.poly_coeffs, zeta)
         x = self.canonical.from_exponent(side, zeta, DualComplex(v.c1[0], v.c2[0]))
@@ -375,8 +378,7 @@ def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
             (plus, mid[0] + 2.0 * half * np.cos(ang),
              mid[1] + 2.0 * half * np.sin(ang), False),
             (minus, gx.ravel(), gy.ravel(), True)):
-        keep = (((contour.winding_number(x, y) != 0) == inside)
-                & (contour.dist_to(x, y) >= contour.guard_band))
+        keep = contour.interior_mask(x, y) == int(inside)
         if not keep.any():
             out.append(None)
             continue

@@ -1,0 +1,146 @@
+import json
+
+import numpy as np
+import pytest
+
+from dualrbvp import DualComplex, PointE, build_contour, ellipse_contour
+from dualrbvp.algebra import dc_norm
+from dualrbvp.contour import Contour
+from dualrbvp.integral import CauchyIntegralFn, cauchy_integral
+from dualrbvp.problemfile import (
+    _grid_section,
+    load_problem,
+    result_document,
+    write_json,
+)
+from dualrbvp.rbvp import (
+    PROBE_LATTICE,
+    PROBE_RING,
+    residual_report,
+    solve_auto,
+    trace_defects,
+)
+
+SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+CONTOURS = {
+    "circle": {"kind": "circle", "center": [0.1, -0.05], "radius": 1.0, "nodes": 128},
+    "ellipse": {"kind": "ellipse", "semi_axes": [1.5, 0.8], "nodes": 128},
+    "explicit": {"kind": "explicit", "points": None},
+    "polygon": {"kind": "polygon", "vertices": SQUARE, "nodes": 128},
+}
+NX, NY = 12, 11
+
+
+def contour_spec(bih, kind) -> dict:
+    spec = dict(CONTOURS[kind])
+    if kind == "explicit":
+        spec["points"] = ellipse_contour(bih, semi_axes=(1.2, 0.7), nodes=128).xy.tolist()
+    return spec
+
+
+def solved(tmp_path, bih, kind, **output):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({"contour": contour_spec(bih, kind), "G": "tau",
+                                "g": "1 + tau*tau", "output": output}))
+    spec = load_problem(str(path))
+    return spec, solve_auto(spec.problem)
+
+
+def same_floats(a, b) -> bool:
+    """Equal structure, and every float equal bit for bit (NaN included)."""
+    if isinstance(a, float) or isinstance(b, float):
+        return isinstance(a, float) and isinstance(b, float) and a.hex() == b.hex()
+    if isinstance(a, dict):
+        return (isinstance(b, dict) and a.keys() == b.keys()
+                and all(same_floats(a[k], b[k]) for k in a))
+    if isinstance(a, list):
+        return (isinstance(b, list) and len(a) == len(b)
+                and all(same_floats(p, q) for p, q in zip(a, b)))
+    return type(a) is type(b) and a == b
+
+
+@pytest.mark.parametrize("kind", sorted(CONTOURS))
+def test_classify_is_the_mask_and_its_distances(bih, rng, kind):
+    c = build_contour(bih, contour_spec(bih, kind))
+    lo, hi = c.xy.min(axis=0) - 0.5, c.xy.max(axis=0) + 0.5
+    x, y = rng.uniform(lo[0], hi[0], 2000), rng.uniform(lo[1], hi[1], 2000)
+    code, dist = c._classify(x, y)
+    assert np.array_equal(code, c.interior_mask(x, y))
+    assert np.array_equal(dist, c.dist_to(x, y))
+    # the rule trace_defects selected its probes with before
+    clear = dist >= c.guard_band
+    wound = c.winding_number(x, y) != 0
+    for inside in (False, True):
+        assert np.array_equal(code == int(inside), (wound == inside) & clear)
+
+
+def test_grid_measures_each_point_once(tmp_path, bih, monkeypatch):
+    spec, sol = solved(tmp_path, bih, "circle", grid={"nx": NX, "ny": NY})
+    measured = []
+    dist_to = Contour.dist_to
+
+    def counted(self, x, y):
+        out = dist_to(self, x, y)
+        measured.append(out.size)
+        return out
+
+    monkeypatch.setattr(Contour, "dist_to", counted)
+    grid = _grid_section(spec, sol)
+    assert sum(r is not None for r in grid["phi_plus"] + grid["phi_minus"]) > 0
+    assert sum(measured) == NX * NY
+
+
+@pytest.mark.parametrize("kind", sorted(CONTOURS))
+def test_grid_rows_equal_the_solution_at_each_point(tmp_path, bih, kind):
+    spec, sol = solved(tmp_path, bih, kind, grid={"nx": NX, "ny": NY, "margin": 0.4})
+    grid = _grid_section(spec, sol)
+    gx, gy = np.meshgrid(grid["x"], grid["y"], indexing="xy")
+    code = spec.contour.interior_mask(gx.ravel(), gy.ravel())
+    for rows, side_code, fn in ((grid["phi_plus"], 1, sol.plus),
+                                (grid["phi_minus"], 0, sol.minus)):
+        sel = np.nonzero(code == side_code)[0]
+        assert sel.size > 0
+        assert all(rows[j] is None for j in np.nonzero(code != side_code)[0])
+        v = fn(PointE(gx.ravel()[sel], gy.ravel()[sel], spec.basis))
+        want = np.stack([v.c1.real, v.c1.imag, v.c2.real, v.c2.imag], axis=1)
+        assert np.array_equal(np.array([rows[j] for j in sel]), want), kind
+
+
+def test_probes_and_points_keep_their_values(tmp_path, bih):
+    spec, sol = solved(tmp_path, bih, "polygon")
+    c = spec.contour
+    plus, minus = sol.boundary_table("+").values, sol.boundary_table("-").values
+    # reference: each probe set selected by winding and distance, and
+    # evaluated through __call__, which measures the distances again
+    lo, hi = c.xy.min(axis=0), c.xy.max(axis=0)
+    mid, half = (lo + hi) / 2.0, float(np.hypot(*(hi - lo))) / 2.0
+    ang = 2.0 * np.pi * np.arange(PROBE_RING) / PROBE_RING
+    gx, gy = np.meshgrid(np.linspace(lo[0], hi[0], PROBE_LATTICE),
+                         np.linspace(lo[1], hi[1], PROBE_LATTICE))
+    want = []
+    for table, x, y, inside in (
+            (plus, mid[0] + 2.0 * half * np.cos(ang),
+             mid[1] + 2.0 * half * np.sin(ang), False),
+            (minus, gx.ravel(), gy.ravel(), True)):
+        keep = (((c.winding_number(x, y) != 0) == inside)
+                & (c.dist_to(x, y) >= c.guard_band))
+        v = CauchyIntegralFn(c, table)(PointE(x[keep], y[keep], c.basis))
+        if inside:
+            v = DualComplex(v.c1 - np.mean(v.c1), v.c2 - np.mean(v.c2))
+        want.append(float(np.max(dc_norm(v))))
+    assert trace_defects(c, plus, minus) == tuple(want)
+    pts = PointE(np.array([0.1, 2.5]), np.array([-0.2, 0.3]), c.basis)
+    v = cauchy_integral(c, plus, pts)
+    w = CauchyIntegralFn(c, plus)(pts)
+    assert np.array_equal(v.c1, w.c1) and np.array_equal(v.c2, w.c2)
+
+
+def test_result_file_is_compact_and_exact(tmp_path, bih):
+    spec, sol = solved(tmp_path, bih, "ellipse", grid={"nx": NX, "ny": NY})
+    doc = result_document(spec, sol, residual_report(sol))
+    out = tmp_path / "r.json"
+    write_json(str(out), doc)
+    text = out.read_text(encoding="utf-8")
+    assert text == json.dumps(doc, sort_keys=True) + "\n"
+    assert text.count("\n") == 1
+    assert same_floats(json.loads(text), doc)
