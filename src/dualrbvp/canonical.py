@@ -21,7 +21,6 @@ from .contour import Contour
 from .errors import (
     BranchAmbiguityError,
     ClosureFailureError,
-    NonIntegerIndexError,
     NotInvertibleOnContourError,
     OriginNotInteriorError,
 )
@@ -54,9 +53,11 @@ def _refined_step_angle(sample, t0: float, t1: float, g0: complex, g1: complex,
             + _refined_step_angle(sample, tm, t1, gm, g1, depth + 1))
 
 
-def _accumulated_argument(contour: Contour, sample) -> tuple[np.ndarray, float]:
-    """Per-node continuous argument increments around the loop and their total."""
-    g = sample(contour.t)
+def _accumulated_argument(contour: Contour, g: np.ndarray,
+                          sample) -> tuple[np.ndarray, float]:
+    """Per-node continuous argument increments around the loop and their
+    total, from the node samples ``g``; ``sample`` evaluates the function
+    at curve parameters, and runs only where a step needs refinement."""
     floor = 1e-12 * max(1.0, float(np.max(np.abs(g))))
     bad = np.abs(g) <= floor
     if np.any(bad):
@@ -82,20 +83,20 @@ class IndexResult:
     raw: float
 
 
-def compute_index(contour: Contour, G, integrality_tol: float = 1e-3) -> IndexResult:
+def compute_index(contour: Contour, G) -> IndexResult:
     """Winding index of the coefficient's complex part along the curve.
 
     The rho part of the logarithm is single-valued, so it contributes
     nothing over a closed loop; only the accumulated argument matters.
+    Each step's angle is that of g_{k+1}/g_k, so the steps of the closed
+    loop, refined ones included, telescope to 2 pi times an integer: ``raw``
+    differs from ``kappa`` by rounding only.
     """
     _, total = _accumulated_argument(
-        contour, lambda tq: boundary_samples(G, contour, tq).c1)
+        contour, boundary_samples(G, contour).c1,
+        lambda tq: boundary_samples(G, contour, tq).c1)
     raw = total / (2.0 * np.pi)
-    kappa = int(np.rint(raw))
-    if abs(raw - kappa) > integrality_tol:
-        raise NonIntegerIndexError(
-            f"winding {raw:.6f} is not close to an integer", raw=raw)
-    return IndexResult(kappa=kappa, raw=raw)
+    return IndexResult(kappa=int(np.rint(raw)), raw=raw)
 
 
 def continuous_log(contour: Contour, G, kappa: int,
@@ -114,7 +115,7 @@ def continuous_log(contour: Contour, G, kappa: int,
         return boundary_samples(G, contour, tq).c1 * np.power(
             np.asarray(tval.c1, dtype=complex), -int(kappa))
 
-    steps, total = _accumulated_argument(contour, sample)
+    steps, total = _accumulated_argument(contour, w.c1, sample)
     if abs(total) > 2.0 * np.pi * closure_tol + 1e-9:
         raise ClosureFailureError(
             f"branch fails to close: residual winding {total / (2 * np.pi):.6f} "
@@ -182,14 +183,13 @@ class CanonicalX:
         return {"limit": None, "growth_order": -self.kappa}
 
 
-def build_canonical_X(contour: Contour, G,
-                      integrality_tol: float = 1e-3) -> CanonicalX:
+def build_canonical_X(contour: Contour, G) -> CanonicalX:
     """Construct the canonical factor for an invertible coefficient.
 
     Requires the origin inside the curve whenever the index is nonzero
     (otherwise zeta^(-kappa) is not invertible throughout the exterior).
     """
-    idx = compute_index(contour, G, integrality_tol=integrality_tol)
+    idx = compute_index(contour, G)
     if idx.kappa != 0 and contour.winding_number(0.0, 0.0)[0] == 0:
         raise OriginNotInteriorError(
             f"index {idx.kappa} requires the origin inside the curve")

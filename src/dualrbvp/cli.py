@@ -186,9 +186,7 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
 
 def run_index(path: str, nodes: int | None = None) -> int:
     spec = load_problem(path, nodes_override=nodes)
-    result = compute_index(
-        spec.contour, spec.problem.G,
-        integrality_tol=spec.problem.tolerances.index_integrality)
+    result = compute_index(spec.contour, spec.problem.G)
     print(f"kappa={result.kappa} raw={result.raw!r}")
     return EXIT_OK
 

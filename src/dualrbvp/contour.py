@@ -2,12 +2,16 @@
 
 A contour stores sampled nodes in (x, y) coordinates together with
 quadrature weight vectors such that a closed-curve integral of samples
-f_k is ``sum f_k * w_k`` after mapping weights through the basis.  Smooth
-parametric kinds (circle, ellipse) use the uniform-parameter trapezoid rule
-with exact tangents, which is spectrally accurate for analytic integrands;
-polygons use composite 8-point Gauss-Legendre panels on each edge; explicit
-node lists, taken as uniform samples of a periodic curve, use the same
-trapezoid rule with spectral-derivative weights.
+f_k is ``sum f_k * w_k`` after mapping weights through the basis.  There is
+one rule per family:
+
+* smooth curves (circle, ellipse, explicit) are uniform samples of a
+  periodic curve, and everything about them is read from the nodes'
+  trigonometric interpolant: the periodic trapezoid rule with weights
+  dtau/dt / N from the spectral derivative, tangents, length and arc length
+  from the spectral speed, and the points between the nodes (Trefethen &
+  Weideman, SIAM Review 2014).  The kinds only place the nodes;
+* polygons use composite 8-point Gauss-Legendre panels on each edge.
 """
 
 from __future__ import annotations
@@ -48,7 +52,6 @@ class Contour:
     max_spacing: float
     corner_mask: np.ndarray    # (N,) True near polygon corners
     panels: Optional[list] = None   # polygon: (start_idx, p0_xy, p1_xy)
-    orientation_reversed: bool = False
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic views -----------------------------------------------------------
@@ -127,25 +130,10 @@ class Contour:
     def point_at(self, tq) -> np.ndarray:
         """Curve point(s) at parameter tq in [0, 1); shape (..., 2)."""
         tq = np.mod(np.asarray(tq, dtype=float), 1.0)
-        if self.kind == "circle":
-            c = np.asarray(self.params["center"], dtype=float)
-            r = float(self.params["radius"])
-            ang = 2.0 * np.pi * tq
-            return np.stack([c[0] + r * np.cos(ang), c[1] + r * np.sin(ang)], axis=-1)
-        if self.kind == "ellipse":
-            c = np.asarray(self.params["center"], dtype=float)
-            a, b = (float(v) for v in self.params["semi_axes"])
-            ang = 2.0 * np.pi * tq
-            return np.stack([c[0] + a * np.cos(ang), c[1] + b * np.sin(ang)], axis=-1)
         if self.kind == "polygon":
             verts = np.asarray(self.params["vertices"], dtype=float)
             return _polyline_at(verts, tq)
-        # explicit: parameter is uniform in node index
-        idx = tq * self.n
-        k = np.floor(idx).astype(int) % self.n
-        frac = idx - np.floor(idx)
-        nxt = (k + 1) % self.n
-        return self.xy[k] + (self.xy[nxt] - self.xy[k]) * frac[..., None]
+        return _trig_eval(self.xy.T, tq)
 
     def value_at(self, tq) -> DualComplex:
         p = self.point_at(tq)
@@ -213,22 +201,13 @@ class Contour:
     # -- upsampled geometry (smooth kinds) ----------------------------------------
 
     def refined_geometry(self):
-        """(xy, dtau-weights) resampled at UPSAMPLE * N uniform parameters."""
-        if "refined" in self._cache:
-            return self._cache["refined"]
-        m = self.n * UPSAMPLE
-        tq = np.arange(m) / m
-        if self.kind in ("circle", "ellipse"):
-            xy = self.point_at(tq)
-            d = _param_derivative(self.kind, self.params, tq) / m
-        else:  # explicit: trigonometric interpolation of the trace
-            fx = _trig_interp(self.xy[:, 0], m)
-            fy = _trig_interp(self.xy[:, 1], m)
-            xy = np.stack([fx, fy], axis=1)
-            d = np.stack([_trig_derivative(self.xy[:, 0], m),
-                          _trig_derivative(self.xy[:, 1], m)], axis=1) / m
-        w = self.basis.vector(d[:, 0], d[:, 1])
-        self._cache["refined"] = (xy, w)
+        """(xy, dtau-weights) of a smooth contour's trigonometric interpolant
+        at UPSAMPLE * N uniform parameters."""
+        if "refined" not in self._cache:
+            m = self.n * UPSAMPLE
+            xy = _trig_interp(self.xy.T, m).T
+            d = _trig_derivative(self.xy.T, m) / m
+            self._cache["refined"] = (xy, self.basis.vector(d[0], d[1]))
         return self._cache["refined"]
 
     def upsample_samples(self, values: DualComplex) -> DualComplex:
@@ -280,36 +259,24 @@ def theta_measure(contour: Contour, node_index, eps):
 
 
 def circle_contour(basis: BasisE, center=(0.0, 0.0), radius: float = 1.0,
-                   nodes: int = DEFAULT_NODES, clockwise: bool = False) -> Contour:
+                   nodes: int = DEFAULT_NODES) -> Contour:
     if radius <= 0:
         raise EmptySpecError("circle radius must be positive")
     params = {"center": [float(center[0]), float(center[1])],
-              "radius": float(radius), "nodes": int(nodes), "clockwise": False}
-    if clockwise:
-        warnings.warn("clockwise circle reversed to positive orientation")
-    t = np.arange(nodes) / nodes
-    xy = np.stack([center[0] + radius * np.cos(2 * np.pi * t),
-                   center[1] + radius * np.sin(2 * np.pi * t)], axis=1)
-    d = _param_derivative("circle", params, t)
-    return _finalize("circle", basis, params, t, xy, d / nodes, d,
-                     reversed_input=clockwise)
+              "radius": float(radius), "nodes": int(nodes)}
+    return _trapezoid_contour("circle", basis, params,
+                              _ellipse_nodes(center, radius, radius, nodes))
 
 
 def ellipse_contour(basis: BasisE, center=(0.0, 0.0), semi_axes=(1.0, 1.0),
-                    nodes: int = DEFAULT_NODES, clockwise: bool = False) -> Contour:
+                    nodes: int = DEFAULT_NODES) -> Contour:
     a, b = float(semi_axes[0]), float(semi_axes[1])
     if a <= 0 or b <= 0:
         raise EmptySpecError("ellipse semi-axes must be positive")
     params = {"center": [float(center[0]), float(center[1])],
-              "semi_axes": [a, b], "nodes": int(nodes), "clockwise": False}
-    if clockwise:
-        warnings.warn("clockwise ellipse reversed to positive orientation")
-    t = np.arange(nodes) / nodes
-    xy = np.stack([center[0] + a * np.cos(2 * np.pi * t),
-                   center[1] + b * np.sin(2 * np.pi * t)], axis=1)
-    d = _param_derivative("ellipse", params, t)
-    return _finalize("ellipse", basis, params, t, xy, d / nodes, d,
-                     reversed_input=clockwise)
+              "semi_axes": [a, b], "nodes": int(nodes)}
+    return _trapezoid_contour("ellipse", basis, params,
+                              _ellipse_nodes(center, a, b, nodes))
 
 
 def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES,
@@ -373,21 +340,7 @@ def explicit_contour(basis: BasisE, points) -> Contour:
     if _signed_area_of(pts, basis) < 0:
         warnings.warn("explicit node list reversed to positive orientation")
         pts = np.concatenate([pts[:1], pts[:0:-1]], axis=0)
-    n = len(pts)
-    t = np.arange(n) / n
-    # periodic trapezoid rule: weights are the spectral derivative d tau / dt
-    # over n, the same rule refined_geometry upsamples
-    w_xy = np.stack([_trig_derivative(pts[:, 0], n),
-                     _trig_derivative(pts[:, 1], n)], axis=1) / n
-    tang = w_xy / np.maximum(np.hypot(w_xy[:, 0], w_xy[:, 1]), 1e-300)[:, None]
-    chords = np.hypot(*(np.roll(pts, -1, axis=0) - pts).T)
-    cum = np.concatenate([[0.0], np.cumsum(chords)[:-1]])
-    params = {"points": pts.tolist()}
-    return Contour(kind="explicit", basis=basis, params=params, t=t, xy=pts,
-                   w_xy=w_xy, tangent=tang, cum_len=cum,
-                   length=float(chords.sum()),
-                   max_spacing=float(chords.max()),
-                   corner_mask=np.zeros(n, dtype=bool))
+    return _trapezoid_contour("explicit", basis, {"points": pts.tolist()}, pts)
 
 
 def build_contour(basis: BasisE, spec: dict) -> Contour:
@@ -396,15 +349,15 @@ def build_contour(basis: BasisE, spec: dict) -> Contour:
         raise EmptySpecError("contour spec is missing its kind")
     kind = spec["kind"]
     nodes = int(spec.get("nodes", DEFAULT_NODES))
+    # other keys, such as "clockwise" in older specs, are ignored: circles
+    # and ellipses are always traced counterclockwise
     if kind == "circle":
         return circle_contour(basis, center=spec.get("center", (0.0, 0.0)),
-                              radius=spec.get("radius", 1.0), nodes=nodes,
-                              clockwise=bool(spec.get("clockwise", False)))
+                              radius=spec.get("radius", 1.0), nodes=nodes)
     if kind == "ellipse":
         return ellipse_contour(basis, center=spec.get("center", (0.0, 0.0)),
                                semi_axes=spec.get("semi_axes", (1.0, 1.0)),
-                               nodes=nodes,
-                               clockwise=bool(spec.get("clockwise", False)))
+                               nodes=nodes)
     if kind == "polygon":
         if "vertices" not in spec:
             raise EmptySpecError("polygon spec needs vertices")
@@ -420,32 +373,31 @@ def build_contour(basis: BasisE, spec: dict) -> Contour:
 # -- internals -----------------------------------------------------------------
 
 
-def _param_derivative(kind: str, params: dict, t: np.ndarray) -> np.ndarray:
-    ang = 2.0 * np.pi * np.asarray(t, dtype=float)
-    if kind == "circle":
-        r = float(params["radius"])
-        return np.stack([-2 * np.pi * r * np.sin(ang),
-                         2 * np.pi * r * np.cos(ang)], axis=-1)
-    a, b = (float(v) for v in params["semi_axes"])
-    return np.stack([-2 * np.pi * a * np.sin(ang),
-                     2 * np.pi * b * np.cos(ang)], axis=-1)
+def _ellipse_nodes(center, a: float, b: float, nodes: int) -> np.ndarray:
+    ang = 2.0 * np.pi * np.arange(nodes) / nodes
+    return np.stack([center[0] + a * np.cos(ang), center[1] + b * np.sin(ang)],
+                    axis=1)
 
 
-def _finalize(kind, basis, params, t, xy, w_xy, deriv, reversed_input=False) -> Contour:
-    # builders always emit the counterclockwise parametrization; a clockwise
-    # spec is reported as reversed rather than resampled
+def _trapezoid_contour(kind: str, basis: BasisE, params: dict,
+                       xy: np.ndarray) -> Contour:
+    """A smooth contour from its nodes, taken as uniform samples of a
+    periodic curve: trapezoid weights dtau/dt / N from the spectral
+    derivative, tangents, length and arc length from its speed."""
+    n = len(xy)
+    if n < 3:
+        raise EmptySpecError("a smooth contour needs at least 3 nodes")
+    deriv = _trig_derivative(xy.T, n).T
     speed = np.hypot(deriv[:, 0], deriv[:, 1])
-    n = len(t)
-    length = float(speed.mean())  # periodic trapezoid of |d tau / dt|
     seg = (speed + np.roll(speed, -1)) / (2.0 * n)
-    cum = np.concatenate([[0.0], np.cumsum(seg)[:-1]])
-    tang = deriv / np.maximum(speed, 1e-300)[:, None]
     chords = np.hypot(*(np.roll(xy, -1, axis=0) - xy).T)
-    return Contour(kind=kind, basis=basis, params=params, t=t, xy=xy, w_xy=w_xy,
-                   tangent=tang, cum_len=cum, length=length,
+    return Contour(kind=kind, basis=basis, params=params, t=np.arange(n) / n,
+                   xy=xy, w_xy=deriv / n,
+                   tangent=deriv / np.maximum(speed, 1e-300)[:, None],
+                   cum_len=np.concatenate([[0.0], np.cumsum(seg)[:-1]]),
+                   length=float(speed.mean()),
                    max_spacing=float(chords.max()),
-                   corner_mask=np.zeros(n, dtype=bool),
-                   orientation_reversed=reversed_input)
+                   corner_mask=np.zeros(n, dtype=bool))
 
 
 def _signed_area(xy: np.ndarray) -> float:
@@ -507,7 +459,9 @@ def _trig_interp(f: np.ndarray, m: int) -> np.ndarray:
     n = f.shape[-1]
     spec = np.fft.fft(f)
     out = np.zeros(f.shape[:-1] + (m,), dtype=complex)
-    half = n // 2
+    # the first ceil(n/2) coefficients are the modes 0, 1, ...; the rest are
+    # the negative modes, the Nyquist mode first when n is even
+    half = n - n // 2
     out[..., :half] = spec[..., :half]
     out[..., m - (n - half):] = spec[..., half:]
     if n % 2 == 0 and m > n:
@@ -517,6 +471,22 @@ def _trig_interp(f: np.ndarray, m: int) -> np.ndarray:
     if np.isrealobj(f):
         return vals.real
     return vals
+
+
+def _trig_eval(f: np.ndarray, tq: np.ndarray) -> np.ndarray:
+    """The trigonometric interpolant of periodic uniform samples, a (N,) or
+    (K, N) array ``f``, at any parameters ``tq``, shaped
+    ``tq.shape + f.shape[:-1]``.  The Nyquist mode of an even count is split
+    symmetrically, so at uniform parameters this is ``_trig_interp``; it
+    costs O(N) per parameter, where ``_trig_interp`` costs O(log N)."""
+    n = f.shape[-1]
+    tq = np.asarray(tq, dtype=float)
+    k = np.fft.fftfreq(n, d=1.0 / n)
+    waves = np.exp(2j * np.pi * tq[..., None] * k)
+    if n % 2 == 0:
+        waves[..., n // 2] = np.cos(np.pi * n * tq)
+    vals = waves @ (np.fft.fft(f) / n).T
+    return vals.real if np.isrealobj(f) else vals
 
 
 def _trig_derivative(f: np.ndarray, m: int) -> np.ndarray:
@@ -529,7 +499,7 @@ def _trig_derivative(f: np.ndarray, m: int) -> np.ndarray:
         k[n // 2] = 0.0
     dspec = spec * (2j * np.pi * k)
     out = np.zeros(f.shape[:-1] + (m,), dtype=complex)
-    half = n // 2
+    half = n - n // 2
     out[..., :half] = dspec[..., :half]
     out[..., m - (n - half):] = dspec[..., half:]
     vals = np.fft.ifft(out) * (m / n)

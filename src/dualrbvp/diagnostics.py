@@ -20,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import DualComplex, dc_norm
+from .algebra import dc_norm
 from .contour import Contour, theta_measure
-from .integral import boundary_samples
+from .integral import boundary_samples, field_eval
 
 ANCHOR_COUNT = 32
 DINI_LEVELS = 40
@@ -117,7 +117,4 @@ def sup_norm(f, points) -> float:
 
     ``f`` may be an evaluator over points, an expression, or a precomputed
     sample set; ``points`` is a PointE array."""
-    if isinstance(f, DualComplex):
-        return float(np.max(dc_norm(f)))
-    from .integral import field_eval
     return float(np.max(dc_norm(field_eval(f, points))))

@@ -141,12 +141,6 @@ class BranchAmbiguityError(NumericalError):
     """Argument tracking cannot resolve the branch even after refinement."""
 
 
-class NonIntegerIndexError(NumericalError):
-    def __init__(self, message: str, raw: float):
-        super().__init__(message)
-        self.raw = raw
-
-
 class ClosureFailureError(NumericalError):
     """Continuous logarithm does not return to its start after a loop."""
 

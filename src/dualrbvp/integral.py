@@ -77,16 +77,27 @@ FieldFn = Union["_expr.Expr", Callable[[PointE], DualComplex]]
 
 # -- sampling helpers ----------------------------------------------------------
 
-def field_eval(f: FieldFn, point: PointE) -> DualComplex:
-    """Evaluate a field function given as an expression or a callable."""
+def _apply(f, z, **boundary) -> DualComplex:
+    """The one dispatch on a function argument: a precomputed sample set is
+    its own value, an expression is evaluated at ``z`` and at the boundary
+    variables ``tau`` and ``t`` where given, and a callable is called at
+    ``z``."""
+    if isinstance(f, DualComplex):
+        return f
     if _expr.is_expr(f):
-        if not _expr.is_field_expr(f):
-            raise NotAFieldExpressionError(
-                "field operation got an expression with boundary variables")
-        return _expr.evaluate(f, z=point)
+        return _expr.evaluate(f, z=z, **boundary)
     if callable(f):
-        return f(point)
-    raise TypeError(f"cannot evaluate {type(f).__name__} as a field function")
+        return f(z)
+    raise TypeError(f"cannot evaluate {type(f).__name__} as a function")
+
+
+def field_eval(f: FieldFn, point: PointE) -> DualComplex:
+    """Evaluate a field function given as an expression without boundary
+    variables, a callable, or a sample set already taken at ``point``."""
+    if _expr.is_expr(f) and not _expr.is_field_expr(f):
+        raise NotAFieldExpressionError(
+            "field operation got an expression with boundary variables")
+    return _apply(f, point)
 
 
 def boundary_samples(f, contour: Contour, t=None) -> DualComplex:
@@ -102,14 +113,7 @@ def boundary_samples(f, contour: Contour, t=None) -> DualComplex:
         p = contour.point_at(t)
         points = PointE(p[..., 0], p[..., 1], contour.basis)
         tau = points.value()
-    if isinstance(f, DualComplex):
-        out = f
-    elif _expr.is_expr(f):
-        out = _expr.evaluate(f, z=points, tau=tau, t=t)
-    elif callable(f):
-        out = f(points)
-    else:
-        raise TypeError(f"cannot sample {type(f).__name__} on a contour")
+    out = _apply(f, points, tau=tau, t=t)
     c1 = np.array(np.broadcast_to(np.asarray(out.c1, dtype=complex), t.shape))
     c2 = np.array(np.broadcast_to(np.asarray(out.c2, dtype=complex), t.shape))
     return DualComplex(c1, c2)
@@ -713,7 +717,8 @@ def component_decompose(f: FieldFn, grid: PointE,
     probe = grid.value()
     for shift in (0.37, -0.61):
         try:
-            shifted = _eval_on_algebra(f, DualComplex(probe.c1, probe.c2 + shift))
+            # at raw algebra elements, off the plane E, when f allows it
+            shifted = _apply(f, DualComplex(probe.c1, probe.c2 + shift))
         except TypeError:
             break
         fiber_residual = max(fiber_residual,
@@ -737,10 +742,3 @@ def component_decompose(f: FieldFn, grid: PointE,
     cr = float(np.max(np.abs((fx + 1j * fy) / 2.0)))
     return ComponentDecomposition(complex_part=complex_part, rho_part=rho_part,
                                   cr_residual=cr, fiber_residual=fiber_residual)
-
-
-def _eval_on_algebra(f, value: DualComplex) -> DualComplex:
-    """Evaluate at a raw algebra element (off the plane E) when possible."""
-    if _expr.is_expr(f):
-        return _expr.evaluate(f, z=value)
-    return f(value)

@@ -38,7 +38,7 @@ from . import expr as _expr
 RESULT_FORMAT = "dualrbvp-result@1"
 VERIFY_FORMAT = "dualrbvp-verify@1"
 
-DEFAULT_TOLERANCES = {"residual": 1e-6, "index_integrality": 1e-3}
+DEFAULT_TOLERANCES = {"residual": 1e-6}
 
 
 def dc_to_list(c: DualComplex) -> list:
@@ -117,9 +117,9 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     tol_node.update(extra)
     if residual_tol_override is not None:
         tol_node["residual"] = float(residual_tol_override)
-    # other keys, such as "quadrature" in older files, are read and ignored
+    # other keys, such as "quadrature" and "index_integrality" in older
+    # files, are read and ignored
     tols = Tolerances(residual=float(tol_node["residual"]),
-                      index_integrality=float(tol_node["index_integrality"]),
                       moment=tol_node.get("moment"))
 
     coeffs = [dc_from_list(row) for row in raw.get("polynomial", [])]
@@ -198,10 +198,7 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
     doc: dict = {
         "format": RESULT_FORMAT,
         "contour_hash": spec.contour.content_hash(),
-        "tolerances": {
-            "residual": spec.problem.tolerances.residual,
-            "index_integrality": spec.problem.tolerances.index_integrality,
-        },
+        "tolerances": {"residual": spec.problem.tolerances.residual},
     }
     sol_report = solvability
     if solution is not None:

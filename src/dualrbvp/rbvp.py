@@ -41,7 +41,6 @@ from .canonical import CanonicalX, build_canonical_X
 from .contour import Contour
 from .errors import (
     InputError,
-    OriginNotInteriorError,
     PolynomialDegreeError,
     UnsolvableError,
 )
@@ -59,7 +58,6 @@ from . import expr as _expr
 @dataclass
 class Tolerances:
     residual: float = 1e-6
-    index_integrality: float = 1e-3
     moment: Optional[float] = None
 
     @property
@@ -99,10 +97,6 @@ class RBVPProblem:
         self.g = _as_expr(self.g, "0")
         if self.contour.basis is not self.basis:
             raise InputError("contour was built on a different basis")
-        if not expr_is_one(self.G):
-            if self.contour.winding_number(0.0, 0.0)[0] == 0:
-                raise OriginNotInteriorError(
-                    "a non-constant coefficient requires the origin inside the curve")
 
     def g_samples(self) -> DualComplex:
         return boundary_samples(self.g, self.contour)
@@ -283,8 +277,7 @@ def check_solvability(problem: RBVPProblem, x: CanonicalX,
 def _solve(problem: RBVPProblem, kind: str) -> RBVPSolution:
     """The one construction: X, then psi = g exp(-E+), then the moment
     conditions and the polynomial part."""
-    x = build_canonical_X(problem.contour, problem.G,
-                          integrality_tol=problem.tolerances.index_integrality)
+    x = build_canonical_X(problem.contour, problem.G)
     psi = _psi_samples(problem, x)
     report = check_solvability(problem, x, psi=psi)
     if not report.solvable:

@@ -69,8 +69,9 @@ class TestSolve:
         assert main(["solve", str(prob)]) == 3
 
     def test_origin_not_interior_exit_3(self, tmp_path):
+        # tau-5 winds once about the origin, which lies outside this curve
         prob = write_problem(
-            tmp_path / "p.json", G="tau", g="1",
+            tmp_path / "p.json", G="tau-5", g="1",
             contour={"kind": "circle", "center": [5, 0], "radius": 1.0,
                      "nodes": 256})
         assert main(["solve", str(prob)]) == 3
@@ -155,12 +156,15 @@ class TestSolve:
 
     def test_retired_quadrature_tolerance_still_loads(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
-                             tolerances={"quadrature": 1e-12},
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 128, "clockwise": True},
+                             tolerances={"quadrature": 1e-12,
+                                         "index_integrality": 1e-3},
                              declarations={"G": "coefficient"})
         out = tmp_path / "r.json"
         assert main(["solve", str(prob), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert set(doc["tolerances"]) == {"residual", "index_integrality"}
+        assert set(doc["tolerances"]) == {"residual"}
         assert "hypothesis_route" not in doc
         assert "declarations" not in doc
 
@@ -294,6 +298,22 @@ class TestVerify:
         doc = json.loads(rep.read_text())
         assert doc["interior_trace_spread"] is not None
         assert doc["interior_trace_spread"] <= doc["trace_tolerance"]
+
+    def test_index_zero_needs_no_interior_origin(self, tmp_path):
+        # tau does not wind about the origin outside this curve: kappa = 0
+        # needs no origin hypothesis
+        prob = write_problem(
+            tmp_path / "p.json", G="tau", g="1",
+            contour={"kind": "circle", "center": [5, 0], "radius": 1.0,
+                     "nodes": 256})
+        out = tmp_path / "r.json"
+        rep = tmp_path / "v.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["kappa"] == 0
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+        doc = json.loads(rep.read_text())
+        assert doc["exterior_trace_defect"] <= 1e-12
+        assert doc["interior_trace_spread"] <= 1e-12
 
     def test_contour_hash_mismatch(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")

@@ -12,10 +12,22 @@ from dualrbvp import (
     polygon_contour,
     theta_measure,
 )
-from dualrbvp.contour import _trig_interp
+from dualrbvp.contour import _trig_derivative, _trig_eval, _trig_interp
 from dualrbvp.errors import CornerNodeError, EmptySpecError, SelfIntersectingError
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+
+
+def ellipse_perimeter(a, b):
+    """Closed form by the arithmetic-geometric mean: 2 pi (a^2 - sum
+    2^(n-1) c_n^2) / M(a, b), with c_0^2 = a^2 - b^2."""
+    a2, s, k = a * a, 0.5 * (a * a - b * b), 0
+    while True:
+        c = (a - b) / 2.0
+        a, b, k = (a + b) / 2.0, np.sqrt(a * b), k + 1
+        s += 2.0 ** (k - 1) * c * c
+        if c * c < 1e-18:
+            return 2.0 * np.pi * (a2 - s) / a
 
 
 class TestBuild:
@@ -41,14 +53,30 @@ class TestBuild:
         c = polygon_contour(bih, SQUARE, nodes=512)
         assert c.length == pytest.approx(8.0, abs=1e-12)
 
-    def test_clockwise_circle_reversed_with_warning(self, bih):
-        with pytest.warns(UserWarning):
-            c = circle_contour(bih, radius=1.0, nodes=128, clockwise=True)
-        assert c.orientation_reversed
+    @pytest.mark.parametrize("center, axes, n", [
+        ((0.0, 0.0), (1.0, 1.0), 16), ((0.0, 0.0), (1.0, 1.0), 256),
+        ((0.3, -0.2), (1.7, 1.7), 384), ((0.0, 0.0), (1.5, 0.8), 192)])
+    def test_trapezoid_rule_closed_forms(self, bih, center, axes, n):
+        # weights are dtau/dt / N of the parametrization, read off the nodes
+        a, b = axes
+        c = (circle_contour(bih, center=center, radius=a, nodes=n) if a == b
+             else ellipse_contour(bih, center=center, semi_axes=axes, nodes=n))
+        ang = 2 * np.pi * np.arange(n) / n
+        d = 2 * np.pi * np.stack([-a * np.sin(ang), b * np.cos(ang)], axis=1)
+        speed = np.hypot(d[:, 0], d[:, 1])
+        assert np.max(np.abs(c.w_xy - d / n)) < 1e-13
+        assert np.max(np.abs(c.tangent - d / speed[:, None])) < 1e-13
+        assert abs(c.length - ellipse_perimeter(max(a, b), min(a, b))) < 1e-13
+
+    def test_explicit_ellipse_has_the_parametric_length(self, bih):
+        pts = ellipse_contour(bih, semi_axes=(1.5, 0.8), nodes=128).xy
+        c = explicit_contour(bih, pts)
+        assert abs(c.length - ellipse_perimeter(1.5, 0.8)) < 1e-12
+
+    def test_clockwise_spec_still_loads(self, bih):
+        c = build_contour(bih, {"kind": "circle", "nodes": 64, "clockwise": True})
         assert c.xy_ccw
-        ccw = circle_contour(bih, radius=1.0, nodes=128)
-        assert np.allclose(c.xy, ccw.xy, atol=1e-12)
-        assert np.allclose(c.w_xy, ccw.w_xy, atol=1e-12)
+        assert np.array_equal(c.xy, circle_contour(bih, nodes=64).xy)
 
     def test_clockwise_polygon_reversed(self, bih):
         with pytest.warns(UserWarning):
@@ -58,6 +86,8 @@ class TestBuild:
     def test_invalid_specs(self, bih):
         with pytest.raises(EmptySpecError):
             circle_contour(bih, radius=-1.0)
+        with pytest.raises(EmptySpecError):
+            ellipse_contour(bih, nodes=2)
         with pytest.raises(EmptySpecError):
             polygon_contour(bih, [[0, 0], [1, 1]])
         with pytest.raises(EmptySpecError):
@@ -208,6 +238,16 @@ class TestGeometryHelpers:
             got = c.point_at(c.t)
             assert np.max(np.abs(got - c.xy)) < 1e-12, c.kind
 
+    def test_point_at_is_the_refined_curve(self, bih):
+        # one trigonometric interpolant gives both, for every smooth kind
+        for c in (circle_contour(bih, radius=1.3, nodes=64),
+                  ellipse_contour(bih, semi_axes=(1.5, 0.8), nodes=64),
+                  explicit_contour(bih, ellipse_contour(
+                      bih, semi_axes=(1.5, 0.8), nodes=128).xy)):
+            xy_up, _ = c.refined_geometry()
+            got = c.point_at(np.arange(len(xy_up)) / len(xy_up))
+            assert np.max(np.abs(got - xy_up)) < 1e-13, c.kind
+
     def test_polygon_point_at_lands_on_edges(self, bih):
         c = polygon_contour(bih, SQUARE, nodes=128)
         pts = c.point_at(np.linspace(0, 1, 37, endpoint=False))
@@ -252,6 +292,25 @@ class TestTrigInterp:
     def test_nyquist_mode_is_not_doubled(self):
         up = _trig_interp(np.array([1.0, -1.0] * 4), 16)
         assert np.allclose(up, np.cos(np.pi * np.arange(16) / 2), atol=1e-12)
+
+    def test_odd_count_keeps_the_highest_mode(self):
+        # with 7 samples, mode 3 must stay mode 3, not alias to mode -4
+        t = np.arange(7) / 7
+        tq = np.arange(28) / 28
+        f = np.cos(6 * np.pi * t)
+        assert np.max(np.abs(_trig_interp(f, 28) - np.cos(6 * np.pi * tq))) < 1e-13
+        assert np.max(np.abs(_trig_derivative(f, 28)
+                             + 6 * np.pi * np.sin(6 * np.pi * tq))) < 1e-12
+
+    @pytest.mark.parametrize("n", [7, 8])
+    def test_eval_matches_interp_at_uniform_parameters(self, rng, n):
+        f = rng.normal(size=(2, n)) + 1j * rng.normal(size=(2, n))
+        m = 5 * n
+        got = _trig_eval(f, np.arange(m) / m)
+        assert got.shape == (m, 2)
+        assert np.max(np.abs(got.T - _trig_interp(f, m))) < 1e-13
+        assert np.max(np.abs(_trig_eval(f[0].real, np.arange(m) / m)
+                             - _trig_interp(f[0].real, m))) < 1e-13
 
     @settings(max_examples=60)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=33),
