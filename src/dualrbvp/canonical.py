@@ -99,13 +99,14 @@ def compute_index(contour: Contour, G) -> IndexResult:
     return IndexResult(kappa=int(np.rint(raw)), raw=raw)
 
 
-def continuous_log(contour: Contour, G, kappa: int,
-                   closure_tol: float = 1e-6) -> DualComplex:
+def continuous_log(contour: Contour, G, kappa: int) -> DualComplex:
     """Single-valued continuous branch of ln(tau^(-kappa) G(tau)) at the nodes.
 
     The complex part starts from the principal value at node 0 and follows
-    the accumulated argument; the rho part is pointwise.  A loop that fails
-    to close signals a wrong kappa.
+    the accumulated argument; the rho part is pointwise.  The steps of the
+    closed loop telescope to 2 pi times an integer, the winding left over
+    by a wrong kappa, so a total beyond pi in size is a loop that fails to
+    close, and anything smaller is rounding.
     """
     tau = contour.values()
     w = dc_mul(dc_pow_int(tau, -int(kappa)), boundary_samples(G, contour))
@@ -116,7 +117,7 @@ def continuous_log(contour: Contour, G, kappa: int,
             np.asarray(tval.c1, dtype=complex), -int(kappa))
 
     steps, total = _accumulated_argument(contour, w.c1, sample)
-    if abs(total) > 2.0 * np.pi * closure_tol + 1e-9:
+    if abs(total) > np.pi:
         raise ClosureFailureError(
             f"branch fails to close: residual winding {total / (2 * np.pi):.6f} "
             "(wrong index?)", mismatch=float(abs(total)))

@@ -24,15 +24,18 @@ from typing import Optional
 import numpy as np
 
 from .algebra import BasisE, DualComplex, PointE
-from .errors import CornerNodeError, EmptySpecError, SelfIntersectingError
+from .errors import (ContourError, CornerNodeError, EmptySpecError,
+                     SelfIntersectingError)
 
 DEFAULT_NODES = 512
 GAUSS_ORDER = 8
 GUARD_SPACING_FACTOR = 3.0
 UPSAMPLE = 8
-# (target, source) pairs per chunk of a distance query or kernel sum: each
-# temporary plane stays ~1 MB, so memory does not grow with the number of
-# targets; kernel time measured flat from 2^12 to 2^17 pairs, slower above
+# (target, source) pairs per chunk of a distance query, kernel sum or pair
+# pass: each temporary plane stays ~1 MB, so memory does not grow with the
+# number of targets, and the planes are allocated once per call and reused
+# by every chunk; kernel time measured flat from 2^12 to 2^17 pairs, slower
+# above
 PAIR_CHUNK = 2 ** 16
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
@@ -112,7 +115,12 @@ class Contour:
         return self.xy.mean(axis=0)
 
     def rebuilt(self, nodes: int) -> "Contour":
-        """Same geometric spec, different sampling resolution."""
+        """Same geometric spec, different sampling resolution.  An explicit
+        contour is its node list, so it has no other resolution."""
+        if self.kind == "explicit":
+            raise ContourError(
+                "an explicit contour has exactly its listed points; it cannot "
+                "be rebuilt with another node count")
         params = dict(self.params)
         params["nodes"] = int(nodes)
         return build_contour(self.basis, {"kind": self.kind, **params})
@@ -143,9 +151,9 @@ class Contour:
         """Exact distance from point(s) to the sampled polyline, flattened.
 
         Targets go in chunks of PAIR_CHUNK (target, segment) pairs, each on
-        (targets, segments) coordinate planes: project onto every segment,
-        clip to it, keep the smallest squared distance, and take one square
-        root per target.
+        (targets, segments) coordinate planes, allocated once per call:
+        project onto every segment, clip to it, keep the smallest squared
+        distance, and take one square root per target.
         """
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
@@ -153,14 +161,22 @@ class Contour:
         ex, ey = np.roll(ax, -1) - ax, np.roll(ay, -1) - ay
         inv_len2 = 1.0 / np.maximum(ex * ex + ey * ey, 1e-300)
         out = np.empty(x.size)
-        chunk = max(1, PAIR_CHUNK // self.n)
+        chunk = max(1, min(x.size, PAIR_CHUNK // self.n))
+        planes = np.empty((4, chunk, self.n))
         for s in range(0, x.size, chunk):
-            dx = x[s:s + chunk, None] - ax
-            dy = y[s:s + chunk, None] - ay
-            t = np.clip((dx * ex + dy * ey) * inv_len2, 0.0, 1.0)
-            dx -= t * ex
-            dy -= t * ey
-            out[s:s + chunk] = np.sqrt(np.min(dx * dx + dy * dy, axis=1))
+            dx, dy, t, tmp = planes[:, :min(chunk, x.size - s)]
+            np.subtract(x[s:s + chunk, None], ax, out=dx)
+            np.subtract(y[s:s + chunk, None], ay, out=dy)
+            np.multiply(dx, ex, out=t)
+            t += np.multiply(dy, ey, out=tmp)
+            t *= inv_len2
+            np.clip(t, 0.0, 1.0, out=t)
+            dx -= np.multiply(t, ex, out=tmp)
+            dy -= np.multiply(t, ey, out=tmp)
+            np.multiply(dx, dx, out=t)
+            t += np.multiply(dy, dy, out=tmp)
+            np.sqrt(np.min(t, axis=1, out=out[s:s + chunk]),
+                    out=out[s:s + chunk])
         return out
 
     def winding_number(self, x, y) -> np.ndarray:
@@ -227,23 +243,67 @@ def interior_test(contour: Contour, point: PointE) -> str:
 def theta_measure(contour: Contour, node_index, eps):
     """Arc length of the curve within distance eps of the given node.
 
-    Distances use the plane modulus |.|; portions are clipped per polyline
-    segment by solving the quadratic |p(s) - tau|^2 = eps^2 exactly, then
-    scaled to the arc-length table.  Node indices and radii broadcast
-    against each other; scalar arguments give a float.
+    Distances use the plane modulus |.|.  Each anchor sweeps its polyline
+    segments once against the sorted radii: a segment whose farther
+    endpoint lies within eps counts its whole arc (a histogram over the
+    radii, then a cumulative sum), one whose closest point lies beyond eps
+    counts nothing, and only a segment that eps cuts is clipped, by solving
+    the quadratic |p(s) - tau|^2 = eps^2 exactly and scaling to the
+    arc-length table.  Node indices and radii broadcast against each
+    other; scalar arguments give a float.
     """
     eps = np.asarray(eps, dtype=float)
     if np.any(eps <= 0):
         raise ValueError("eps must be positive")
     k = np.asarray(node_index, dtype=int) % contour.n
+    anchors, k_at = np.unique(k.ravel(), return_inverse=True)
+    radii, r_at = np.unique(eps.ravel(), return_inverse=True)
+    table = _theta_table(contour, anchors, radii)
+    out = table[k_at.reshape(k.shape), r_at.reshape(eps.shape)]
+    return float(out) if out.ndim == 0 else out
+
+
+# relative margin on squared distances within which a segment is clipped by
+# the quadratic rather than counted whole or not at all, so that rounding in
+# the sweep's comparisons cannot drop a near-tangent crossing
+_SWEEP_MARGIN = 1e-9
+
+
+def _theta_table(contour: Contour, anchors: np.ndarray,
+                 radii: np.ndarray) -> np.ndarray:
+    """theta at every anchor node and every radius, (anchors, radii), for
+    sorted distinct radii."""
     a = contour.xy
-    b = np.roll(contour.xy, -1, axis=0)
+    d = np.roll(a, -1, axis=0) - a
     seg_arc = np.diff(np.append(contour.cum_len, contour.length))
-    d = b - a
-    f = a - contour.xy[k][..., None, :]               # (..., N, 2)
     A = (d * d).sum(axis=1)
-    B = 2.0 * (f * d).sum(axis=-1)
-    C = (f * f).sum(axis=-1) - (eps * eps)[..., None]
+    fx = a[:, 0] - a[anchors, 0][:, None]            # (anchors, N)
+    fy = a[:, 1] - a[anchors, 1][:, None]
+    B = 2.0 * (fx * d[:, 0] + fy * d[:, 1])
+    far0 = fx * fx + fy * fy                         # squared, to the start
+    bx, by = fx + d[:, 0], fy + d[:, 1]
+    far = np.maximum(far0, bx * bx + by * by)
+    s = np.clip(-0.5 * B / np.maximum(A, 1e-300), 0.0, 1.0)
+    cx, cy = fx + s * d[:, 0], fy + s * d[:, 1]      # the closest point
+    near = cx * cx + cy * cy
+    r2 = radii * radii
+    # radii below index lo miss the segment, those from hi on hold all of it
+    lo = np.searchsorted(r2, near * (1.0 - _SWEEP_MARGIN), side="left")
+    hi = np.searchsorted(r2, far * (1.0 + _SWEEP_MARGIN), side="left")
+    u, n, m = len(anchors), contour.n, len(radii)
+    rows = np.arange(u)[:, None] * (m + 1)
+    whole = np.bincount((rows + hi).ravel(),
+                        weights=np.broadcast_to(seg_arc, (u, n)).ravel(),
+                        minlength=u * (m + 1)).reshape(u, m + 1)
+    table = np.cumsum(whole, axis=1)[:, :m]
+    # the (anchor, segment, radius) triples that a radius cuts
+    count = (hi - lo).ravel()
+    pair = np.repeat(np.arange(count.size), count)
+    first = np.cumsum(count) - count
+    r = lo.ravel()[pair] + np.arange(pair.size) - first[pair]
+    seg = pair % n
+    A, B = A[seg], B.ravel()[pair]
+    C = far0.ravel()[pair] - r2[r]
     disc = B * B - 4.0 * A * C
     ok = (disc > 0) & (A > 1e-300)
     sq = np.sqrt(np.where(ok, disc, 0.0))
@@ -251,8 +311,9 @@ def theta_measure(contour: Contour, node_index, eps):
     s2 = np.clip((-B + sq) / (2.0 * np.maximum(A, 1e-300)), 0.0, 1.0)
     frac = np.where(ok, s2 - s1, 0.0)
     frac[(A <= 1e-300) & (C <= 0)] = 1.0
-    out = (frac * seg_arc).sum(axis=-1)
-    return float(out) if out.ndim == 0 else out
+    table += np.bincount((pair // n) * m + r, weights=frac * seg_arc[seg],
+                         minlength=u * m).reshape(u, m)
+    return table
 
 
 # -- builders -----------------------------------------------------------------

@@ -176,20 +176,26 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     q = (tau2 - z2) inv_u^2 are formed, because
     (tau - z)^(-1) = inv_u - (tau2 - z2) inv_u^2 rho; with the (N, L) blocks
     a = d1 w1 and b = d1 w2 + d2 w1 of the live rows the two components are
-    inv_u @ a and inv_u @ b - q @ a.
+    inv_u @ a and inv_u @ b - q @ a.  Targets go in chunks of PAIR_CHUNK
+    pairs, on two planes allocated once per call.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
     live, (a, b) = _weighted_blocks(w, dens)
     out1 = np.empty((z1.size, live.size), dtype=complex)
     out2 = np.empty_like(out1)
-    chunk = max(1, PAIR_CHUNK // t1.size)
-    for s in range(0, z1.size if live.size else 0, chunk):
-        inv_u = 1.0 / (t1 - z1[s:s + chunk, None])
-        q = t2 - z2[s:s + chunk, None]
+    m = z1.size if live.size else 0
+    chunk = max(1, min(m, PAIR_CHUNK // t1.size))
+    planes = np.empty((2, chunk, t1.size), dtype=complex)
+    for s in range(0, m, chunk):
+        inv_u, q = planes[:, :min(chunk, m - s)]
+        np.subtract(t1, z1[s:s + chunk, None], out=inv_u)
+        np.divide(1.0, inv_u, out=inv_u)
+        np.subtract(t2, z2[s:s + chunk, None], out=q)
         q *= inv_u
         q *= inv_u
-        out1[s:s + chunk] = inv_u @ a
-        out2[s:s + chunk] = inv_u @ b - q @ a
+        np.matmul(inv_u, a, out=out1[s:s + chunk])
+        np.matmul(inv_u, b, out=out2[s:s + chunk])
+        out2[s:s + chunk] -= q @ a
     return _scatter(live, len(dens.c1), out1, out2)
 
 
@@ -206,19 +212,22 @@ def _node_kernel_sum(tau: DualComplex, w: DualComplex,
     n = t1.size
     out1 = np.empty((n, live.size), dtype=complex)
     out2 = np.empty_like(out1)
-    chunk = max(1, PAIR_CHUNK // n)
-    for s in range(0, n if live.size else 0, chunk):
-        rows = np.arange(s, min(s + chunk, n))
-        diag = (np.arange(rows.size), rows)
-        u = t1 - t1[rows, None]
-        u[diag] = 1.0
-        inv_u = 1.0 / u
+    m = n if live.size else 0
+    chunk = max(1, min(m, PAIR_CHUNK // n))
+    planes = np.empty((2, chunk, n), dtype=complex)
+    for s in range(0, m, chunk):
+        inv_u, q = planes[:, :min(chunk, m - s)]
+        diag = (np.arange(len(inv_u)), np.arange(s, s + len(inv_u)))
+        np.subtract(t1, t1[s:s + chunk, None], out=inv_u)
+        inv_u[diag] = 1.0
+        np.divide(1.0, inv_u, out=inv_u)
         inv_u[diag] = 0.0
-        q = t2 - t2[rows, None]
+        np.subtract(t2, t2[s:s + chunk, None], out=q)
         q *= inv_u
         q *= inv_u
-        out1[rows] = inv_u @ a
-        out2[rows] = inv_u @ b - q @ a
+        np.matmul(inv_u, a, out=out1[s:s + chunk])
+        np.matmul(inv_u, b, out=out2[s:s + chunk])
+        out2[s:s + chunk] -= q @ a
     return _scatter(live, len(dens.c1), out1, out2)
 
 

@@ -107,6 +107,10 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     basis = _parse_basis(raw.get("basis"))
     cspec = dict(raw["contour"])
     if nodes_override is not None:
+        if cspec.get("kind") == "explicit":
+            raise ProblemFormatError(
+                "an explicit contour has exactly its listed points; a node "
+                "count cannot be set for it")
         cspec["nodes"] = int(nodes_override)
     contour = build_contour(basis, cspec)
 

@@ -206,6 +206,22 @@ class TestSolve:
         out = tmp_path / "r.json"
         assert main(["solve", str(prob), "--nodes", "256", "--out", str(out)]) == 0
 
+    def test_nodes_override_refused_for_explicit_contour(self, tmp_path, capsys):
+        ang = 2 * np.pi * np.arange(64) / 64
+        points = np.stack([1.5 * np.cos(ang), 0.8 * np.sin(ang)], axis=1)
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             contour={"kind": "explicit",
+                                      "points": points.tolist()})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        for argv in (["solve", str(prob), "--out", str(tmp_path / "s.json")],
+                     ["verify", str(prob), str(out)],
+                     ["index", str(prob)]):
+            capsys.readouterr()
+            assert main(argv + ["--nodes", "256"]) == 3
+            assert "explicit contour" in capsys.readouterr().err
+        assert not (tmp_path / "s.json").exists()
+
 
 class TestVerify:
     def test_self_consistency(self, tmp_path):

@@ -12,8 +12,13 @@ from dualrbvp import (
     polygon_contour,
     theta_measure,
 )
-from dualrbvp.contour import _trig_derivative, _trig_eval, _trig_interp
-from dualrbvp.errors import CornerNodeError, EmptySpecError, SelfIntersectingError
+from dualrbvp.contour import PAIR_CHUNK, _trig_derivative, _trig_eval, _trig_interp
+from dualrbvp.errors import (
+    ContourError,
+    CornerNodeError,
+    EmptySpecError,
+    SelfIntersectingError,
+)
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
 
@@ -34,6 +39,11 @@ class TestBuild:
     def test_circle_length(self, bih):
         c = circle_contour(bih, radius=1.0, nodes=512)
         assert abs(c.length - 2 * np.pi) < 1e-10
+
+    def test_explicit_contour_is_not_rebuilt(self, bih):
+        c = explicit_contour(bih, circle_contour(bih, nodes=64).xy)
+        with pytest.raises(ContourError, match="explicit contour"):
+            c.rebuilt(256)
 
     def test_circle_length_stable_under_doubling(self, bih):
         c1 = circle_contour(bih, radius=1.0, nodes=512)
@@ -178,6 +188,19 @@ class TestDistanceAndWinding:
         assert np.max(np.abs(got - brute_force_distance(c, x, y))) <= 1e-14
         assert np.all(got[3000:3000 + c.n] == 0.0)
 
+    def test_dist_to_chunks_match_one_query_per_target(self, bih, rng):
+        """0, 1 and chunk + 1 targets: the reused planes give each target
+        exactly what a query of its own gives."""
+        c = polygon_contour(bih, L_SHAPE, nodes=128)
+        chunk = PAIR_CHUNK // c.n
+        x = rng.uniform(-0.5, 2.5, chunk + 1)
+        y = rng.uniform(-0.5, 2.5, chunk + 1)
+        got = c.dist_to(x, y)
+        want = np.concatenate([c.dist_to(x[k], y[k]) for k in range(x.size)])
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(c.dist_to(x[-1:], y[-1:]), got[-1:])
+        assert c.dist_to([], []).shape == (0,)
+
     def test_winding_of_l_shape_matches_angle_sum(self, bih, rng):
         c = polygon_contour(bih, L_SHAPE, nodes=128)
         # points at vertex heights and in the notch, then random ones
@@ -194,7 +217,51 @@ class TestDistanceAndWinding:
         assert 0 < got.sum() < got.size
 
 
+def dense_theta(contour, node_index, eps):
+    """theta on full (anchors, eps, segments) planes: every segment clipped
+    by the quadratic |p(s) - tau|^2 = eps^2."""
+    eps = np.asarray(eps, dtype=float)
+    k = np.asarray(node_index, dtype=int) % contour.n
+    a = contour.xy
+    d = np.roll(a, -1, axis=0) - a
+    seg_arc = np.diff(np.append(contour.cum_len, contour.length))
+    f = a - a[k][..., None, :]
+    A = (d * d).sum(axis=1)
+    B = 2.0 * (f * d).sum(axis=-1)
+    C = (f * f).sum(axis=-1) - (eps * eps)[..., None]
+    disc = B * B - 4.0 * A * C
+    ok = (disc > 0) & (A > 1e-300)
+    sq = np.sqrt(np.where(ok, disc, 0.0))
+    s1 = np.clip((-B - sq) / (2.0 * np.maximum(A, 1e-300)), 0.0, 1.0)
+    s2 = np.clip((-B + sq) / (2.0 * np.maximum(A, 1e-300)), 0.0, 1.0)
+    frac = np.where(ok, s2 - s1, 0.0)
+    frac[(A <= 1e-300) & (C <= 0)] = 1.0
+    return (frac * seg_arc).sum(axis=-1)
+
+
 class TestThetaMeasure:
+    @pytest.mark.parametrize("kind", ["circle", "square", "l-shape"])
+    def test_sweep_matches_dense_clipping(self, bih, kind):
+        """Radii on a refined dyadic grid and radii equal to node-to-node
+        distances, at anchors that include a corner node of the square and
+        the reflex corner of the L-shaped polygon."""
+        c = {"circle": lambda: circle_contour(bih, nodes=384),
+             "square": lambda: polygon_contour(bih, SQUARE, nodes=128),
+             "l-shape": lambda: polygon_contour(bih, L_SHAPE, nodes=200)}[kind]()
+        corner = int(np.argmin(np.hypot(*(c.xy - [1.0, 1.0]).T)))
+        anchors = np.unique(np.r_[np.linspace(0, c.n, 16, endpoint=False)
+                                  .astype(int), 0, corner])
+        xy = c.xy
+        node_dist = np.hypot(*(xy[anchors, None, :] - xy[None, :, :])
+                             .transpose(2, 0, 1))
+        eps = np.concatenate([2.0 ** (-np.arange(0, 40) / 4.0),
+                              node_dist[:, 1:40:3].ravel()])
+        eps = eps[eps > 0]
+        got = theta_measure(c, anchors[:, None], eps[None, :])
+        want = dense_theta(c, anchors[:, None], eps[None, :])
+        assert got.shape == want.shape == (anchors.size, eps.size)
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
     def test_saturates_at_full_length(self, unit_circle):
         assert theta_measure(unit_circle, 0, 2.5) == pytest.approx(
             unit_circle.length, rel=1e-6)

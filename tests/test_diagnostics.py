@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from dualrbvp import (
     DualComplex,
     circle_contour,
     dini_estimate,
+    explicit_contour,
     modulus_of_continuity,
     parse,
     polygon_contour,
@@ -117,23 +120,60 @@ def _reference_report(contour, g):
     return eps, omega, full, half, slope, full / half > 1.8
 
 
+L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+
+
 class TestReportAgainstReference:
-    @pytest.mark.parametrize("case", ["exp-circle", "square-tau2"])
+    @pytest.mark.parametrize("case", ["exp-circle", "square-tau2",
+                                      "l-shape-pole", "explicit-exp"])
     def test_all_fields(self, bih, unit_circle, case):
+        """omega is a maximum over the same pairs, so it is exact; the Dini
+        sums add the same terms in another order."""
         if case == "exp-circle":
             c, g = unit_circle, parse("exp(tau)")
-        else:
+        elif case == "square-tau2":
             c, g = polygon_contour(bih, [[-1, -1], [1, -1], [1, 1], [-1, 1]],
                                    nodes=128), parse("tau^2")
+        elif case == "l-shape-pole":
+            c, g = polygon_contour(bih, L_SHAPE, nodes=200), parse("1/(tau-3)")
+        else:
+            t = 2 * np.pi * np.arange(150) / 150
+            c = explicit_contour(bih, np.stack(
+                [1.3 * np.cos(t) + 0.1 * np.cos(3 * t), 0.9 * np.sin(t)], axis=1))
+            g = parse("tau*exp(tau)")
         eps, omega, full, half, slope, divergent = _reference_report(c, g)
         rep = regularity_report(c, g)
         np.testing.assert_array_equal(rep.eps_grid, eps)
-        np.testing.assert_allclose(rep.omega, omega, rtol=1e-12, atol=0.0)
+        np.testing.assert_array_equal(rep.omega, omega)
         assert rep.dini_estimate == pytest.approx(full, rel=1e-12)
         assert rep.dini_half_depth == pytest.approx(half, rel=1e-12)
         assert rep.lipschitz_slope == pytest.approx(slope, rel=1e-12)
         assert rep.divergence_suspected == divergent
         assert not rep.is_constant
+
+
+class TestConstantAndMemory:
+    @pytest.mark.parametrize("value", ["1", "2+3i"])
+    def test_constant_function(self, bih, value):
+        c = polygon_contour(bih, L_SHAPE, nodes=128)
+        rep = regularity_report(c, parse(value))
+        assert rep.is_constant
+        assert not rep.omega.any() and rep.omega.shape == rep.eps_grid.shape
+        assert rep.dini_estimate == 0.0 and rep.dini_half_depth == 0.0
+        assert rep.lipschitz_slope is None and not rep.divergence_suspected
+
+    def test_report_memory_is_bounded(self, bih):
+        """4096 nodes have 8.4e6 pairs; the report works in row blocks and
+        keeps no pair table, so the peak stays a few MB."""
+        c = circle_contour(bih, radius=1.0, nodes=4096)
+        tracemalloc.start()
+        try:
+            rep = regularity_report(c, parse("exp(tau)"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.omega.max() > 0 and not rep.divergence_suspected
+        assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 
 class TestSupNorm:

@@ -29,8 +29,11 @@ from dualrbvp import (
     taylor_coeffs,
 )
 from dualrbvp.algebra import PointE
+from dualrbvp.contour import PAIR_CHUNK
 from dualrbvp.integral import (
     CauchyIntegralFn,
+    _kernel_sum,
+    _node_kernel_sum,
     _refined_panel_integral,
     boundary_samples,
     boundary_values,
@@ -307,6 +310,73 @@ class TestStackedKernel:
             tracemalloc.stop()
         assert np.shape(out.c1) == (2, 16384)
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+
+class TestChunkLoops:
+    """The kernel loops reuse one set of planes for every chunk of targets;
+    a chunk must see none of the previous chunk's values."""
+
+    @staticmethod
+    def _stack(rng, n):
+        d = DualComplex(rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)),
+                        rng.normal(size=(3, n)) + 1j * rng.normal(size=(3, n)))
+        d.c1[1] = d.c2[1] = 0.0   # a zero row is left out of the products
+        return d
+
+    @pytest.mark.parametrize("kind", ["circle", "square"])
+    def test_kernel_sum_chunks(self, bih, rng, kind):
+        c = (circle_contour(bih, nodes=300) if kind == "circle"
+             else polygon_contour(bih, SQUARE, nodes=128))
+        dens = self._stack(rng, c.n)
+        chunk = PAIR_CHUNK // c.n
+        x = rng.uniform(-3.0, 3.0, chunk + 1)
+        y = rng.uniform(-3.0, 3.0, chunk + 1)
+        z = bih.vector(x, y)
+
+        def at(sl):
+            return _kernel_sum(c.values(), c.dtau(), dens, z.c1[sl], z.c2[sl])
+
+        full = at(slice(None))
+        assert np.shape(full.c1) == (3, chunk + 1)
+        assert not full.c1[1].any() and not full.c2[1].any()
+        # one call per chunk: the same products on freshly allocated planes
+        first, last = at(slice(0, chunk)), at(slice(chunk, None))
+        np.testing.assert_array_equal(full.c1, np.hstack([first.c1, last.c1]))
+        np.testing.assert_array_equal(full.c2, np.hstack([first.c2, last.c2]))
+        # one call per target: a one-row product may sum in another order
+        for k in (0, chunk // 2, chunk):
+            one = at(slice(k, k + 1))
+            np.testing.assert_allclose(one.c1[:, 0], full.c1[:, k], rtol=1e-13)
+            np.testing.assert_allclose(one.c2[:, 0], full.c2[:, k], rtol=1e-13)
+        none = at(slice(0, 0))
+        assert np.shape(none.c1) == np.shape(none.c2) == (3, 0)
+
+    @pytest.mark.parametrize("n", [128, 571])
+    def test_node_kernel_sum_chunks(self, bih, rng, n):
+        """571 nodes are five chunks of 114 rows and a last one of one row;
+        the reference is the same loop on planes allocated per chunk."""
+        c = circle_contour(bih, nodes=n)
+        dens = self._stack(rng, n)
+        got = _node_kernel_sum(c.values(), c.dtau(), dens)
+        t1, t2 = c.values().c1, c.values().c2
+        w1, w2 = c.dtau().c1, c.dtau().c2
+        a = np.ascontiguousarray((dens.c1[[0, 2]] * w1).T)
+        b = np.ascontiguousarray((dens.c1[[0, 2]] * w2 + dens.c2[[0, 2]] * w1).T)
+        want1 = np.zeros((3, n), dtype=complex)
+        want2 = np.zeros((3, n), dtype=complex)
+        chunk, scale = max(1, PAIR_CHUNK // n), 1.0 / (2j * np.pi)
+        for s in range(0, n, chunk):
+            rows = np.arange(s, min(s + chunk, n))
+            diag = (np.arange(rows.size), rows)
+            u = t1 - t1[rows, None]
+            u[diag] = 1.0
+            inv_u = 1.0 / u
+            inv_u[diag] = 0.0
+            q = (t2 - t2[rows, None]) * inv_u * inv_u
+            want1[[0, 2], s:s + rows.size] = (inv_u @ a).T * scale
+            want2[[0, 2], s:s + rows.size] = (inv_u @ b - q @ a).T * scale
+        np.testing.assert_array_equal(got.c1, want1)
+        np.testing.assert_array_equal(got.c2, want2)
 
 
 @pytest.fixture(scope="session")
