@@ -21,31 +21,24 @@ from .algebra import (
     point_embed,
     point_from_value,
 )
-from .canonical import CanonicalX, build_canonical_X, compute_index, continuous_log, verify_X_relation
+from .canonical import CanonicalX, build_canonical_X, compute_index, continuous_log
 from .contour import (
     Contour,
     build_contour,
     circle_contour,
     ellipse_contour,
     explicit_contour,
-    interior_test,
     polygon_contour,
     theta_measure,
 )
-from .diagnostics import dini_estimate, modulus_of_continuity, regularity_report, sup_norm
-from .expr import differentiate, evaluate, parse, to_str
+from .diagnostics import dini_estimate, modulus_of_continuity, regularity_report
+from .expr import evaluate, parse, to_str
 from .integral import (
     CauchyIntegralFn,
-    boundary_limit,
     boundary_values,
     cauchy_integral,
-    component_decompose,
     contour_integral,
     jump_check,
-    log_residue,
-    monogenicity_check,
-    morera_triangle_check,
-    taylor_coeffs,
 )
 from .rbvp import (
     RBVPProblem,

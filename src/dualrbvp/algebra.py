@@ -282,9 +282,6 @@ class PointE:
         """|zeta| = sqrt(x^2 + y^2)."""
         return np.hypot(self.x, self.y)
 
-    def shifted(self, dx, dy) -> "PointE":
-        return PointE(self.x + dx, self.y + dy, self.basis)
-
     def item(self, k: int) -> "PointE":
         return PointE(float(np.asarray(self.x).ravel()[k]),
                       float(np.asarray(self.y).ravel()[k]), self.basis)

@@ -12,11 +12,11 @@ a sectionally monogenic invertible function with X+ = G X- on the curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import DualComplex, PointE, dc_exp, dc_mul, dc_pow_int
+from .algebra import DualComplex, dc_exp, dc_mul, dc_pow_int
 from .contour import Contour
 from .errors import (
     BranchAmbiguityError,
@@ -24,7 +24,7 @@ from .errors import (
     NotInvertibleOnContourError,
     OriginNotInteriorError,
 )
-from .integral import BoundaryTable, CauchyIntegralFn, boundary_defect, boundary_samples
+from .integral import CauchyIntegralFn, boundary_samples
 # no longer called here, but still a name of this module: the bench tracer
 # (bench/spans.py) rebinds it in every module that imports it
 from .integral import boundary_values  # noqa: F401
@@ -130,16 +130,13 @@ def continuous_log(contour: Contour, G, kappa: int) -> DualComplex:
 
 @dataclass(eq=False)
 class CanonicalX:
-    """Canonical factor of a coefficient: evaluators and boundary tables."""
+    """Canonical factor of a coefficient: the integral of its continuous log
+    and the side formulas built on it."""
 
     contour: Contour
     kappa: int
     raw_index: float
     exponent: CauchyIntegralFn        # Cauchy-type integral of the log samples
-    _cache: dict = field(default_factory=dict, repr=False)
-
-    def x0(self, points: PointE) -> DualComplex:
-        return dc_exp(self.exponent(points))
 
     def from_exponent(self, side: str, zeta: DualComplex,
                       exponent: DualComplex) -> DualComplex:
@@ -149,39 +146,6 @@ class CanonicalX:
         if side == "-":
             val = dc_mul(dc_pow_int(zeta, -self.kappa), val)
         return val
-
-    def plus(self, points: PointE) -> DualComplex:
-        """X on the interior side (caller supplies interior points)."""
-        return self.x0(points)
-
-    def minus(self, points: PointE) -> DualComplex:
-        """X on the exterior side: zeta^(-kappa) X0(zeta)."""
-        return self.from_exponent("-", points.value(), self.exponent(points))
-
-    def boundary(self, side: str) -> BoundaryTable:
-        """X+ or X- at every node, from the exponent's node limits E:
-        X+ = exp(E+) and X- = tau^(-kappa) exp(E-).
-
-        The on-curve rule carries no error estimate of its own, so
-        ``error_estimates`` is NaN; a solution's offset check supplies one.
-        """
-        if side not in self._cache:
-            n = self.contour.n
-            val = self.from_exponent(side, self.contour.values(),
-                                     self.exponent.node_limits(side))
-            self._cache[side] = BoundaryTable(
-                indices=np.arange(n), values=val,
-                error_estimates=np.full(n, np.nan), side=side)
-        return self._cache[side]
-
-    def infinity_behavior(self) -> dict:
-        """X- at infinity: 0 for positive index, 1 for zero index, and
-        polynomial growth of order -kappa for negative index."""
-        if self.kappa > 0:
-            return {"limit": DualComplex(0j, 0j), "growth_order": 0}
-        if self.kappa == 0:
-            return {"limit": DualComplex(1 + 0j, 0j), "growth_order": 0}
-        return {"limit": None, "growth_order": -self.kappa}
 
 
 def build_canonical_X(contour: Contour, G) -> CanonicalX:
@@ -198,9 +162,3 @@ def build_canonical_X(contour: Contour, G) -> CanonicalX:
                       exponent=CauchyIntegralFn(
                           contour, continuous_log(contour, G, idx.kappa)))
 
-
-def verify_X_relation(x: CanonicalX, G) -> float:
-    """Sup over the nodes of ||X+ - G X-||, the homogeneous relation."""
-    return float(np.max(boundary_defect(x.contour, G, DualComplex(0j, 0j),
-                                        x.boundary("+").values,
-                                        x.boundary("-").values)))

@@ -234,12 +234,6 @@ class Contour:
                            _trig_interp(np.asarray(values.c2, dtype=complex), m))
 
 
-def interior_test(contour: Contour, point: PointE) -> str:
-    """Classify a point: 'interior', 'exterior', or 'near-boundary'."""
-    code = int(contour.interior_mask(point.x, point.y)[0])
-    return {1: "interior", 0: "exterior", -1: "near-boundary"}[code]
-
-
 def theta_measure(contour: Contour, node_index, eps):
     """Arc length of the curve within distance eps of the given node.
 
@@ -340,15 +334,14 @@ def ellipse_contour(basis: BasisE, center=(0.0, 0.0), semi_axes=(1.0, 1.0),
                               _ellipse_nodes(center, a, b, nodes))
 
 
-def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES,
-                    check_simple: bool = True) -> Contour:
+def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES) -> Contour:
     verts = np.asarray(vertices, dtype=float)
     if verts.ndim != 2 or verts.shape[0] < 3 or verts.shape[1] != 2:
         raise EmptySpecError("polygon needs at least 3 (x, y) vertices")
     if _signed_area_of(verts, basis) < 0:
         warnings.warn("polygon vertices reversed to positive orientation")
         verts = np.concatenate([verts[:1], verts[:0:-1]], axis=0)
-        return polygon_contour(basis, verts, nodes=nodes, check_simple=check_simple)
+        return polygon_contour(basis, verts, nodes=nodes)
 
     edges = np.roll(verts, -1, axis=0) - verts
     edge_len = np.hypot(edges[:, 0], edges[:, 1])
@@ -380,8 +373,7 @@ def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES,
     xy = np.asarray(xs)
     w_xy = np.asarray(ws)
     arcs = np.asarray(arcs)
-    params = {"vertices": verts.tolist(), "nodes": int(nodes),
-              "check_simple": bool(check_simple)}
+    params = {"vertices": verts.tolist(), "nodes": int(nodes)}
     c = Contour(kind="polygon", basis=basis, params=params,
                 t=arcs / total, xy=xy, w_xy=w_xy,
                 tangent=np.asarray(tangents),
@@ -389,8 +381,7 @@ def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES,
                 max_spacing=float(np.hypot(*(np.roll(xy, -1, axis=0) - xy).T).max()),
                 corner_mask=np.asarray(corner, dtype=bool),
                 panels=panels)
-    if check_simple:
-        _check_simple(np.concatenate([verts, verts[:1]], axis=0))
+    _check_simple(np.concatenate([verts, verts[:1]], axis=0))
     return c
 
 
@@ -410,8 +401,9 @@ def build_contour(basis: BasisE, spec: dict) -> Contour:
         raise EmptySpecError("contour spec is missing its kind")
     kind = spec["kind"]
     nodes = int(spec.get("nodes", DEFAULT_NODES))
-    # other keys, such as "clockwise" in older specs, are ignored: circles
-    # and ellipses are always traced counterclockwise
+    # other keys of older specs are ignored: "clockwise" (circles and
+    # ellipses are always traced counterclockwise) and "check_simple" (a
+    # polygon is always checked for self-intersection)
     if kind == "circle":
         return circle_contour(basis, center=spec.get("center", (0.0, 0.0)),
                               radius=spec.get("radius", 1.0), nodes=nodes)
@@ -422,8 +414,7 @@ def build_contour(basis: BasisE, spec: dict) -> Contour:
     if kind == "polygon":
         if "vertices" not in spec:
             raise EmptySpecError("polygon spec needs vertices")
-        return polygon_contour(basis, spec["vertices"], nodes=nodes,
-                               check_simple=bool(spec.get("check_simple", True)))
+        return polygon_contour(basis, spec["vertices"], nodes=nodes)
     if kind == "explicit":
         if "points" not in spec:
             raise EmptySpecError("explicit spec needs points")

@@ -1,5 +1,4 @@
-"""Regularity diagnostics: modulus of continuity, a Dini-type estimate,
-and sup norms.
+"""Regularity diagnostics: modulus of continuity and a Dini-type estimate.
 
 The Dini estimate is an upper-sum approximation of
 
@@ -27,9 +26,8 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import dc_norm
 from .contour import PAIR_CHUNK, Contour, theta_measure
-from .integral import boundary_samples, field_eval
+from .integral import boundary_samples
 
 ANCHOR_COUNT = 32
 DINI_LEVELS = 40
@@ -183,10 +181,3 @@ def regularity_report(contour: Contour, g) -> RegularityReport:
                             lipschitz_slope=slope,
                             divergence_suspected=bool(divergent))
 
-
-def sup_norm(f, points) -> float:
-    """Largest value norm over a sample set.
-
-    ``f`` may be an evaluator over points, an expression, or a precomputed
-    sample set; ``points`` is a PointE array."""
-    return float(np.max(dc_norm(field_eval(f, points))))

@@ -73,10 +73,6 @@ class UnboundVariableError(ExprError):
         self.name = name
 
 
-class NotAFieldExpressionError(ExprError):
-    """Operation requires an expression in the field variable z only."""
-
-
 # -- contours ---------------------------------------------------------------
 
 class ContourError(InputError):
@@ -91,10 +87,6 @@ class SelfIntersectingError(ContourError):
     pass
 
 
-class DegenerateTriangleError(InputError):
-    """Triangle vertices are (numerically) collinear."""
-
-
 # -- integration and boundary limits ----------------------------------------
 
 class TooCloseToBoundaryError(NumericalError):
@@ -103,28 +95,6 @@ class TooCloseToBoundaryError(NumericalError):
 
 class CornerNodeError(NumericalError):
     """Boundary limit requested at a corner node of a polygonal contour."""
-
-
-class NoConvergenceError(NumericalError):
-    """Offset extrapolation of a boundary limit did not settle."""
-
-    def __init__(self, message: str, error_estimate: float | None = None):
-        super().__init__(message)
-        self.error_estimate = error_estimate
-
-
-class NonIntegerResidueError(NumericalError):
-    """Logarithmic residue quadrature is not close to an integer."""
-
-    def __init__(self, message: str, raw=None, distance: float | None = None):
-        super().__init__(message)
-        self.raw = raw
-        self.distance = distance
-
-
-class FiberInconsistencyError(NumericalError):
-    """Complex part of a sample varies along a rho-fiber; input is not
-    a function of the complex coordinate alone."""
 
 
 # -- index / canonical function ---------------------------------------------

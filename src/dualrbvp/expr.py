@@ -1,4 +1,5 @@
-"""Expressions for coefficients, free terms, and field functions.
+"""Expressions for the coefficient G and the free term g: functions of the
+point z, the node value tau and the curve parameter t.
 
 Grammar (left associative, ^ binds tightest, then unary minus, then * /,
 then + -):
@@ -20,7 +21,7 @@ single literal at parse time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -38,7 +39,6 @@ from .algebra import (
 )
 from .errors import (
     ExprSyntaxError,
-    NotAFieldExpressionError,
     UnboundVariableError,
     UnknownIdentifierError,
 )
@@ -93,10 +93,6 @@ Expr = Union[Const, Var, Bin, Pow, Call, Neg]
 def is_expr(f) -> bool:
     """True when ``f`` is an expression node rather than a callable or samples."""
     return isinstance(f, Expr)
-
-
-CONST_ZERO = Const(0j)
-CONST_ONE = Const(1 + 0j)
 
 
 # -- lexer --------------------------------------------------------------------
@@ -288,23 +284,6 @@ def _fold_pow(base: Expr, n: int) -> Expr:
 
 # -- structure queries ---------------------------------------------------------
 
-def variables(e: Expr) -> frozenset[str]:
-    if isinstance(e, Var):
-        return frozenset((e.name,))
-    if isinstance(e, Bin):
-        return variables(e.left) | variables(e.right)
-    if isinstance(e, Pow):
-        return variables(e.base)
-    if isinstance(e, (Call, Neg)):
-        return variables(e.arg)
-    return frozenset()
-
-
-def is_field_expr(e: Expr) -> bool:
-    """True when the expression depends on the field point z alone."""
-    return variables(e) <= {"z"}
-
-
 def is_const_value(e: Expr, c1: complex, c2: complex = 0j) -> bool:
     return isinstance(e, Const) and e.c1 == c1 and e.c2 == c2
 
@@ -430,100 +409,3 @@ def _eval(e: Expr, env: dict) -> DualComplex:
         return dc_mul(a, dc_inv(b))
     raise TypeError(f"not an expression node: {e!r}")
 
-
-# -- differentiation -----------------------------------------------------------
-
-def _is_zero(e: Expr) -> bool:
-    return isinstance(e, Const) and e.c1 == 0 and e.c2 == 0
-
-
-def _is_one(e: Expr) -> bool:
-    return isinstance(e, Const) and e.c1 == 1 and e.c2 == 0
-
-
-def _add(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a):
-        return b
-    if _is_zero(b):
-        return a
-    return _fold_bin("+", a, b)
-
-
-def _sub(a: Expr, b: Expr) -> Expr:
-    if _is_zero(b):
-        return a
-    if _is_zero(a):
-        return _fold_neg(b)
-    return _fold_bin("-", a, b)
-
-
-def _mul(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a) or _is_zero(b):
-        return CONST_ZERO
-    if _is_one(a):
-        return b
-    if _is_one(b):
-        return a
-    return _fold_bin("*", a, b)
-
-
-def _div(a: Expr, b: Expr) -> Expr:
-    if _is_zero(a):
-        return CONST_ZERO
-    if _is_one(b):
-        return a
-    return Bin("/", a, b)
-
-
-def _pow(a: Expr, n: int) -> Expr:
-    if n == 0:
-        return CONST_ONE
-    if n == 1:
-        return a
-    return _fold_pow(a, n)
-
-
-def differentiate(e: Expr) -> Expr:
-    """Formal derivative with respect to z.
-
-    Valid for expressions in z alone: such functions are built from algebra
-    arithmetic, so their difference quotients obey the usual product, quotient,
-    and chain rules and the formal derivative equals the direction-independent
-    limit (see the monogenicity check in the integral module).
-    """
-    if not is_field_expr(e):
-        raise NotAFieldExpressionError(
-            "derivative requires a field expression (variable z only)")
-    return _diff(e)
-
-
-def _diff(e: Expr) -> Expr:
-    if isinstance(e, Const):
-        return CONST_ZERO
-    if isinstance(e, Var):
-        return CONST_ONE
-    if isinstance(e, Neg):
-        return _fold_neg(_diff(e.arg))
-    if isinstance(e, Bin):
-        da, db = _diff(e.left), _diff(e.right)
-        if e.op == "+":
-            return _add(da, db)
-        if e.op == "-":
-            return _sub(da, db)
-        if e.op == "*":
-            return _add(_mul(da, e.right), _mul(e.left, db))
-        # (a/b)' = a'/b - a b' / b^2
-        return _sub(_div(da, e.right), _div(_mul(e.left, db), _pow(e.right, 2)))
-    if isinstance(e, Pow):
-        da = _diff(e.base)
-        coef = Const(complex(e.n))
-        return _mul(_mul(coef, _pow(e.base, e.n - 1)), da)
-    if isinstance(e, Call):
-        da = _diff(e.arg)
-        if e.fn == "exp":
-            return _mul(Call("exp", e.arg), da)
-        if e.fn == "ln":
-            return _div(da, e.arg)
-        # (1/a)' = -a'/a^2
-        return _fold_neg(_div(da, _pow(e.arg, 2)))
-    raise TypeError(f"not an expression node: {e!r}")

@@ -40,11 +40,11 @@ once per side on one integral and report its gap to the node limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Optional
 
 import numpy as np
 
-from .algebra import DualComplex, PointE, dc_inv, dc_mul, dc_norm
+from .algebra import DualComplex, PointE, dc_mul, dc_norm
 from .contour import (
     GAUSS_ORDER,
     PAIR_CHUNK,
@@ -54,25 +54,11 @@ from .contour import (
     _GL_X,
     _trig_derivative,
 )
-from .errors import (
-    CornerNodeError,
-    DegenerateTriangleError,
-    FiberInconsistencyError,
-    InputError,
-    NoConvergenceError,
-    NonIntegerResidueError,
-    NotAFieldExpressionError,
-    NotInvertibleError,
-    NotInvertibleOnContourError,
-    TooCloseToBoundaryError,
-)
+from .errors import CornerNodeError, TooCloseToBoundaryError
 from . import expr as _expr
 
 N_OFFSETS = 5
 OFFSET_SPACING_FACTOR = 8.0
-GL16_X, GL16_W = np.polynomial.legendre.leggauss(16)
-
-FieldFn = Union["_expr.Expr", Callable[[PointE], DualComplex]]
 
 
 # -- sampling helpers ----------------------------------------------------------
@@ -89,15 +75,6 @@ def _apply(f, z, **boundary) -> DualComplex:
     if callable(f):
         return f(z)
     raise TypeError(f"cannot evaluate {type(f).__name__} as a function")
-
-
-def field_eval(f: FieldFn, point: PointE) -> DualComplex:
-    """Evaluate a field function given as an expression without boundary
-    variables, a callable, or a sample set already taken at ``point``."""
-    if _expr.is_expr(f) and not _expr.is_field_expr(f):
-        raise NotAFieldExpressionError(
-            "field operation got an expression with boundary variables")
-    return _apply(f, point)
 
 
 def boundary_samples(f, contour: Contour, t=None) -> DualComplex:
@@ -492,28 +469,6 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
                          error_estimates=err, side=side)
 
 
-def boundary_limit(fn, contour: Contour, node_index: int, side: str,
-                   tol: float = 1e-3):
-    """One-sided boundary value at a single smooth node.
-
-    ``fn`` may be a CauchyIntegralFn or any vectorized off-curve evaluator.
-    Raises CornerNodeError at polygon corner nodes and NoConvergenceError
-    when the extrapolation's internal error estimate exceeds ``tol``
-    relative to the value scale.
-    """
-    node_index = int(node_index) % contour.n
-    if contour.corner_mask[node_index]:
-        raise CornerNodeError(f"node {node_index} is a corner node")
-    table = boundary_values(fn, contour, side, indices=np.array([node_index]))
-    val = table.values.item(0)
-    err = float(table.error_estimates[0])
-    if err > tol * (1.0 + float(dc_norm(val))):
-        raise NoConvergenceError(
-            f"offset extrapolation error estimate {err:.3e} exceeds tolerance",
-            error_estimate=err)
-    return val
-
-
 @dataclass
 class JumpReport:
     """Residuals of the jump identity psi~+ - psi~- = psi at smooth nodes."""
@@ -527,6 +482,9 @@ class JumpReport:
 
 
 def jump_check(contour: Contour, density) -> JumpReport:
+    """psi~+ - psi~- - psi at the smooth nodes, from offset-extrapolated
+    limits.  No pipeline path calls it; it stays a name of this module
+    because the bench tracer (bench/spans.py) wraps it."""
     dens = boundary_samples(density, contour)
     fn = CauchyIntegralFn(contour, dens)
     plus = boundary_values(fn, contour, "+")
@@ -541,213 +499,3 @@ def jump_check(contour: Contour, density) -> JumpReport:
                       skipped_corners=int(contour.corner_mask.sum()),
                       plus_error=float(plus.error_estimates.max()),
                       minus_error=float(minus.error_estimates.max()))
-
-
-# -- classical consequences as computations ----------------------------------------
-
-def taylor_coeffs(f: FieldFn, center: PointE, contour: Contour,
-                  n_max: int) -> list[DualComplex]:
-    """Power series coefficients about an interior center.
-
-    c_n = (1 / (2 pi i)) * closed integral of f(tau) (tau - center)^(-n-1).
-    """
-    d = float(contour.dist_to(center.x, center.y)[0])
-    if d < contour.guard_band:
-        raise TooCloseToBoundaryError("expansion center is inside the guard band")
-    if contour.winding_number(center.x, center.y)[0] == 0:
-        raise InputError("expansion center is not inside the contour")
-    samples = boundary_samples(f, contour)
-    tau = contour.values()
-    w = contour.dtau()
-    zc = center.value()
-    shifted = DualComplex(tau.c1 - zc.c1, tau.c2 - zc.c2)
-    q = dc_inv(shifted)
-    power = q  # (tau - center)^(-1)
-    coeffs = []
-    scale = 1.0 / (2j * np.pi)
-    for _ in range(n_max + 1):
-        integrand = dc_mul(samples, power)
-        s1 = np.sum(integrand.c1 * w.c1) * scale
-        s2 = np.sum(integrand.c1 * w.c2 + integrand.c2 * w.c1) * scale
-        coeffs.append(DualComplex(complex(s1), complex(s2)))
-        power = dc_mul(power, q)
-    return coeffs
-
-
-@dataclass
-class LogResidueReport:
-    zeros: int
-    raw: DualComplex
-    rounding_distance: float
-    region: str
-
-
-def log_residue(phi: FieldFn, dphi: FieldFn, contour: Contour,
-                region: str = "+", tol: float = 1e-3) -> LogResidueReport:
-    """Zero count from the logarithmic residue integral.
-
-    (1 / (2 pi i)) * closed integral of phi'(tau) phi(tau)^(-1) equals the
-    number of zeros of the complex part enclosed by the curve (with sign
-    flipped when the function's domain is the exterior region).
-    """
-    if region not in ("+", "-"):
-        raise ValueError("region must be '+' or '-'")
-    pv = boundary_samples(phi, contour)
-    floor = 1e-12 * np.maximum(1.0, dc_norm(pv))
-    bad = np.abs(np.asarray(pv.c1)) <= floor
-    if np.any(bad):
-        raise NotInvertibleOnContourError(
-            "function vanishes on the contour",
-            indices=np.nonzero(bad)[0])
-    dv = boundary_samples(dphi, contour)
-    integrand = dc_mul(dv, dc_inv(pv))
-    total = contour_integral(contour, integrand)
-    raw = DualComplex(total.c1 / (2j * np.pi), total.c2 / (2j * np.pi))
-    nearest = int(np.rint(np.real(raw.c1)))
-    distance = float(dc_norm(DualComplex(raw.c1 - nearest, raw.c2)))
-    if distance > tol:
-        raise NonIntegerResidueError(
-            f"logarithmic residue {raw.c1:.6g} is {distance:.3e} from an integer",
-            raw=raw, distance=distance)
-    zeros = nearest if region == "+" else -nearest
-    return LogResidueReport(zeros=zeros, raw=raw, rounding_distance=distance,
-                            region=region)
-
-
-def morera_triangle_check(f: FieldFn, v1: PointE, v2: PointE, v3: PointE) -> float:
-    """Norm of the closed integral of f over a triangle boundary.
-
-    Small for monogenic f; order-one for generically non-monogenic samples.
-    """
-    pts = np.array([[v1.x, v1.y], [v2.x, v2.y], [v3.x, v3.y]], dtype=float)
-    area = 0.5 * abs((pts[1, 0] - pts[0, 0]) * (pts[2, 1] - pts[0, 1])
-                     - (pts[2, 0] - pts[0, 0]) * (pts[1, 1] - pts[0, 1]))
-    scale = max(np.hypot(*(pts[i] - pts[j])) for i, j in ((0, 1), (1, 2), (2, 0)))
-    if area <= 1e-12 * max(scale, 1e-30) ** 2:
-        raise DegenerateTriangleError("triangle vertices are collinear")
-    basis = v1.basis
-    total1, total2 = 0j, 0j
-    for i in range(3):
-        a, b = pts[i], pts[(i + 1) % 3]
-        s = (GL16_X + 1.0) / 2.0
-        px = a[0] + (b[0] - a[0]) * s
-        py = a[1] + (b[1] - a[1]) * s
-        vals = field_eval(f, PointE(px, py, basis))
-        edge = basis.vector(b[0] - a[0], b[1] - a[1])
-        w = GL16_W / 2.0
-        f1 = np.sum(np.asarray(vals.c1) * w)
-        f2 = np.sum(np.asarray(vals.c2) * w)
-        total1 += f1 * edge.c1
-        total2 += f1 * edge.c2 + f2 * edge.c1
-    return float(dc_norm(DualComplex(total1, total2)))
-
-
-@dataclass
-class MonogenicityReport:
-    point: PointE
-    deltas: tuple
-    quotients: list                 # per delta: list of DualComplex per direction
-    raw_spread: np.ndarray          # spread of raw quotients, per delta
-    direction_limits: list          # per direction, scale extrapolated to zero
-    direction_spread: float         # spread of the extrapolated limits
-    limit: DualComplex
-
-    @property
-    def is_direction_independent(self) -> bool:
-        return bool(self.direction_spread < 100 * self.raw_spread[-1] ** 2 + 1e-9)
-
-
-def monogenicity_check(f: FieldFn, point: PointE,
-                       deltas: Sequence[float] = (1e-3, 5e-4, 2.5e-4)) -> MonogenicityReport:
-    """Direction independence of the difference quotient at a point.
-
-    Quotients (f(zeta + h) - f(zeta)) h^(-1) are formed for h along e1, e2,
-    and their normalized sum, at a few shrinking scales.  Each direction's
-    quotient is extrapolated to scale zero (the raw one-sided quotient
-    carries an O(delta) bias even for monogenic functions); a monogenic
-    function gives extrapolated limits that agree across directions.
-    """
-    basis = point.basis
-    dirs = [(1.0, 0.0), (0.0, 1.0), (1.0 / np.sqrt(2), 1.0 / np.sqrt(2))]
-    f0 = field_eval(f, point)
-    quotients = []
-    spreads = []
-    for d in deltas:
-        row = []
-        for (ux, uy) in dirs:
-            h = basis.vector(ux * d, uy * d)
-            fv = field_eval(f, point.shifted(ux * d, uy * d))
-            q = dc_mul(DualComplex(fv.c1 - f0.c1, fv.c2 - f0.c2), dc_inv(h))
-            row.append(DualComplex(complex(q.c1), complex(q.c2)))
-        quotients.append(row)
-        spread = max(float(dc_norm(DualComplex(a.c1 - b.c1, a.c2 - b.c2)))
-                     for i, a in enumerate(row) for b in row[i + 1:])
-        spreads.append(spread)
-    # first-order Richardson per direction on the two smallest scales
-    last, prev = quotients[-1], quotients[-2]
-    ratio = deltas[-2] / deltas[-1]
-    direction_limits = [
-        DualComplex((ratio * a.c1 - b.c1) / (ratio - 1.0),
-                    (ratio * a.c2 - b.c2) / (ratio - 1.0))
-        for a, b in zip(last, prev)
-    ]
-    dir_spread = max(float(dc_norm(DualComplex(a.c1 - b.c1, a.c2 - b.c2)))
-                     for i, a in enumerate(direction_limits)
-                     for b in direction_limits[i + 1:])
-    lim1 = np.mean([v.c1 for v in direction_limits])
-    lim2 = np.mean([v.c2 for v in direction_limits])
-    return MonogenicityReport(point=point, deltas=tuple(deltas),
-                              quotients=quotients,
-                              raw_spread=np.asarray(spreads),
-                              direction_limits=direction_limits,
-                              direction_spread=dir_spread,
-                              limit=DualComplex(complex(lim1), complex(lim2)))
-
-
-@dataclass
-class ComponentDecomposition:
-    """Split of a field function into a holomorphic complex part and a
-    rho part: f(zeta) = F(xi1) + f0(zeta) rho with F holomorphic."""
-
-    complex_part: Callable          # F: complex -> complex
-    rho_part: Callable              # PointE -> complex
-    cr_residual: float
-    fiber_residual: float
-
-
-def component_decompose(f: FieldFn, grid: PointE,
-                        tol: float = 1e-6) -> ComponentDecomposition:
-    basis = grid.basis
-    vals = field_eval(f, grid)
-    scale = 1.0 + float(np.max(dc_norm(vals)))
-
-    # the complex part must not see the rho coordinate
-    fiber_residual = 0.0
-    probe = grid.value()
-    for shift in (0.37, -0.61):
-        try:
-            # at raw algebra elements, off the plane E, when f allows it
-            shifted = _apply(f, DualComplex(probe.c1, probe.c2 + shift))
-        except TypeError:
-            break
-        fiber_residual = max(fiber_residual,
-                             float(np.max(np.abs(shifted.c1 - vals.c1))))
-    if fiber_residual > tol * scale:
-        raise FiberInconsistencyError(
-            f"complex part varies along rho-fibers by {fiber_residual:.3e}")
-
-    def complex_part(w):
-        x, y = basis.xy_from_xi1(np.asarray(w, dtype=complex))
-        return field_eval(f, PointE(x, y, basis)).c1
-
-    def rho_part(point: PointE):
-        return field_eval(f, point).c2
-
-    # Cauchy-Riemann finite differences of F on the grid's scale
-    w0 = np.asarray(grid.value().c1).ravel()
-    d = 1e-5 * (1.0 + np.abs(w0))
-    fx = (complex_part(w0 + d) - complex_part(w0 - d)) / (2 * d)
-    fy = (complex_part(w0 + 1j * d) - complex_part(w0 - 1j * d)) / (2 * d)
-    cr = float(np.max(np.abs((fx + 1j * fy) / 2.0)))
-    return ComponentDecomposition(complex_part=complex_part, rho_part=rho_part,
-                                  cr_residual=cr, fiber_residual=fiber_residual)

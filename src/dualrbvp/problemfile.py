@@ -24,7 +24,7 @@ Floats are written by ``repr``, so every value reads back exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -121,10 +121,10 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     tol_node.update(extra)
     if residual_tol_override is not None:
         tol_node["residual"] = float(residual_tol_override)
-    # other keys, such as "quadrature" and "index_integrality" in older
-    # files, are read and ignored
-    tols = Tolerances(residual=float(tol_node["residual"]),
-                      moment=tol_node.get("moment"))
+    # other keys, such as "quadrature", "index_integrality" and "moment" in
+    # older files, are read and ignored: the residual tolerance also judges
+    # the moment conditions
+    tols = Tolerances(residual=float(tol_node["residual"]))
 
     coeffs = [dc_from_list(row) for row in raw.get("polynomial", [])]
     g_text = raw.get("G", "1")

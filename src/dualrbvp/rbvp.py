@@ -30,8 +30,7 @@ None when no node could be checked.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from itertools import zip_longest
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -57,12 +56,10 @@ from . import expr as _expr
 
 @dataclass
 class Tolerances:
-    residual: float = 1e-6
-    moment: Optional[float] = None
+    """The residual tolerance judges the boundary relation and the moment
+    conditions alike."""
 
-    @property
-    def moment_tol(self) -> float:
-        return self.residual if self.moment is None else self.moment
+    residual: float = 1e-6
 
 
 def _as_expr(e, default_text: str):
@@ -100,9 +97,6 @@ class RBVPProblem:
 
     def g_samples(self) -> DualComplex:
         return boundary_samples(self.g, self.contour)
-
-    def G_samples(self) -> DualComplex:
-        return boundary_samples(self.G, self.contour)
 
 
 @dataclass
@@ -209,28 +203,6 @@ class RBVPSolution:
         return BoundaryTable(indices=np.arange(contour.n), values=dc_mul(x, factor),
                              error_estimates=err, side=side)
 
-    def scaled(self, k: DualComplex) -> "RBVPSolution":
-        """Constant multiple of the solution (module structure over the
-        algebra): k psi and k P solve the problem with free term k g."""
-        kg = _expr.Bin("*", _expr.Const(complex(k.c1), complex(k.c2)), self.problem.g)
-        return replace(self, problem=replace(self.problem, g=kg),
-                       psi=dc_mul(k, self.psi),
-                       poly_coeffs=[dc_mul(k, c) for c in self.poly_coeffs])
-
-    def superposed(self, other: "RBVPSolution") -> "RBVPSolution":
-        """Sum with a solution for the same contour and coefficient: psi and
-        P add, and so do the free terms."""
-        if other.problem.contour.content_hash() != self.problem.contour.content_hash():
-            raise InputError("superposed solutions must share one contour")
-        ga, gb = self.problem.G_samples(), other.problem.G_samples()
-        if not (np.array_equal(ga.c1, gb.c1) and np.array_equal(ga.c2, gb.c2)):
-            raise InputError("superposed solutions must share one coefficient")
-        coeffs = [p + q for p, q in zip_longest(self.poly_coeffs, other.poly_coeffs,
-                                                 fillvalue=DualComplex(0j, 0j))]
-        g = _expr.Bin("+", self.problem.g, other.problem.g)
-        return replace(self, problem=replace(self.problem, g=g),
-                       psi=self.psi + other.psi, poly_coeffs=coeffs)
-
 
 def _check_poly(coeffs: list, kappa: int) -> list:
     if kappa < 0:
@@ -255,7 +227,7 @@ def _psi_samples(problem: RBVPProblem, x: CanonicalX) -> DualComplex:
 def check_solvability(problem: RBVPProblem, x: CanonicalX,
                       psi: Optional[DualComplex] = None) -> SolvabilityReport:
     """Moment conditions for a negative index; vacuous otherwise."""
-    tol = problem.tolerances.moment_tol
+    tol = problem.tolerances.residual
     if x.kappa >= 0:
         return SolvabilityReport(kappa=x.kappa, moments=[], moment_norms=[],
                                  solvable=True, tolerance=tol)
@@ -357,9 +329,9 @@ def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
     bounding-box centre, and the largest distance of C[minus] from its mean
     over the points of a PROBE_LATTICE^2 lattice on the bounding box that
     lie inside the curve; either is None when no probe qualifies.  Probes
-    stay at least one guard band from the curve, the native rule's own
-    contract (``cauchy_integral``), so only that rule runs: neither the
-    node-limit rule nor offset extrapolation takes part.
+    stay at least one guard band from the curve, where ``CauchyIntegralFn``
+    runs the native rule alone: neither the refined near-curve rule, nor
+    the node-limit rule, nor offset extrapolation takes part.
     """
     lo, hi = contour.xy.min(axis=0), contour.xy.max(axis=0)
     mid, half = (lo + hi) / 2.0, float(np.hypot(*(hi - lo))) / 2.0

@@ -11,10 +11,12 @@ the complex plane, written directly against numpy arrays:
     F+-    = Y+- (phi~ + P),   P a polynomial of degree <= kappa,
 
 with the moment conditions  int phi(u) u^(s-1) du = 0, s = 1..-kappa, when
-kappa < 0.  Unlike the package solver, boundary values on the curve are
-computed by principal-value quadrature with singularity subtraction and the
-half-jump identity, so the two implementations share no numerical machinery
-for limits.  Inputs are uniform-parameter samples of the curve w(t) and its
+kappa < 0.  Boundary values on the curve are principal-value quadratures
+with singularity subtraction and the half-jump identity.  The package's
+on-curve rule (``CauchyIntegralFn.node_limits``) uses the same method, so
+the cross-check is one of independent code, not of an independent method:
+the two share no code, but an error of the method itself would show in
+both.  Inputs are uniform-parameter samples of the curve w(t) and its
 parameter derivative w'(t).
 """
 

@@ -7,19 +7,21 @@ from dualrbvp import (
     circle_contour,
     compute_index,
     continuous_log,
+    dc_exp,
     dc_inv,
     dc_mul,
     dc_norm,
     dc_sub,
     parse,
-    verify_X_relation,
 )
+from dualrbvp.algebra import PointE
 from dualrbvp.errors import (
     BranchAmbiguityError,
     ClosureFailureError,
     NotInvertibleOnContourError,
     OriginNotInteriorError,
 )
+from dualrbvp.integral import boundary_defect, boundary_samples
 
 
 def norm_of(c):
@@ -120,37 +122,55 @@ class TestContinuousLog:
         assert np.max(np.abs(logs.c1 - tau.c1)) < 1e-10
 
 
+def node_tables(x):
+    """X+ and X- at every node, from the exponent's node limits."""
+    tau = x.contour.values()
+    return [x.from_exponent(side, tau, x.exponent.node_limits(side))
+            for side in "+-"]
+
+
+def x_relation_defect(x, G):
+    """Sup over the nodes of ||X+ - G X-||, the homogeneous relation."""
+    return float(np.max(boundary_defect(x.contour, G, DualComplex(0j, 0j),
+                                        *node_tables(x))))
+
+
+def x_at(x, side, p):
+    """X+ or X- at points off the curve, from the exponent integral there."""
+    return x.from_exponent(side, p.value(), x.exponent(p))
+
+
 class TestCanonicalX:
     def test_identity_coefficient(self, bih, unit_circle):
         x = build_canonical_X(unit_circle, parse("tau"))
         assert x.kappa == 1
         pin = bih.embed(0.3, 0.1)
-        assert norm_of(dc_sub(x.x0(pin), DualComplex(1, 0))) < 1e-12
-        assert norm_of(dc_sub(x.plus(pin), DualComplex(1, 0))) < 1e-12
+        assert norm_of(dc_sub(dc_exp(x.exponent(pin)), DualComplex(1, 0))) < 1e-12
+        assert norm_of(dc_sub(x_at(x, "+", pin), DualComplex(1, 0))) < 1e-12
         pout = bih.embed(2.5, -1.0)
-        assert norm_of(dc_sub(x.minus(pout), dc_inv(pout.value()))) < 1e-12
-        assert verify_X_relation(x, parse("tau")) <= 1e-6
+        assert norm_of(dc_sub(x_at(x, "-", pout), dc_inv(pout.value()))) < 1e-12
+        assert x_relation_defect(x, parse("tau")) <= 1e-6
 
     def test_constant_coefficient(self, bih, unit_circle):
         x = build_canonical_X(unit_circle, parse("1"))
         assert x.kappa == 0
         for p in (bih.embed(0.2, 0.2), bih.embed(3.0, 1.0)):
-            side = x.plus if p.modulus < 1 else x.minus
-            assert norm_of(dc_sub(side(p), DualComplex(1, 0))) < 1e-12
-        assert verify_X_relation(x, parse("1")) < 1e-12
+            side = "+" if p.modulus < 1 else "-"
+            assert norm_of(dc_sub(x_at(x, side, p), DualComplex(1, 0))) < 1e-12
+        assert x_relation_defect(x, parse("1")) < 1e-12
 
     def test_reciprocal_coefficient(self, bih, unit_circle):
         x = build_canonical_X(unit_circle, parse("1/tau"))
         assert x.kappa == -1
         pout = bih.embed(2.0, 2.0)
-        assert norm_of(dc_sub(x.minus(pout), pout.value())) < 1e-12
-        assert verify_X_relation(x, parse("1/tau")) <= 1e-6
+        assert norm_of(dc_sub(x_at(x, "-", pout), pout.value())) < 1e-12
+        assert x_relation_defect(x, parse("1/tau")) <= 1e-6
 
     def test_generic_smooth_coefficient(self, unit_circle):
         g = parse("exp(tau)*tau^2")
         x = build_canonical_X(unit_circle, g)
         assert x.kappa == 2
-        assert verify_X_relation(x, g) <= 1e-4
+        assert x_relation_defect(x, g) <= 1e-4
 
     def test_origin_must_be_interior_for_nonzero_index(self, bih):
         c = circle_contour(bih, center=(5.0, 0.0), radius=1.0, nodes=512)
@@ -160,26 +180,20 @@ class TestCanonicalX:
         # does not wind about 0, so its canonical factor is index-free
         x = build_canonical_X(c, parse("tau"))
         assert x.kappa == 0
-        assert verify_X_relation(x, parse("tau")) <= 1e-6
+        assert x_relation_defect(x, parse("tau")) <= 1e-6
 
     def test_boundary_relation_in_invertible_form(self, unit_circle):
         g = parse("exp(tau)*tau^2")
-        x = build_canonical_X(unit_circle, g)
-        plus, minus = x.boundary("+"), x.boundary("-")
-        idx = plus.indices
-        from dualrbvp.integral import boundary_samples
-        gv = boundary_samples(g, unit_circle)
-        g_at = DualComplex(np.asarray(gv.c1)[idx], np.asarray(gv.c2)[idx])
-        ratio = dc_mul(plus.values, dc_inv(minus.values))
-        assert norm_of(dc_sub(ratio, g_at)) <= 1e-4
+        plus, minus = node_tables(build_canonical_X(unit_circle, g))
+        ratio = dc_mul(plus, dc_inv(minus))
+        assert norm_of(dc_sub(ratio, boundary_samples(g, unit_circle))) <= 1e-4
 
     def test_x0_invertible_everywhere_sampled(self, bih, unit_circle, rng):
         x = build_canonical_X(unit_circle, parse("exp(tau)*tau^2"))
         ang = rng.uniform(0, 2 * np.pi, 50)
         r = np.concatenate([rng.uniform(0.05, 0.8, 25), rng.uniform(1.3, 6.0, 25)])
-        from dualrbvp.algebra import PointE
         pts = PointE(r * np.cos(ang), r * np.sin(ang), bih)
-        vals = x.x0(pts)
+        vals = dc_exp(x.exponent(pts))
         assert np.min(np.abs(vals.c1)) > 1e-6
 
     def test_index_stable_under_node_doubling(self, bih):
@@ -194,12 +208,13 @@ class TestCanonicalX:
         kG = parse("(2+1i)*tau")
         x = build_canonical_X(unit_circle, kG)
         assert x.kappa == 1
-        assert verify_X_relation(x, kG) <= 1e-6
+        assert x_relation_defect(x, kG) <= 1e-6
 
-    def test_infinity_behavior(self, unit_circle):
-        pos = build_canonical_X(unit_circle, parse("tau"))
-        assert norm_of(pos.infinity_behavior()["limit"]) == 0.0
-        zero = build_canonical_X(unit_circle, parse("1"))
-        assert norm_of(dc_sub(zero.infinity_behavior()["limit"], DualComplex(1, 0))) == 0.0
-        neg = build_canonical_X(unit_circle, parse("1/tau"))
-        assert neg.infinity_behavior()["growth_order"] == 1
+    def test_infinity_behavior(self, bih, unit_circle):
+        # X- at infinity: 0 for a positive index, 1 for index zero, growth of
+        # order -kappa for a negative one; |X-| scales as r^(-kappa)
+        far = (bih.embed(1e3, 0.0), bih.embed(1e6, 0.0))
+        for text, kappa in (("tau", 1), ("1", 0), ("1/tau", -1)):
+            x = build_canonical_X(unit_circle, parse(text))
+            n1, n2 = (norm_of(x_at(x, "-", p)) for p in far)
+            assert np.log(n2 / n1) / np.log(1e3) == pytest.approx(-kappa, abs=1e-9)

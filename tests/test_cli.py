@@ -168,6 +168,26 @@ class TestSolve:
         assert "hypothesis_route" not in doc
         assert "declarations" not in doc
 
+    def test_retired_check_simple_cannot_skip_the_intersection_check(
+            self, tmp_path, capsys):
+        bowtie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
+        prob = write_problem(tmp_path / "p.json", G="1", g="tau",
+                             contour={"kind": "polygon", "vertices": bowtie,
+                                      "nodes": 64, "check_simple": False})
+        assert main(["solve", str(prob)]) == 3
+        assert "intersect" in capsys.readouterr().err
+
+    def test_retired_moment_tolerance_is_ignored(self, tmp_path):
+        # the first moment of g = 1/tau is 2 pi; only the residual tolerance
+        # judges it, whatever a "moment" key says
+        prob = write_problem(tmp_path / "p.json", G="1/tau", g="1/tau",
+                             tolerances={"moment": 10.0})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 2
+        doc = json.loads(out.read_text())
+        assert doc["solvable"] is False
+        assert set(doc["tolerances"]) == {"residual"}
+
     def test_retired_boundary_samples_still_loads(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
                              contour={"kind": "circle", "radius": 1.0,

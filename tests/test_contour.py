@@ -8,7 +8,6 @@ from dualrbvp import (
     circle_contour,
     ellipse_contour,
     explicit_contour,
-    interior_test,
     polygon_contour,
     theta_measure,
 )
@@ -107,7 +106,6 @@ class TestBuild:
         bowtie = [[0.0, 0.0], [1.0, 1.0], [1.0, 0.0], [0.0, 1.0]]
         with pytest.raises(SelfIntersectingError):
             polygon_contour(bih, bowtie, nodes=64)
-        polygon_contour(bih, bowtie, nodes=64, check_simple=False)
 
     def test_build_dispatch(self, bih):
         c = build_contour(bih, {"kind": "ellipse", "semi_axes": [1.5, 0.8],
@@ -122,14 +120,16 @@ class TestBuild:
 
 
 class TestInteriorTest:
-    def test_unit_circle_origin(self, bih, unit_circle):
-        assert interior_test(unit_circle, bih.embed(0.0, 0.0)) == "interior"
+    """``interior_mask`` codes: 1 interior, 0 exterior, -1 in the guard band."""
 
-    def test_unit_circle_far_point(self, bih, unit_circle):
-        assert interior_test(unit_circle, bih.embed(3.0, 0.0)) == "exterior"
+    def test_unit_circle_origin(self, unit_circle):
+        assert unit_circle.interior_mask(0.0, 0.0).tolist() == [1]
 
-    def test_near_boundary_guard(self, bih, unit_circle):
-        assert interior_test(unit_circle, bih.embed(1.0 - 1e-9, 0.0)) == "near-boundary"
+    def test_unit_circle_far_point(self, unit_circle):
+        assert unit_circle.interior_mask(3.0, 0.0).tolist() == [0]
+
+    def test_near_boundary_guard(self, unit_circle):
+        assert unit_circle.interior_mask(1.0 - 1e-9, 0.0).tolist() == [-1]
 
     def test_matches_analytic_sign_test(self, bih, rng):
         for kind, contour, inside in (

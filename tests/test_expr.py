@@ -3,12 +3,11 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dualrbvp import DualComplex, dc_inv, dc_mul, dc_norm, dc_sub, differentiate, evaluate, parse, to_str
+from dualrbvp import DualComplex, dc_add, dc_inv, dc_mul, dc_norm, dc_sub, evaluate, parse, to_str
 from dualrbvp.expr import Bin, Call, Const, Neg, Pow, Var
 from dualrbvp.errors import (
     DualRbvpError,
     ExprSyntaxError,
-    NotAFieldExpressionError,
     NotInvertibleError,
     UnboundVariableError,
     UnknownIdentifierError,
@@ -120,27 +119,34 @@ class TestEval:
                          evaluate(rhs, z=z, tau=tau, t=t))
 
 
-class TestDifferentiate:
-    def test_power_rule(self):
-        d = differentiate(parse("z^2"))
-        got = evaluate(d, z=DualComplex(3 + 0j, 1 + 0j))
-        want = dc_mul(DualComplex(2 + 0j, 0j), DualComplex(3 + 0j, 1 + 0j))
-        assert close(got, want)
+def quotient(e, z, h):
+    """(f(z + h) - f(z)) h^(-1) for an expression f of z and a step h."""
+    return dc_mul(dc_sub(evaluate(e, z=dc_add(z, h)), evaluate(e, z=z)), dc_inv(h))
 
-    def test_exp(self):
-        assert to_str(differentiate(parse("exp(z)"))) == "exp(z)"
+
+class TestDifferentiate:
+    """Functions of z built from the algebra's arithmetic are monogenic:
+    their difference quotients converge in every direction of E to the
+    derivative that the product, quotient and chain rules give."""
+
+    def test_power_rule(self):
+        z = DualComplex(3 + 0j, 1 + 0j)
+        got = quotient(parse("z^2"), z, DualComplex(1e-7, 0j))
+        assert close(got, dc_mul(DualComplex(2 + 0j, 0j), z), 1e-6)
+
+    def test_exp(self, bih):
+        z = bih.embed(0.3, -0.2).value()
+        got = quotient(parse("exp(z)"), z, bih.vector(0.0, 1e-7))
+        assert close(got, evaluate(parse("exp(z)"), z=z), 1e-6)
 
     def test_ln(self, bih):
-        d = differentiate(parse("ln(z)"))
-        assert to_str(d) == "1/z"
-        p = bih.embed(2.0, 0.0)
-        assert close(evaluate(d, z=p), DualComplex(0.5, 0))
-
-    def test_rejects_boundary_variables(self):
-        with pytest.raises(NotAFieldExpressionError):
-            differentiate(parse("tau^2"))
+        z = bih.embed(2.0, 0.0).value()
+        got = quotient(parse("ln(z)"), z, bih.vector(1e-7, 0.0))
+        assert close(got, DualComplex(0.5, 0), 1e-6)
 
     def test_finite_difference_convergence(self, bih, rng):
+        """Quotients along e1 converge at first order to the central
+        difference along e2."""
         exprs = [
             "z^2", "z^3", "exp(z)", "z*exp(z)", "z^2+3*z", "(z+1)*(z-2)",
             "1/(z+3)", "ln(z+4)", "exp(z)*z^2", "z^5", "inv(z+5)",
@@ -148,34 +154,26 @@ class TestDifferentiate:
             "exp(2*z)", "z^2*exp(-(z))", "0.5*z^4", "exp(z)^2",
         ]
         deltas = [1e-3, 5e-4, 2.5e-4]
+        k = bih.vector(0.0, 1e-5)
         for text in exprs:
             e = parse(text)
-            de = differentiate(e)
             x, y = rng.uniform(-0.5, 0.5, size=2)
-            p = bih.embed(float(x), float(y))
-            want = evaluate(de, z=p)
-            errs = []
-            for d in deltas:
-                h = bih.vector(d, 0.0)
-                q = dc_mul(dc_sub(evaluate(e, z=p.shifted(d, 0.0)),
-                                  evaluate(e, z=p)), dc_inv(h))
-                errs.append(float(dc_norm(dc_sub(q, want))))
+            z = bih.embed(float(x), float(y)).value()
+            want = dc_mul(dc_sub(evaluate(e, z=dc_add(z, k)),
+                                 evaluate(e, z=dc_sub(z, k))), dc_inv(dc_add(k, k)))
+            errs = [float(dc_norm(dc_sub(quotient(e, z, bih.vector(d, 0.0)), want)))
+                    for d in deltas]
             # at least first-order convergence (ratio close to 2 per halving)
             if errs[0] > 1e-10:
                 assert errs[0] / max(errs[1], 1e-300) > 1.5, (text, errs)
                 assert errs[1] / max(errs[2], 1e-300) > 1.5, (text, errs)
 
-    def test_fd_convergence_second_direction(self, bih, rng):
+    def test_fd_convergence_second_direction(self, bih):
         e = parse("z^3+exp(z)")
-        de = differentiate(e)
-        p = bih.embed(0.3, -0.2)
-        want = evaluate(de, z=p)
-        errs = []
-        for d in [1e-3, 5e-4, 2.5e-4]:
-            h = bih.vector(0.0, d)
-            q = dc_mul(dc_sub(evaluate(e, z=p.shifted(0.0, d)), evaluate(e, z=p)),
-                       dc_inv(h))
-            errs.append(float(dc_norm(dc_sub(q, want))))
+        z = bih.embed(0.3, -0.2).value()
+        want = evaluate(parse("3*z^2+exp(z)"), z=z)
+        errs = [float(dc_norm(dc_sub(quotient(e, z, bih.vector(0.0, d)), want)))
+                for d in [1e-3, 5e-4, 2.5e-4]]
         assert errs[0] / errs[2] > 3.0
 
 

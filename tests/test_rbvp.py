@@ -22,6 +22,7 @@ from dualrbvp import (
     solve_nonhomogeneous,
 )
 from dualrbvp.algebra import PointE
+from dualrbvp.integral import boundary_defect
 from dualrbvp.rbvp import RBVPProblem, Tolerances
 from dualrbvp.errors import (
     InputError,
@@ -263,36 +264,45 @@ class TestResidualReport:
         assert r.infinity_by_radius[2] <= r.infinity_by_radius[0] * 1.5 + 1e-9
 
 
+def tables(s):
+    """Phi+ and Phi- at every node."""
+    return [s.boundary_table(side).values for side in "+-"]
+
+
 class TestModuleStructure:
     def test_scaling_preserves_homogeneous_solutions(self, bih, unit_circle, rng):
-        s = solve_homogeneous(problem(bih, unit_circle, G="tau",
-                                      coeffs=[random_dc(rng), random_dc(rng)]))
-        p = s.problem
-        for _ in range(10):
+        # k P solves the homogeneous problem, with k times the tables of P
+        coeffs = [random_dc(rng), random_dc(rng)]
+        s = solve_homogeneous(problem(bih, unit_circle, G="tau", coeffs=coeffs))
+        for _ in range(3):
             k = random_dc(rng)
-            r = residual_report(s.scaled(k), p)
-            assert r.sup_residual <= 1e-4
+            ks = solve_homogeneous(problem(bih, unit_circle, G="tau",
+                                           coeffs=[dc_mul(k, c) for c in coeffs]))
+            for got, base in zip(tables(ks), tables(s)):
+                assert norm_of(dc_sub(got, dc_mul(k, base))) <= 1e-10
+            assert residual_report(ks).sup_residual <= 1e-4
 
     def test_superposition(self, bih, unit_circle, rng):
-        hom = solve_homogeneous(problem(bih, unit_circle, G="tau",
-                                        coeffs=[random_dc(rng), random_dc(rng)]))
+        # psi and P add: the general solution with P is the particular one
+        # plus the homogeneous one with P
+        coeffs = [random_dc(rng), random_dc(rng)]
+        hom = solve_homogeneous(problem(bih, unit_circle, G="tau", coeffs=coeffs))
         nonhom = solve_nonhomogeneous(problem(bih, unit_circle, G="tau", g="1"))
-        combined = nonhom.superposed(hom)
-        r = residual_report(combined, nonhom.problem)
-        assert r.sup_residual <= 1e-4
-
-    def test_superposition_needs_one_contour(self, bih, unit_circle):
-        a = solve_jump(problem(bih, unit_circle, g="tau"))
-        other = circle_contour(bih, radius=1.0, nodes=256)
-        b = solve_jump(problem(bih, other, g="tau"))
-        with pytest.raises(InputError):
-            a.superposed(b)
+        combined = solve_nonhomogeneous(problem(bih, unit_circle, G="tau", g="1",
+                                                coeffs=coeffs))
+        for got, a, b in zip(tables(combined), tables(nonhom), tables(hom)):
+            assert norm_of(dc_sub(got, a + b)) <= 1e-10
+        assert residual_report(combined).sup_residual <= 1e-4
 
     def test_superposition_needs_one_coefficient(self, bih, unit_circle):
-        a = solve_nonhomogeneous(problem(bih, unit_circle, G="tau", g="1"))
-        b = solve_nonhomogeneous(problem(bih, unit_circle, G="tau^2", g="1"))
-        with pytest.raises(InputError):
-            a.superposed(b)
+        # solutions for two coefficients do not add up to a solution of
+        # either problem
+        a = solve_nonhomogeneous(problem(bih, unit_circle, G="tau", g="1/tau"))
+        b = solve_nonhomogeneous(problem(bih, unit_circle, G="tau^2", g="1/tau"))
+        plus, minus = (p + q for p, q in zip(tables(a), tables(b)))
+        for G in ("tau", "tau^2"):
+            defect = boundary_defect(unit_circle, parse(G), parse("2/tau"), plus, minus)
+            assert float(np.max(defect)) > 1e-2, G
 
     def test_dimension_count(self, bih, unit_circle, rng):
         # each of the kappa + 1 coefficients independently moves the solution
