@@ -18,8 +18,6 @@ from .algebra import (
     dc_norm,
     dc_pow_int,
     dc_sub,
-    point_embed,
-    point_from_value,
 )
 from .canonical import CanonicalX, build_canonical_X, compute_index, continuous_log
 from .contour import (
@@ -31,12 +29,11 @@ from .contour import (
     polygon_contour,
     theta_measure,
 )
-from .diagnostics import dini_estimate, modulus_of_continuity, regularity_report
+from .diagnostics import regularity_report
 from .expr import evaluate, parse, to_str
 from .integral import (
     CauchyIntegralFn,
     boundary_values,
-    cauchy_integral,
     contour_integral,
     jump_check,
 )

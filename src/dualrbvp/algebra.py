@@ -14,12 +14,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import (
-    DegenerateBasisError,
-    ExpOverflowError,
-    NotInSubspaceError,
-    NotInvertibleError,
-)
+from .errors import DegenerateBasisError, ExpOverflowError, NotInvertibleError
 
 ComplexLike = Union[complex, np.ndarray]
 
@@ -63,9 +58,6 @@ class DualComplex:
     def __neg__(self) -> "DualComplex":
         return dc_neg(self)
 
-    def norm(self):
-        return dc_norm(self)
-
     def item(self, k: int) -> "DualComplex":
         """Scalar element of an array-valued sample set."""
         return DualComplex(complex(np.asarray(self.c1).ravel()[k]),
@@ -83,7 +75,6 @@ class DualComplex:
 ZERO = DualComplex(0j, 0j)
 ONE = DualComplex(1 + 0j, 0j)
 RHO = DualComplex(0j, 1 + 0j)
-IMAG = DualComplex(1j, 0j)
 
 
 def _coerce(v) -> DualComplex:
@@ -193,23 +184,8 @@ class BasisE:
         basis_validate(self)
 
     @property
-    def e1(self) -> DualComplex:
-        return DualComplex(self.a1, self.b1)
-
-    @property
-    def e2(self) -> DualComplex:
-        return DualComplex(self.a2, self.b2)
-
-    @property
     def det(self) -> float:
         return (self.a1.real * self.a2.imag) - (self.a1.imag * self.a2.real)
-
-    @property
-    def embedding_constant(self) -> float:
-        """c with ||zeta|| <= c |zeta| for all zeta in E."""
-        n1 = float(dc_norm(self.e1))
-        n2 = float(dc_norm(self.e2))
-        return math.sqrt(n1 * n1 + n2 * n2)
 
     def embed(self, x, y) -> "PointE":
         return PointE(x, y, self)
@@ -217,24 +193,6 @@ class BasisE:
     def vector(self, vx, vy) -> DualComplex:
         """Image of an (x, y) tangent/offset vector in the algebra."""
         return DualComplex(vx * self.a1 + vy * self.a2, vx * self.b1 + vy * self.b2)
-
-    def xy_from_xi1(self, xi1: ComplexLike):
-        """Solve the real 2x2 system x a1 + y a2 = xi1 for (x, y)."""
-        d = self.det
-        u, v = np.real(xi1), np.imag(xi1)
-        x = (u * self.a2.imag - v * self.a2.real) / d
-        y = (-u * self.a1.imag + v * self.a1.real) / d
-        return x, y
-
-    def point_from_value(self, c: DualComplex, tol: float = 1e-9) -> "PointE":
-        """Inverse of the embedding; rejects values outside the plane E."""
-        x, y = self.xy_from_xi1(c.c1)
-        xi2 = x * self.b1 + y * self.b2
-        scale = 1.0 + np.abs(c.c1) + np.abs(c.c2)
-        if np.any(np.abs(xi2 - c.c2) > tol * scale):
-            raise NotInSubspaceError(
-                "value has a rho component inconsistent with the plane E")
-        return PointE(x, y, self)
 
 
 def basis_validate(b: BasisE) -> BasisE:
@@ -285,11 +243,3 @@ class PointE:
     def item(self, k: int) -> "PointE":
         return PointE(float(np.asarray(self.x).ravel()[k]),
                       float(np.asarray(self.y).ravel()[k]), self.basis)
-
-
-def point_embed(x, y, basis: BasisE) -> PointE:
-    return basis.embed(x, y)
-
-
-def point_from_value(c: DualComplex, basis: BasisE, tol: float = 1e-9) -> PointE:
-    return basis.point_from_value(c, tol=tol)

@@ -106,8 +106,7 @@ def run_solve(path: str, out_path: str | None = None,
     try:
         solution = solve_auto(spec.problem)
     except UnsolvableError as u:
-        doc = result_document(spec, None, None, solvability=u.report,
-                              kind="nonhomogeneous")
+        doc = result_document(spec, None, None, solvability=u.report)
         write_json(out_path, doc)
         norms = ", ".join(f"{v:.6g}" for v in u.report.moment_norms)
         print(f"unsolvable: kappa={u.report.kappa} moment norms [{norms}] "

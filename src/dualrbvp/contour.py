@@ -24,8 +24,7 @@ from typing import Optional
 import numpy as np
 
 from .algebra import BasisE, DualComplex, PointE
-from .errors import (ContourError, CornerNodeError, EmptySpecError,
-                     SelfIntersectingError)
+from .errors import CornerNodeError, EmptySpecError, SelfIntersectingError
 
 DEFAULT_NODES = 512
 GAUSS_ORDER = 8
@@ -113,17 +112,6 @@ class Contour:
     @property
     def centroid(self) -> np.ndarray:
         return self.xy.mean(axis=0)
-
-    def rebuilt(self, nodes: int) -> "Contour":
-        """Same geometric spec, different sampling resolution.  An explicit
-        contour is its node list, so it has no other resolution."""
-        if self.kind == "explicit":
-            raise ContourError(
-                "an explicit contour has exactly its listed points; it cannot "
-                "be rebuilt with another node count")
-        params = dict(self.params)
-        params["nodes"] = int(nodes)
-        return build_contour(self.basis, {"kind": self.kind, **params})
 
     def content_hash(self) -> str:
         h = hashlib.sha256()

@@ -1,4 +1,4 @@
-"""Regularity diagnostics: modulus of continuity and a Dini-type estimate.
+"""Regularity diagnostics: a Dini-type estimate of a boundary function.
 
 The Dini estimate is an upper-sum approximation of
 
@@ -8,21 +8,20 @@ on a geometrically refined eta grid, with theta_tau the arc length of the
 curve within distance eta of the anchor.
 
 What depends only on the contour is computed once per contour and kept in
-its cache: the default eps grid, from the smallest nonzero and the largest
-node-pair distance, the eta grid, and theta at every anchor and eta, from
-the segment sweep of ``theta_measure``.  omega of a function is one pass
-over blocks of node rows, PAIR_CHUNK pairs at a time: each pair's distance
-is binned into the sorted union of the grids wanted, the largest value gap
-is kept per bin, and the running maximum over the bins is omega at every
-grid point, exactly, without a table of all pairs.  Finite sampling cannot
-decide the underlying condition; the estimate is advisory and is reported
-with a refinement-stability flag instead of a verdict.
+its cache: the eta grid, and theta at every anchor and eta, from the
+segment sweep of ``theta_measure``.  omega, the sampled modulus of
+continuity, is read on the eta grid only, in one pass over blocks of node
+rows, PAIR_CHUNK pairs at a time: each pair's distance is binned into the
+grid, the largest value gap is kept per bin, and the running maximum over
+the bins is omega at every grid point, exactly, without a table of all
+pairs.  Finite sampling cannot decide the underlying condition; the
+estimate is advisory and is reported with a refinement-stability flag
+instead of a verdict.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -77,47 +76,30 @@ class _PairBlocks:
         return np.hypot(a1, a2, out=a1)
 
 
-def _default_eps(contour: Contour) -> np.ndarray:
-    """The grid halving from the largest node-pair distance down past the
-    smallest nonzero one; computed once per contour."""
-    if "eps_grid" not in contour._cache:
-        blocks = _PairBlocks(contour.n)
-        lo, hi = np.inf, 0.0
-        for s, e in blocks:
-            dist = blocks.dist(contour.xy, s, e)
-            lo = min(lo, float(np.min(dist, where=dist > 0, initial=np.inf)))
-            hi = max(hi, float(dist.max()))
-        lo = max(lo, 1e-12)
-        m = int(np.ceil(np.log(hi / lo) / np.log(2.0))) + 1
-        contour._cache["eps_grid"] = hi / (2.0 ** np.arange(m))[::-1]
-    return contour._cache["eps_grid"].copy()
-
-
-def _dini_geometry(contour: Contour, levels: int):
+def _dini_geometry(contour: Contour):
     """(eta grid, theta at ANCHOR_COUNT anchors x eta); computed once per
-    contour and depth."""
-    key = ("dini", levels)
-    if key not in contour._cache:
-        eta = 1.0 / (ETA_RATIO ** np.arange(levels + 1))
+    contour."""
+    if "dini" not in contour._cache:
+        eta = 1.0 / (ETA_RATIO ** np.arange(DINI_LEVELS + 1))
         eta = eta[eta >= max(contour.max_spacing, 1e-12)]
         if len(eta) < 2:
             eta = np.array([1.0, contour.max_spacing])
         anchors = np.linspace(0, contour.n, ANCHOR_COUNT,
                               endpoint=False).astype(int)
-        contour._cache[key] = (
+        contour._cache["dini"] = (
             eta, theta_measure(contour, anchors[:, None], eta[None, :]))
-    return contour._cache[key]
+    return contour._cache["dini"]
 
 
-def _omega(contour: Contour, g, *grids) -> list:
-    """omega of ``g`` on each grid: the largest ||g(t1) - g(t2)|| over node
+def _omega(contour: Contour, g, grid) -> np.ndarray:
+    """omega of ``g`` on ``grid``: the largest ||g(t1) - g(t2)|| over node
     pairs with |t1 - t2| <= eps, from one pass over the pair blocks."""
     vals = boundary_samples(g, contour)
     c1, c2 = np.asarray(vals.c1), np.asarray(vals.c2)
+    grid = np.asarray(grid, dtype=float)
     if np.all(c1 == c1[0]) and np.all(c2 == c2[0]):
-        return [np.zeros(np.shape(grid)) for grid in grids]
-    grids = [np.asarray(grid, dtype=float) for grid in grids]
-    edges = np.unique(np.concatenate([grid.ravel() for grid in grids]))
+        return np.zeros(grid.shape)
+    edges = np.unique(grid)
     # bin k holds the pairs with edges[k-1] < dist <= edges[k]
     top = np.zeros(len(edges) + 1)
     blocks = _PairBlocks(contour.n)
@@ -125,24 +107,7 @@ def _omega(contour: Contour, g, *grids) -> list:
         bins = np.searchsorted(edges, blocks.dist(contour.xy, s, e).ravel(),
                                side="left")
         np.maximum.at(top, bins, blocks.gap(c1, c2, s, e).ravel())
-    run_max = np.maximum.accumulate(top)
-    return [run_max[np.searchsorted(edges, grid)] for grid in grids]
-
-
-def modulus_of_continuity(contour: Contour, g, eps_grid=None):
-    """Sampled modulus omega(eps) = max ||g(t1) - g(t2)|| over node pairs
-    with |t1 - t2| <= eps.  Returns (eps_grid, omega) arrays; the default
-    grid halves from the largest pair distance down past the smallest
-    nonzero one."""
-    eps = _default_eps(contour) if eps_grid is None else np.asarray(
-        eps_grid, dtype=float)
-    return eps, _omega(contour, g, eps)[0]
-
-
-def dini_estimate(contour: Contour, g, levels: int = DINI_LEVELS) -> float:
-    """Upper-sum estimate of the Dini integral over a subsample of anchors."""
-    eta, theta = _dini_geometry(contour, levels)
-    return float(_partial_sums(eta, _omega(contour, g, eta)[0], theta)[-1])
+    return np.maximum.accumulate(top)[np.searchsorted(edges, grid)]
 
 
 def _partial_sums(eta, omega, theta):
@@ -153,31 +118,18 @@ def _partial_sums(eta, omega, theta):
 
 @dataclass
 class RegularityReport:
-    eps_grid: np.ndarray
-    omega: np.ndarray
     dini_estimate: float
     dini_half_depth: float
-    is_constant: bool
-    lipschitz_slope: Optional[float]
     divergence_suspected: bool
 
 
 def regularity_report(contour: Contour, g) -> RegularityReport:
-    """Bundle of regularity diagnostics used by the verification report."""
-    eps = _default_eps(contour)
-    eta, theta = _dini_geometry(contour, DINI_LEVELS)
-    omega, omega_eta = _omega(contour, g, eps, eta)
-    partial = _partial_sums(eta, omega_eta, theta)
+    """The Dini estimate of ``g``, its partial sum at half the eta depth,
+    and the refinement-stability flag that ``verify`` reports."""
+    eta, theta = _dini_geometry(contour)
+    partial = _partial_sums(eta, _omega(contour, g, eta), theta)
     full = float(partial[-1])
     half = float(partial[(len(partial) - 1) // 2])
-    is_const = bool(omega.max() <= 1e-14)
-    slope = None
-    small = eps <= 0.25 * eps.max()
-    if not is_const and small.sum() >= 2:
-        slope = float(np.polyfit(eps[small], omega[small], 1)[0])
     divergent = half > 0 and full / max(half, 1e-300) > 1.8
-    return RegularityReport(eps_grid=eps, omega=omega, dini_estimate=full,
-                            dini_half_depth=half, is_constant=is_const,
-                            lipschitz_slope=slope,
+    return RegularityReport(dini_estimate=full, dini_half_depth=half,
                             divergence_suspected=bool(divergent))
-

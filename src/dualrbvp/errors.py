@@ -44,10 +44,6 @@ class DegenerateBasisError(InputError):
         self.det = det
 
 
-class NotInSubspaceError(InputError):
-    """A dual complex value is not consistent with any point of the plane E."""
-
-
 # -- expressions ------------------------------------------------------------
 
 class ExprError(InputError):

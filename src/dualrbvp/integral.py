@@ -40,7 +40,7 @@ once per side on one integral and report its gap to the node limits.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
@@ -54,7 +54,7 @@ from .contour import (
     _GL_X,
     _trig_derivative,
 )
-from .errors import CornerNodeError, TooCloseToBoundaryError
+from .errors import TooCloseToBoundaryError
 from . import expr as _expr
 
 N_OFFSETS = 5
@@ -316,9 +316,6 @@ class CauchyIntegralFn:
         return DualComplex(out1.reshape(out1.shape[:1] + shape),
                            out2.reshape(out2.shape[:1] + shape))
 
-    def at_infinity(self) -> DualComplex:
-        return DualComplex(0j, 0j)
-
     def node_limits(self, side: str) -> DualComplex:
         """One-sided limits at every node, shaped like the density:
         C+ = phi + S and C- = S by singularity subtraction (module
@@ -359,20 +356,6 @@ class CauchyIntegralFn:
                 self._cache["up"] = (tau_up, w_up, c.upsample_samples(dens))
         tau_up, w_up, dens_up = self._cache["up"]
         return _kernel_sum(tau_up, w_up, dens_up, z1, z2)
-
-
-def cauchy_integral(contour: Contour, density, point: PointE) -> DualComplex:
-    """Cauchy-type integral at a point (or points) off the curve.
-
-    The point must lie outside the guard band of the contour, where the
-    native quadrature meets its accuracy target.
-    """
-    dens = boundary_samples(density, contour)
-    d = contour.dist_to(point.x, point.y)
-    if np.any(d < contour.guard_band):
-        raise TooCloseToBoundaryError(
-            f"point within guard band {contour.guard_band:.3e} of the contour")
-    return CauchyIntegralFn(contour, dens)._at(point, d)
 
 
 # polygon panel refinement ------------------------------------------------------
@@ -435,8 +418,8 @@ def _neville_to_zero(ds: np.ndarray, v1: list[np.ndarray], v2: list[np.ndarray])
 
 
 def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour,
-                    side: str, indices: Optional[np.ndarray] = None) -> BoundaryTable:
-    """One-sided limits of an off-curve evaluator at contour nodes.
+                    side: str) -> BoundaryTable:
+    """One-sided limits of an off-curve evaluator at the smooth nodes.
 
     Approaches each node along its inward ('+') or outward ('-') normal at
     offsets h, h/2, ..., h/2^(J-1) and extrapolates the offset to zero.
@@ -447,12 +430,7 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    if indices is None:
-        indices = contour.smooth_indices()
-    indices = np.asarray(indices, dtype=int)
-    if np.any(contour.corner_mask[indices]):
-        bad = indices[contour.corner_mask[indices]]
-        raise CornerNodeError(f"boundary limit at corner node(s) {bad[:4].tolist()}")
+    indices = contour.smooth_indices()
     h0 = OFFSET_SPACING_FACTOR * contour.max_spacing
     sign = 1.0 if side == "+" else -1.0
     normals = contour.inward_normals()[indices]

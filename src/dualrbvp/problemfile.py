@@ -67,11 +67,9 @@ def dc_array_from_lists(rows) -> DualComplex:
 
 @dataclass
 class ProblemSpec:
-    basis: BasisE
-    contour: Contour
+    contour: Contour        # on the problem's basis
     problem: RBVPProblem
     grid: Optional[dict]    # output grid {"nx", "ny", "margin"}, or None
-    raw: dict
 
 
 def _parse_basis(node) -> BasisE:
@@ -131,9 +129,9 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     f_text = raw.get("g", "0")
     if not isinstance(g_text, str) or not isinstance(f_text, str):
         raise ProblemFormatError("'G' and 'g' must be expression strings")
-    problem = RBVPProblem(basis=basis, contour=contour,
-                          G=_expr.parse(g_text), g=_expr.parse(f_text),
-                          poly_coeffs=coeffs, tolerances=tols)
+    problem = RBVPProblem(contour=contour, G=_expr.parse(g_text),
+                          g=_expr.parse(f_text), poly_coeffs=coeffs,
+                          tolerances=tols)
 
     out_node = raw.get("output", {})
     if not isinstance(out_node, dict):
@@ -145,8 +143,7 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
         for key in ("nx", "ny"):
             if key not in grid:
                 raise ProblemFormatError(f"grid spec needs '{key}'")
-    return ProblemSpec(basis=basis, contour=contour, problem=problem,
-                       grid=grid, raw=raw)
+    return ProblemSpec(contour=contour, problem=problem, grid=grid)
 
 
 def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
@@ -171,7 +168,7 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
         sel = np.nonzero(code == side_code)[0]
         if sel.size == 0:
             continue
-        pts = PointE(flat_x[sel], flat_y[sel], spec.basis)
+        pts = PointE(flat_x[sel], flat_y[sel], spec.contour.basis)
         vals = solution._side(side, pts, dist[sel])
         for j, row in zip(sel, dc_array_to_lists(vals)):
             rows[j] = row
@@ -196,9 +193,11 @@ def _boundary_section(spec: ProblemSpec, solution: RBVPSolution) -> dict:
 
 def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
                     report: Optional[ResidualReport],
-                    solvability=None, kind: Optional[str] = None) -> dict:
+                    solvability=None) -> dict:
     """Assemble the result file body; ``solution`` is None for unsolvable
-    problems, which still record their moment data."""
+    problems, which still record their moment data.  Only a nonhomogeneous
+    problem can be unsolvable: a jump or homogeneous one has no moment
+    condition to fail."""
     doc: dict = {
         "format": RESULT_FORMAT,
         "contour_hash": spec.contour.content_hash(),
@@ -218,7 +217,7 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         doc["boundary"] = _boundary_section(spec, solution)
         doc["grid"] = _grid_section(spec, solution)
     else:
-        doc["kind"] = kind
+        doc["kind"] = "nonhomogeneous"
         doc["kappa"] = sol_report.kappa if sol_report is not None else None
         doc["raw_index"] = None
         doc["trivial_only"] = False

@@ -35,7 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .algebra import BasisE, DualComplex, PointE, dc_exp, dc_mul, dc_norm, dc_pow_int
+from .algebra import DualComplex, PointE, dc_exp, dc_mul, dc_norm, dc_pow_int
 from .canonical import CanonicalX, build_canonical_X
 from .contour import Contour
 from .errors import (
@@ -80,9 +80,9 @@ def expr_is_zero(e) -> bool:
 
 @dataclass
 class RBVPProblem:
-    """Boundary data for one problem instance."""
+    """Boundary data for one problem instance; its plane E is the
+    contour's basis."""
 
-    basis: BasisE
     contour: Contour
     G: object = None                      # expression; None means constant 1
     g: object = None                      # expression; None means constant 0
@@ -92,8 +92,6 @@ class RBVPProblem:
     def __post_init__(self):
         self.G = _as_expr(self.G, "1")
         self.g = _as_expr(self.g, "0")
-        if self.contour.basis is not self.basis:
-            raise InputError("contour was built on a different basis")
 
     def g_samples(self) -> DualComplex:
         return boundary_samples(self.g, self.contour)
@@ -111,8 +109,6 @@ class SolvabilityReport:
 @dataclass
 class ResidualReport:
     sup_residual: float
-    per_node: np.ndarray
-    indices: np.ndarray
     infinity_bound: float
     infinity_by_radius: list
     boundary_error_estimate: Optional[float]
@@ -280,18 +276,18 @@ def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
     return _solve(problem, "nonhomogeneous")
 
 
-DEFAULT_INFINITY_RADII = (10.0, 100.0, 1000.0)
+# ring radii, in half-diameters of the contour, of the exterior samples
+INFINITY_RADII = (10.0, 100.0, 1000.0)
 
 
-def residual_report(solution: RBVPSolution, problem: Optional[RBVPProblem] = None,
-                    radii=DEFAULT_INFINITY_RADII) -> ResidualReport:
+def residual_report(solution: RBVPSolution) -> ResidualReport:
     """Boundary-condition defect and boundedness of the exterior part.
 
     Phi+ and Phi- on the curve are the solution's boundary tables at every
     node; the exterior part is sampled on rings of growing radius around
     the contour.
     """
-    p = problem if problem is not None else solution.problem
+    p = solution.problem
     plus = solution.boundary_table("+")
     minus = solution.boundary_table("-")
     res = boundary_defect(p.contour, p.G, p.g, plus.values, minus.values)
@@ -299,15 +295,15 @@ def residual_report(solution: RBVPSolution, problem: Optional[RBVPProblem] = Non
     half = max(p.contour.diameter / 2.0, 1e-12)
     by_radius = []
     ang = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    for r in radii:
+    for r in INFINITY_RADII:
         px = cx + r * half * np.cos(ang)
         py = cy + r * half * np.sin(ang)
-        v = solution.minus(PointE(px, py, p.basis))
+        v = solution.minus(PointE(px, py, p.contour.basis))
         by_radius.append(float(np.max(dc_norm(v))))
     est = np.concatenate([plus.error_estimates, minus.error_estimates])
     est = est[~np.isnan(est)]
-    return ResidualReport(sup_residual=float(res.max()), per_node=res,
-                          indices=plus.indices, infinity_bound=float(max(by_radius)),
+    return ResidualReport(sup_residual=float(res.max()),
+                          infinity_bound=float(max(by_radius)),
                           infinity_by_radius=by_radius,
                           boundary_error_estimate=float(est.max()) if est.size else None)
 

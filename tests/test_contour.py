@@ -13,7 +13,6 @@ from dualrbvp import (
 )
 from dualrbvp.contour import PAIR_CHUNK, _trig_derivative, _trig_eval, _trig_interp
 from dualrbvp.errors import (
-    ContourError,
     CornerNodeError,
     EmptySpecError,
     SelfIntersectingError,
@@ -39,14 +38,9 @@ class TestBuild:
         c = circle_contour(bih, radius=1.0, nodes=512)
         assert abs(c.length - 2 * np.pi) < 1e-10
 
-    def test_explicit_contour_is_not_rebuilt(self, bih):
-        c = explicit_contour(bih, circle_contour(bih, nodes=64).xy)
-        with pytest.raises(ContourError, match="explicit contour"):
-            c.rebuilt(256)
-
     def test_circle_length_stable_under_doubling(self, bih):
         c1 = circle_contour(bih, radius=1.0, nodes=512)
-        c2 = c1.rebuilt(1024)
+        c2 = circle_contour(bih, radius=1.0, nodes=1024)
         assert abs(c2.length - c1.length) / c1.length < 1e-6
 
     def test_chord_length_second_order(self, bih):

@@ -6,9 +6,7 @@ import pytest
 from dualrbvp import (
     DualComplex,
     circle_contour,
-    dini_estimate,
     explicit_contour,
-    modulus_of_continuity,
     parse,
     polygon_contour,
     dc_norm,
@@ -17,17 +15,43 @@ from dualrbvp import (
     theta_measure,
 )
 from dualrbvp.algebra import PointE
-from dualrbvp.diagnostics import ANCHOR_COUNT, DINI_LEVELS, ETA_RATIO
+from dualrbvp.diagnostics import (
+    ANCHOR_COUNT,
+    DINI_LEVELS,
+    ETA_RATIO,
+    _dini_geometry,
+    _omega,
+)
 from dualrbvp.integral import boundary_samples
+
+L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+
+
+def pair_gaps(contour, g):
+    """(distance, ||g(t1) - g(t2)||) of every ordered node pair, as N x N
+    tables."""
+    vals = boundary_samples(g, contour)
+    xy = contour.xy
+    dist = np.hypot(xy[:, 0][:, None] - xy[:, 0][None, :],
+                    xy[:, 1][:, None] - xy[:, 1][None, :])
+    d1 = np.asarray(vals.c1)
+    d2 = np.asarray(vals.c2)
+    gap = np.hypot(np.abs(d1[:, None] - d1[None, :]),
+                   np.abs(d2[:, None] - d2[None, :]))
+    return dist, gap
 
 
 class TestModulusOfContinuity:
+    """omega, the sampled modulus of continuity that the Dini sum reads."""
+
     def test_constant_is_flat(self, unit_circle):
-        eps, omega = modulus_of_continuity(unit_circle, parse("2+3i"))
-        assert np.max(omega) == 0.0
+        eta, _ = _dini_geometry(unit_circle)
+        assert np.max(_omega(unit_circle, parse("2+3i"), eta)) == 0.0
 
     def test_identity_slope_matches_embedding(self, bih, unit_circle):
-        eps, omega = modulus_of_continuity(unit_circle, parse("tau"))
+        # halving from the diameter to below the node spacing
+        eps = 2.0 / 2.0 ** np.arange(9)
+        omega = _omega(unit_circle, parse("tau"), eps)
         # g(tau) = tau is Lipschitz with constant max ||unit direction in E||
         ang = np.linspace(0, 2 * np.pi, 720)
         lip = float(np.max(np.hypot(np.abs(bih.embed(np.cos(ang), np.sin(ang)).xi1),
@@ -37,32 +61,39 @@ class TestModulusOfContinuity:
         assert abs(slope - lip) / lip < 0.1
 
     def test_saturation_at_diameter(self, unit_circle):
-        vals = boundary_samples(parse("tau"), unit_circle)
-        d1 = np.asarray(vals.c1)
-        d2 = np.asarray(vals.c2)
-        gap = np.hypot(np.abs(d1[:, None] - d1[None, :]),
-                       np.abs(d2[:, None] - d2[None, :]))
-        eps, omega = modulus_of_continuity(unit_circle, parse("tau"),
-                                           eps_grid=[3.0])
+        _, gap = pair_gaps(unit_circle, parse("tau"))
+        omega = _omega(unit_circle, parse("tau"), [3.0])
         assert omega[0] == pytest.approx(float(gap.max()), rel=1e-12)
 
     def test_monotone(self, unit_circle):
-        eps, omega = modulus_of_continuity(unit_circle, parse("exp(tau)"))
-        assert np.all(np.diff(omega) >= -1e-15)
+        eta, _ = _dini_geometry(unit_circle)
+        omega = _omega(unit_circle, parse("exp(tau)"), eta)
+        # eta runs from coarse to fine
+        assert np.all(np.diff(omega) <= 1e-15)
+
+    def test_eta_grid_against_all_pairs(self, bih):
+        """omega on the eta grid is exactly the largest value gap over the
+        node pairs within each eta, on a polygon with a reflex corner and a
+        function whose gaps vary along the curve."""
+        c, g = polygon_contour(bih, L_SHAPE, nodes=200), parse("1/(tau-3)")
+        eta, _ = _dini_geometry(c)
+        dist, gap = pair_gaps(c, g)
+        want = np.array([gap[dist <= e].max() for e in eta])
+        np.testing.assert_array_equal(_omega(c, g, eta), want)
 
 
 class TestDiniEstimate:
     def test_constant_is_zero(self, unit_circle):
-        assert dini_estimate(unit_circle, parse("5")) == 0.0
+        assert regularity_report(unit_circle, parse("5")).dini_estimate == 0.0
 
     def test_lipschitz_ballpark_and_stability(self, bih):
         c = circle_contour(bih, radius=1.0, nodes=512)
-        est = dini_estimate(c, parse("tau"), levels=40)
+        rep = regularity_report(c, parse("tau"))
+        est = rep.dini_estimate
         # expected scale: integral of Lip * eta / eta against ~2 d eta
         lip = 1.118  # max unit-direction norm in the default basis
         assert 0.5 * 2 * lip < est < 2.0 * 2 * lip
-        est_half = dini_estimate(c, parse("tau"), levels=20)
-        assert abs(est - est_half) / est < 0.2
+        assert abs(est - rep.dini_half_depth) / est < 0.2
 
     def test_jump_flagged_as_divergent(self, bih):
         c = circle_contour(bih, radius=1.0, nodes=256)
@@ -78,36 +109,19 @@ class TestDiniEstimate:
 
     def test_report_fields(self, unit_circle):
         rep = regularity_report(unit_circle, parse("tau"))
-        assert not rep.is_constant
-        assert rep.lipschitz_slope is not None
         assert rep.dini_estimate >= rep.dini_half_depth > 0
+        assert not rep.divergence_suspected
         const = regularity_report(unit_circle, parse("1"))
-        assert const.is_constant
+        assert const.dini_estimate == const.dini_half_depth == 0.0
 
 
 def _reference_report(contour, g):
-    """The report built the direct way: a full N x N modulus on each grid
-    and one scalar theta per anchor and eta."""
-    vals = boundary_samples(g, contour)
-    xy = contour.xy
-    dist = np.hypot(xy[:, 0][:, None] - xy[:, 0][None, :],
-                    xy[:, 1][:, None] - xy[:, 1][None, :])
-    d1 = np.asarray(vals.c1)
-    d2 = np.asarray(vals.c2)
-    gap = np.hypot(np.abs(d1[:, None] - d1[None, :]),
-                   np.abs(d2[:, None] - d2[None, :]))
-
-    def omega_at(grid):
-        return np.array([gap[dist <= e].max() for e in grid])
-
-    lo = float(dist[dist > 0].min())
-    hi = float(dist.max())
-    m = int(np.ceil(np.log(hi / lo) / np.log(2.0))) + 1
-    eps = hi / (2.0 ** np.arange(m))[::-1]
-    omega = omega_at(eps)
+    """The report built the direct way: a full N x N modulus on the eta
+    grid and one scalar theta per anchor and eta."""
+    dist, gap = pair_gaps(contour, g)
     eta = 1.0 / (ETA_RATIO ** np.arange(DINI_LEVELS + 1))
     eta = eta[eta >= contour.max_spacing]
-    om_eta = omega_at(eta)
+    om_eta = np.array([gap[dist <= e].max() for e in eta])
     anchors = np.linspace(0, contour.n, ANCHOR_COUNT, endpoint=False).astype(int)
     sums = []
     for k in anchors:
@@ -116,20 +130,15 @@ def _reference_report(contour, g):
     partial = np.max(sums, axis=0)
     full = float(partial[-1])
     half = float(partial[(len(partial) - 1) // 2])
-    small = eps <= 0.25 * eps.max()
-    slope = float(np.polyfit(eps[small], omega[small], 1)[0])
-    return eps, omega, full, half, slope, full / half > 1.8
-
-
-L_SHAPE = [[0.0, 0.0], [2.0, 0.0], [2.0, 1.0], [1.0, 1.0], [1.0, 2.0], [0.0, 2.0]]
+    return full, half, full / half > 1.8
 
 
 class TestReportAgainstReference:
     @pytest.mark.parametrize("case", ["exp-circle", "square-tau2",
                                       "l-shape-pole", "explicit-exp"])
     def test_all_fields(self, bih, unit_circle, case):
-        """omega is a maximum over the same pairs, so it is exact; the Dini
-        sums add the same terms in another order."""
+        """The Dini sums add the same terms as the direct report, in
+        another order."""
         if case == "exp-circle":
             c, g = unit_circle, parse("exp(tau)")
         elif case == "square-tau2":
@@ -142,15 +151,12 @@ class TestReportAgainstReference:
             c = explicit_contour(bih, np.stack(
                 [1.3 * np.cos(t) + 0.1 * np.cos(3 * t), 0.9 * np.sin(t)], axis=1))
             g = parse("tau*exp(tau)")
-        eps, omega, full, half, slope, divergent = _reference_report(c, g)
+        full, half, divergent = _reference_report(c, g)
         rep = regularity_report(c, g)
-        np.testing.assert_array_equal(rep.eps_grid, eps)
-        np.testing.assert_array_equal(rep.omega, omega)
         assert rep.dini_estimate == pytest.approx(full, rel=1e-12)
         assert rep.dini_half_depth == pytest.approx(half, rel=1e-12)
-        assert rep.lipschitz_slope == pytest.approx(slope, rel=1e-12)
         assert rep.divergence_suspected == divergent
-        assert not rep.is_constant
+        assert rep.dini_estimate > 0
 
 
 class TestConstantAndMemory:
@@ -158,10 +164,8 @@ class TestConstantAndMemory:
     def test_constant_function(self, bih, value):
         c = polygon_contour(bih, L_SHAPE, nodes=128)
         rep = regularity_report(c, parse(value))
-        assert rep.is_constant
-        assert not rep.omega.any() and rep.omega.shape == rep.eps_grid.shape
         assert rep.dini_estimate == 0.0 and rep.dini_half_depth == 0.0
-        assert rep.lipschitz_slope is None and not rep.divergence_suspected
+        assert not rep.divergence_suspected
 
     def test_report_memory_is_bounded(self, bih):
         """4096 nodes have 8.4e6 pairs; the report works in row blocks and
@@ -173,7 +177,7 @@ class TestConstantAndMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert rep.omega.max() > 0 and not rep.divergence_suspected
+        assert rep.dini_estimate > 0 and not rep.divergence_suspected
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
 
 

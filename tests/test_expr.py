@@ -87,9 +87,9 @@ class TestEval:
         assert close(got, DualComplex(1, 2))
 
     def test_square_on_a_plane_containing_one_plus_rho(self):
-        from dualrbvp import BasisE
+        from dualrbvp import BasisE, PointE
         basis = BasisE(1 + 0j, 1 + 0j, 1j, 0j)  # e1 = 1 + rho, e2 = i
-        p = basis.point_from_value(DualComplex(1 + 0j, 1 + 0j))
+        p = PointE(1.0, 0.0, basis)  # the point e1 = 1 + rho
         got = evaluate(parse("z^2"), z=p)
         assert close(got, DualComplex(1, 2))
 

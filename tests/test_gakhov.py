@@ -42,7 +42,7 @@ def _tables_and_oracle(basis, G, g, a_fn, b_fn, poly):
     """Both boundary tables of the dual solution, with the oracle's (F+, F-)."""
     contour = circle_contour(basis, radius=1.0, nodes=N)
     sol = solve_auto(RBVPProblem(
-        basis=basis, contour=contour, G=G, g=g,
+        contour=contour, G=G, g=g,
         poly_coeffs=[DualComplex(c1, c2) for c1, c2 in poly]))
     nodes, dnodes = circle_samples(basis.a1, basis.a2, N)
     oracle = GakhovOracle(nodes, dnodes, a_fn(nodes), b_fn(nodes),

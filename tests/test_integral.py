@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from dualrbvp import (
     DualComplex,
-    cauchy_integral,
     circle_contour,
     compute_index,
     continuous_log,
@@ -85,27 +84,40 @@ class TestContourIntegral:
                 assert norm_of(v) <= tol, (name, text)
 
 
+def integral_of(contour, f):
+    """The Cauchy-type integral of the samples of ``f`` on ``contour``."""
+    return CauchyIntegralFn(contour, boundary_samples(f, contour))
+
+
 class TestCauchyIntegral:
     def test_constant_density_step(self, bih, unit_circle):
-        inside = cauchy_integral(unit_circle, parse("1"), bih.embed(0.2, -0.1))
-        outside = cauchy_integral(unit_circle, parse("1"), bih.embed(1.7, 0.4))
+        fn = integral_of(unit_circle, parse("1"))
+        inside = fn(bih.embed(0.2, -0.1))
+        outside = fn(bih.embed(1.7, 0.4))
         assert norm_of(dc_sub(inside, DualComplex(1, 0))) < 1e-12
         assert norm_of(outside) < 1e-12
 
     def test_identity_density(self, bih, unit_circle):
         pt = bih.embed(-0.3, 0.25)
-        v = cauchy_integral(unit_circle, parse("tau"), pt)
+        v = integral_of(unit_circle, parse("tau"))(pt)
         assert norm_of(dc_sub(v, pt.value())) < 1e-12
 
     def test_reciprocal_density_exterior(self, bih, unit_circle):
         pe = bih.embed(1.9, -0.8)
-        v = cauchy_integral(unit_circle, parse("1/tau"), pe)
+        v = integral_of(unit_circle, parse("1/tau"))(pe)
         want = -1 * dc_inv(pe.value())
         assert norm_of(dc_sub(v, want)) < 1e-12
 
     def test_guard_band_enforced(self, bih, unit_circle):
+        """Inside the guard band the refined rule takes over, down to
+        ``min_eval_distance``; nearer points are refused."""
+        fn = integral_of(unit_circle, parse("1"))
+        gap = fn.min_eval_distance()
+        assert gap < unit_circle.guard_band
+        near = fn(bih.embed(1.0 - 1.1 * gap, 0.0))
+        assert norm_of(dc_sub(near, DualComplex(1, 0))) < 1e-6
         with pytest.raises(TooCloseToBoundaryError):
-            cauchy_integral(unit_circle, parse("1"), bih.embed(0.99, 0.0))
+            fn(bih.embed(1.0 - 0.9 * gap, 0.0))
 
     def test_reproduction_invariant(self, bih, unit_circle, rng):
         f = parse("exp(z)")
@@ -137,7 +149,6 @@ class TestCauchyIntegral:
         mags = [norm_of(fn(bih.embed(r / np.sqrt(2), r / np.sqrt(2)))) for r in radii]
         slope = np.polyfit(np.log(radii), np.log(mags), 1)[0]
         assert abs(slope + 1.0) < 0.1
-        assert norm_of(fn.at_infinity()) == 0.0
 
 
 def jittered_square(bih):
@@ -440,8 +451,9 @@ class TestNodeLimits:
 
 
 def limit_at(fn, contour, node, side):
-    """The offset-extrapolated one-sided limit at one node."""
-    return boundary_values(fn, contour, side, indices=np.array([node])).values.item(0)
+    """The offset-extrapolated one-sided limit at node ``node`` of a contour
+    without corners, whose table holds every node."""
+    return boundary_values(fn, contour, side).values.item(node)
 
 
 class TestBoundaryLimits:
@@ -464,11 +476,18 @@ class TestBoundaryLimits:
         assert norm_of(minus) < 1e-8
 
     def test_corner_node_rejected(self, bih):
+        """The offset limit is never taken at a corner node: the table
+        leaves them out, and a square whose every node is a corner node has
+        no limit to take."""
         c = polygon_contour(bih, SQUARE, nodes=512)
         fn = CauchyIntegralFn(c, boundary_samples(parse("1"), c))
-        corner = int(np.nonzero(c.corner_mask)[0][0])
+        table = boundary_values(fn, c, "+")
+        assert not c.corner_mask[table.indices].any()
+        assert np.array_equal(table.indices, np.flatnonzero(~c.corner_mask))
+        coarse = polygon_contour(bih, SQUARE, nodes=64)
+        fn = CauchyIntegralFn(coarse, boundary_samples(parse("1"), coarse))
         with pytest.raises(CornerNodeError):
-            limit_at(fn, c, corner, "+")
+            boundary_values(fn, coarse, "+")
 
     def test_error_estimates_reported(self, unit_circle):
         fn = CauchyIntegralFn(unit_circle,

@@ -6,7 +6,7 @@ import pytest
 from dualrbvp import DualComplex, PointE, build_contour, ellipse_contour
 from dualrbvp.algebra import dc_norm
 from dualrbvp.contour import Contour
-from dualrbvp.integral import CauchyIntegralFn, cauchy_integral
+from dualrbvp.integral import CauchyIntegralFn
 from dualrbvp.problemfile import (
     _grid_section,
     load_problem,
@@ -101,7 +101,7 @@ def test_grid_rows_equal_the_solution_at_each_point(tmp_path, bih, kind):
         sel = np.nonzero(code == side_code)[0]
         assert sel.size > 0
         assert all(rows[j] is None for j in np.nonzero(code != side_code)[0])
-        v = fn(PointE(gx.ravel()[sel], gy.ravel()[sel], spec.basis))
+        v = fn(PointE(gx.ravel()[sel], gy.ravel()[sel], spec.contour.basis))
         want = np.stack([v.c1.real, v.c1.imag, v.c2.real, v.c2.imag], axis=1)
         assert np.array_equal(np.array([rows[j] for j in sel]), want), kind
 
@@ -129,10 +129,6 @@ def test_probes_and_points_keep_their_values(tmp_path, bih):
             v = DualComplex(v.c1 - np.mean(v.c1), v.c2 - np.mean(v.c2))
         want.append(float(np.max(dc_norm(v))))
     assert trace_defects(c, plus, minus) == tuple(want)
-    pts = PointE(np.array([0.1, 2.5]), np.array([-0.2, 0.3]), c.basis)
-    v = cauchy_integral(c, plus, pts)
-    w = CauchyIntegralFn(c, plus)(pts)
-    assert np.array_equal(v.c1, w.c1) and np.array_equal(v.c2, w.c2)
 
 
 def test_result_file_is_compact_and_exact(tmp_path, bih):
