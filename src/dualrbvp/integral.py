@@ -33,8 +33,9 @@ these tables, and every construction reads them.
 
 ``boundary_values`` is the independent check: it evaluates an integral along
 the inward or outward normal at shrinking offsets and extrapolates the
-offset to zero (Neville scheme), at the smooth nodes.  Solutions call it
-once per side on one integral and report its gap to the node limits.
+offset to zero (Neville scheme), at a 64-node sample of the smooth nodes,
+all offsets in one pass.  Solutions call it once per side on one integral
+and report its gap to the node limits.
 """
 
 from __future__ import annotations
@@ -58,6 +59,7 @@ from .errors import TooCloseToBoundaryError
 from . import expr as _expr
 
 N_OFFSETS = 5
+CHECK_NODES = 64
 OFFSET_SPACING_FACTOR = 8.0
 
 
@@ -400,56 +402,55 @@ class BoundaryTable:
     side: str
 
 
-def _neville_to_zero(ds: np.ndarray, v1: list[np.ndarray], v2: list[np.ndarray]):
-    p1 = [np.array(v, dtype=complex) for v in v1]
-    p2 = [np.array(v, dtype=complex) for v in v2]
+def _neville_to_zero(ds: np.ndarray, v1: np.ndarray, v2: np.ndarray):
+    p = np.array([v1, v2], dtype=complex)     # (2, J, ...): both parts
     j = len(ds)
     penult = None
     for m in range(1, j):
         if m == j - 1:
-            penult = (p1[0].copy(), p2[0].copy())
+            penult = p[:, 0].copy()
         for i in range(j - m):
             a, b = ds[i], ds[i + m]
-            p1[i] = (a * p1[i + 1] - b * p1[i]) / (a - b)
-            p2[i] = (a * p2[i + 1] - b * p2[i]) / (a - b)
-    final = DualComplex(p1[0], p2[0])
-    err = dc_norm(DualComplex(p1[0] - penult[0], p2[0] - penult[1]))
-    return final, np.asarray(err)
+            p[:, i] = (a * p[:, i + 1] - b * p[:, i]) / (a - b)
+    err = dc_norm(DualComplex(*(p[:, 0] - penult)))
+    return DualComplex(p[0, 0], p[1, 0]), np.asarray(err)
 
 
 def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour,
                     side: str) -> BoundaryTable:
-    """One-sided limits of an off-curve evaluator at the smooth nodes.
+    """One-sided limits of an off-curve evaluator at a sample of the smooth
+    nodes: every ceil(S / CHECK_NODES)-th of the S smooth nodes, so all of
+    them when S <= CHECK_NODES.
 
     Approaches each node along its inward ('+') or outward ('-') normal at
     offsets h, h/2, ..., h/2^(J-1) and extrapolates the offset to zero.
-    The evaluator must accept array-valued points; a (K, N) stacked
-    integral gives (K, nodes) values.  Solutions call it once per side, as
-    the check of their node limits.  ``error_estimates`` is the change made
-    by the last extrapolation step.
+    All J x M points go to the evaluator in one call, so it must accept a
+    (J, M) array of points and return (J, M) values, or (K, J, M) for a
+    (K, N) stacked integral; the table holds (K, M).  Solutions call it
+    once per side, as the check of their node limits.  ``error_estimates``
+    is the change made by the last extrapolation step.  Near a singularity
+    the sample can miss the worst node, so their maximum is a diagnostic
+    of the node limits, not a bound on their error.
     """
     if side not in ("+", "-"):
         raise ValueError("side must be '+' or '-'")
-    indices = contour.smooth_indices()
+    smooth = contour.smooth_indices()
+    indices = smooth[::-(-smooth.size // CHECK_NODES)]
     h0 = OFFSET_SPACING_FACTOR * contour.max_spacing
     sign = 1.0 if side == "+" else -1.0
-    normals = contour.inward_normals()[indices]
     ds = h0 / (2.0 ** np.arange(N_OFFSETS))
-    vals1, vals2 = [], []
-    for d in ds:
-        px = contour.xy[indices, 0] + sign * d * normals[:, 0]
-        py = contour.xy[indices, 1] + sign * d * normals[:, 1]
-        v = evaluator(PointE(px, py, contour.basis))
-        vals1.append(np.atleast_1d(np.asarray(v.c1, dtype=complex)))
-        vals2.append(np.atleast_1d(np.asarray(v.c2, dtype=complex)))
-    limit, err = _neville_to_zero(ds, vals1, vals2)
+    p = (contour.xy[indices]
+         + sign * ds[:, None, None] * contour.inward_normals()[indices])
+    v = evaluator(PointE(p[..., 0], p[..., 1], contour.basis))
+    limit, err = _neville_to_zero(ds, np.moveaxis(np.asarray(v.c1), -2, 0),
+                                  np.moveaxis(np.asarray(v.c2), -2, 0))
     return BoundaryTable(indices=indices, values=limit,
                          error_estimates=err, side=side)
 
 
 @dataclass
 class JumpReport:
-    """Residuals of the jump identity psi~+ - psi~- = psi at smooth nodes."""
+    """Residuals of the jump identity psi~+ - psi~- = psi at checked nodes."""
 
     indices: np.ndarray
     residuals: np.ndarray
@@ -460,9 +461,9 @@ class JumpReport:
 
 
 def jump_check(contour: Contour, density) -> JumpReport:
-    """psi~+ - psi~- - psi at the smooth nodes, from offset-extrapolated
-    limits.  No pipeline path calls it; it stays a name of this module
-    because the bench tracer (bench/spans.py) wraps it."""
+    """psi~+ - psi~- - psi at a 64-node sample of the smooth nodes, from
+    offset-extrapolated limits, all offsets in one pass.  No pipeline path
+    calls it; it stays because the bench tracer (bench/spans.py) wraps it."""
     dens = boundary_samples(density, contour)
     fn = CauchyIntegralFn(contour, dens)
     plus = boundary_values(fn, contour, "+")

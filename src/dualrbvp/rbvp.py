@@ -21,11 +21,12 @@ psi for a homogeneous one) is left out of every kernel sum, so the
 special cases cost no more than before.  Each side's table is assembled
 at every node from the node limits (``CauchyIntegralFn.node_limits``) of
 [E, psi].  Offset extrapolation only checks them: ``boundary_values`` runs
-once per side on [E, psi], at the smooth nodes, and the gaps e_E and e_psi
-to the node limits, propagated to first order as
-|X| (e_psi + |psi~ + P| e_E), are the table's error estimate there.
-``boundary_error_estimate`` is the largest of them over both sides, or
-None when no node could be checked.
+once per side on [E, psi], at a 64-node sample of the smooth nodes, all
+offsets in one pass, and the gaps e_E and e_psi to the node limits,
+propagated to first order as |X| (e_psi + |psi~ + P| e_E), are the table's
+error estimate there (NaN at the other nodes).  ``boundary_error_estimate``
+is the largest of them over both sides, or None when no node could be
+checked; a diagnostic, since the sample can miss the worst node.
 """
 
 from __future__ import annotations
@@ -188,7 +189,7 @@ class RBVPSolution:
         err = np.full(contour.n, np.nan)
         if not contour.corner_mask.all():
             # gaps between the offset-extrapolated limits and the node limits
-            # of E and psi~ at the smooth nodes, to first order in Phi
+            # of E and psi~ at the checked nodes, to first order in Phi
             table = boundary_values(self.integral, contour, side)
             at = table.indices
             e_exp, e_psi = (np.asarray(dc_norm(DualComplex(

@@ -26,6 +26,9 @@ from dualrbvp import (
 from dualrbvp.algebra import PointE
 from dualrbvp.contour import PAIR_CHUNK
 from dualrbvp.integral import (
+    CHECK_NODES,
+    N_OFFSETS,
+    OFFSET_SPACING_FACTOR,
     CauchyIntegralFn,
     _kernel_sum,
     _node_kernel_sum,
@@ -451,24 +454,33 @@ class TestNodeLimits:
 
 
 def limit_at(fn, contour, node, side):
-    """The offset-extrapolated one-sided limit at node ``node`` of a contour
-    without corners, whose table holds every node."""
-    return boundary_values(fn, contour, side).values.item(node)
+    """The offset-extrapolated one-sided limit at node ``node``, which must be
+    one of the nodes the check samples."""
+    table = boundary_values(fn, contour, side)
+    (at,) = np.flatnonzero(table.indices == node)
+    return table.values.item(int(at))
+
+
+def check_sample(contour):
+    """The smooth nodes that ``boundary_values`` checks: every
+    ceil(S / CHECK_NODES)-th of the S smooth nodes."""
+    smooth = np.flatnonzero(~contour.corner_mask)
+    return smooth[::int(np.ceil(smooth.size / CHECK_NODES))]
 
 
 class TestBoundaryLimits:
     def test_constant_density_limits(self, unit_circle):
         fn = CauchyIntegralFn(unit_circle,
                               boundary_samples(parse("1"), unit_circle))
-        plus = limit_at(fn, unit_circle, 10, "+")
-        minus = limit_at(fn, unit_circle, 10, "-")
+        plus = limit_at(fn, unit_circle, 16, "+")
+        minus = limit_at(fn, unit_circle, 16, "-")
         assert norm_of(dc_sub(plus, DualComplex(1, 0))) < 1e-8
         assert norm_of(minus) < 1e-8
 
     def test_identity_density_limits(self, unit_circle):
         fn = CauchyIntegralFn(unit_circle,
                               boundary_samples(parse("tau"), unit_circle))
-        k = 37
+        k = 40
         tau_k = unit_circle.values().item(k)
         plus = limit_at(fn, unit_circle, k, "+")
         minus = limit_at(fn, unit_circle, k, "-")
@@ -476,14 +488,14 @@ class TestBoundaryLimits:
         assert norm_of(minus) < 1e-8
 
     def test_corner_node_rejected(self, bih):
-        """The offset limit is never taken at a corner node: the table
-        leaves them out, and a square whose every node is a corner node has
-        no limit to take."""
+        """The offset limit is never taken at a corner node: the table holds
+        the stride sample of the smooth nodes, and a square whose every node
+        is a corner node has no limit to take."""
         c = polygon_contour(bih, SQUARE, nodes=512)
         fn = CauchyIntegralFn(c, boundary_samples(parse("1"), c))
         table = boundary_values(fn, c, "+")
         assert not c.corner_mask[table.indices].any()
-        assert np.array_equal(table.indices, np.flatnonzero(~c.corner_mask))
+        assert np.array_equal(table.indices, check_sample(c))
         coarse = polygon_contour(bih, SQUARE, nodes=64)
         fn = CauchyIntegralFn(coarse, boundary_samples(parse("1"), coarse))
         with pytest.raises(CornerNodeError):
@@ -495,6 +507,75 @@ class TestBoundaryLimits:
         table = boundary_values(fn, unit_circle, "+")
         assert table.error_estimates.shape == table.indices.shape
         assert float(table.error_estimates.max()) < 1e-6
+
+
+def lagrange_at_zero(ds, vals):
+    """The polynomial through (ds[j], vals[j]) evaluated at zero."""
+    out = 0
+    for j, v in enumerate(vals):
+        others = np.delete(ds, j)
+        out = out + v * np.prod(others / (others - ds[j]))
+    return out
+
+
+class TestCheckSample:
+    def test_stride_sample(self, bih):
+        """256 smooth nodes are checked at stride 4, 200 at stride
+        ceil(200 / 64) = 4 too, and 64 or fewer in full."""
+        fn = lambda p: DualComplex(p.x + 0j, p.y + 0j)
+        big = circle_contour(bih, radius=1.0, nodes=256)
+        table = boundary_values(fn, big, "+")
+        assert np.array_equal(table.indices, np.arange(0, 256, 4))
+        assert table.values.c1.shape == table.error_estimates.shape == (64,)
+        odd = circle_contour(bih, radius=1.0, nodes=200)
+        assert np.array_equal(boundary_values(fn, odd, "+").indices,
+                              np.arange(0, 200, 4))
+        for c in (circle_contour(bih, radius=1.0, nodes=64),
+                  polygon_contour(bih, SQUARE, nodes=128)):
+            assert np.array_equal(boundary_values(fn, c, "-").indices,
+                                  c.smooth_indices())
+        assert polygon_contour(bih, SQUARE, nodes=128).smooth_indices().size == 64
+
+    @pytest.mark.parametrize("kind", ["circle", "square"])
+    @pytest.mark.parametrize("side", ["+", "-"])
+    def test_batched_limits_match_per_offset_reference(self, bih, kind, side):
+        """One call over all offsets of a stacked integral gives the limits
+        and estimates of polynomial extrapolation through each offset's own
+        evaluation."""
+        c = (circle_contour(bih, radius=1.0, nodes=256) if kind == "circle"
+             else polygon_contour(bih, SQUARE, nodes=256))
+        d1, d2 = (boundary_samples(parse(f), c) for f in ("exp(z)", "1/(z-2)+rho*z"))
+        fn = CauchyIntegralFn(c, DualComplex(np.stack([d1.c1, d2.c1]),
+                                             np.stack([d1.c2, d2.c2])))
+        table = boundary_values(fn, c, side)
+        idx = check_sample(c)
+        sign = 1.0 if side == "+" else -1.0
+        ds = OFFSET_SPACING_FACTOR * c.max_spacing / 2.0 ** np.arange(N_OFFSETS)
+        per_offset = []
+        for d in ds:
+            p = c.xy[idx] + sign * d * c.inward_normals()[idx]
+            v = fn(PointE(p[:, 0], p[:, 1], bih))
+            per_offset.append(np.stack([v.c1, v.c2]))
+        want = lagrange_at_zero(ds, per_offset)
+        penult = lagrange_at_zero(ds[:-1], per_offset[:-1])
+        got = np.stack([table.values.c1, table.values.c2])
+        assert got.shape == (2, 2, idx.size)
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale
+        est = np.asarray(dc_norm(DualComplex(*(want - penult))))
+        assert np.max(np.abs(table.error_estimates - est)) <= 1e-13 * scale
+
+    def test_one_evaluator_call_per_table(self, bih):
+        c = circle_contour(bih, radius=1.0, nodes=256)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
+        calls = []
+
+        def counted(points):
+            calls.append(np.shape(points.x))
+            return fn(points)
+        for side in "+-":
+            boundary_values(counted, c, side)
+        assert calls == [(N_OFFSETS, 64)] * 2
 
 
 class TestJumpCheck:

@@ -21,6 +21,7 @@ from dualrbvp import (
     solve_jump,
     solve_nonhomogeneous,
 )
+from dualrbvp import integral
 from dualrbvp.algebra import PointE
 from dualrbvp.integral import boundary_defect
 from dualrbvp.rbvp import RBVPProblem, Tolerances
@@ -240,10 +241,69 @@ class TestClosedFormsAtEveryNode:
         scale = max(1.0, norm_of(want))
         assert norm_of(dc_sub(plus.values, want)) <= tol * scale
         assert norm_of(minus.values) <= tol * scale
-        # the offset check covers the smooth nodes only
-        checked = ~np.isnan(plus.error_estimates)
-        assert np.array_equal(checked, ~contour.corner_mask)
+        # the offset check covers the stride sample of the smooth nodes
+        smooth = np.flatnonzero(~contour.corner_mask)
+        sample = smooth[::int(np.ceil(smooth.size / integral.CHECK_NODES))]
+        assert np.array_equal(np.flatnonzero(~np.isnan(plus.error_estimates)),
+                              sample)
         assert residual_report(s).boundary_error_estimate is not None
+
+
+def estimate(contour, G, g):
+    return residual_report(solve_nonhomogeneous(problem(
+        contour, G=G, g=g))).boundary_error_estimate
+
+
+def pole_family(c, d):
+    """G = tau exp(b tau + c (tau - a)^(-1)) and
+    g = exp(b tau) (1 + tau^2 - d (tau - a)^(-1)) with a = 0.9 + 0.1 rho,
+    0.1 inside the unit circle."""
+    b, a = "(0.5+0.25*rho)", "(0.9+0.1*rho)"
+    return (f"tau*exp({b}*tau+({c})/(tau-{a}))",
+            f"exp({b}*tau)*(1+tau^2-({d})/(tau-{a}))")
+
+
+class TestSampledEstimate:
+    """The offset check on its node sample against the check at every
+    smooth node (a CHECK_NODES above any node count)."""
+
+    @pytest.mark.parametrize("kind", ["circle", "ellipse", "explicit-ellipse",
+                                      "square"])
+    def test_entire_data_within_ten_percent(self, bih, kind, monkeypatch):
+        t = 2 * np.pi * np.arange(128) / 128
+        contour = {
+            "circle": lambda: circle_contour(bih, radius=1.0, nodes=256),
+            "ellipse": lambda: ellipse_contour(bih, semi_axes=(1.3, 0.8),
+                                               nodes=192),
+            "explicit-ellipse": lambda: explicit_contour(
+                bih, np.stack([1.3 * np.cos(t), 0.8 * np.sin(t)], axis=1)),
+            "square": lambda: polygon_contour(
+                bih, [[-1, -1], [1, -1], [1, 1], [-1, 1]], nodes=512),
+        }[kind]()
+        data = ("tau*exp((0.5+0.25*rho)*tau)", "1+tau^2")
+        sampled = estimate(contour, *data)
+        monkeypatch.setattr(integral, "CHECK_NODES", 10 ** 6)
+        full = estimate(contour, *data)
+        assert 0.9 * full <= sampled <= full
+
+    @pytest.mark.parametrize("c, d", [("0.3+0.1*rho", "0.5+0.2*rho"),
+                                      ("1", "1"), ("0.3", "0")])
+    def test_pole_family_within_half(self, bih, c, d, monkeypatch):
+        contour = circle_contour(bih, radius=1.0, nodes=256)
+        sampled = estimate(contour, *pole_family(c, d))
+        monkeypatch.setattr(integral, "CHECK_NODES", 10 ** 6)
+        full = estimate(contour, *pole_family(c, d))
+        assert 0.5 * full <= sampled <= full
+
+    def test_sample_can_miss_the_worst_node(self, bih, monkeypatch):
+        """Near a pole the estimate is a diagnostic, not a bound: with this
+        data the worst node is not in the sample, and the sampled estimate
+        reads 0.45 of the full one."""
+        contour = circle_contour(bih, radius=1.0, nodes=256)
+        data = pole_family("0.5i", "0.3-0.2i")
+        sampled = estimate(contour, *data)
+        monkeypatch.setattr(integral, "CHECK_NODES", 10 ** 6)
+        assert 0.0 < sampled < 0.9 * estimate(contour, *data)
 
 
 class TestResidualReport:
