@@ -191,16 +191,53 @@ class Contour:
         return out
 
     def interior_mask(self, x, y) -> np.ndarray:
-        """1 interior, 0 exterior, -1 within the guard band of the curve."""
+        """1 interior, 0 exterior, -1 within the guard band of the curve,
+        flattened: the codes of ``winding_number`` and ``dist_to``, which run
+        only where two exact lower bounds on the distance cannot place the
+        point (``_classify``)."""
         return self._classify(x, y)[0]
 
     def _classify(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """The ``interior_mask`` codes and the distances they were read from,
-        so that a caller evaluating an integral there measures each point
-        once (``CauchyIntegralFn._at``)."""
-        code = (self.winding_number(x, y) != 0).astype(int)
-        dist = self.dist_to(x, y)
-        code[dist < self.guard_band] = -1
+        """The ``interior_mask`` codes and a distance for each point, so that
+        a caller evaluating an integral there measures each point at most
+        once (``CauchyIntegralFn._at``).
+
+        Two lower bounds on the distance to the polyline settle most points
+        exactly.  The polyline lies in the nodes' bounding box, so the
+        distance to the box bounds it, and a point outside the box winds 0.
+        The open disc about the centroid c of radius r0 = dist_to(c) misses
+        the polyline, so r0 - |p - c| bounds it, and a point in the disc
+        winds as c does.  Only a point whose larger bound is under the guard
+        band plus a rounding slack is scanned by ``winding_number`` and
+        ``dist_to``; the codes are the same as scanning every point.  The
+        distance is exact at scanned points and is the bound, at least the
+        guard band, elsewhere, which is all ``CauchyIntegralFn._at`` reads:
+        its near/far split and its refusal compare with the guard band and
+        with ``min_eval_distance``, which is smaller.
+        """
+        x = np.asarray(x, dtype=float).ravel()
+        y = np.asarray(y, dtype=float).ravel()
+        band = self.guard_band
+        lo, hi = self.xy.min(axis=0), self.xy.max(axis=0)
+        box = np.hypot(np.maximum(np.maximum(lo[0] - x, x - hi[0]), 0.0),
+                       np.maximum(np.maximum(lo[1] - y, y - hi[1]), 0.0))
+        if "disc" not in self._cache:
+            c = self.centroid
+            self._cache["disc"] = (c, float(self.dist_to(*c)[0]),
+                                   int(self.winding_number(*c)[0] != 0))
+        c, r0, c_code = self._cache["disc"]
+        disc = r0 - np.hypot(x - c[0], y - c[1])
+        dist = np.maximum(box, disc)
+        code = np.where(box > 0.0, 0, c_code)
+        # covers rounding in the bounds and in dist_to, relative to the
+        # coordinates' magnitude so that a contour far from the origin keeps it
+        slack = 1e-9 * (band + float(np.abs(self.xy).max()))
+        scan = np.nonzero(dist < band + slack)[0]
+        if scan.size:
+            xs, ys = x[scan], y[scan]
+            dist[scan] = self.dist_to(xs, ys)
+            code[scan] = np.where(dist[scan] < band, -1,
+                                  self.winding_number(xs, ys) != 0)
         return code, dist
 
     # -- upsampled geometry (smooth kinds) ----------------------------------------

@@ -24,6 +24,7 @@ Floats are written by ``repr``, so every value reads back exactly.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -138,20 +139,43 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
         raise ProblemFormatError("'output' must be an object")
     # other keys, such as "boundary_samples" in older files, are ignored:
     # the boundary section records every node
-    grid = out_node.get("grid")
-    if grid is not None:
-        for key in ("nx", "ny"):
-            if key not in grid:
-                raise ProblemFormatError(f"grid spec needs '{key}'")
+    grid = _parse_grid(out_node.get("grid"))
     return ProblemSpec(contour=contour, problem=problem, grid=grid)
+
+
+def _parse_grid(node) -> Optional[dict]:
+    """The output grid with positive integer ``nx`` and ``ny`` and a finite
+    ``margin`` >= 0 (default 0.5), checked before any solve."""
+    if node is None:
+        return None
+    if not isinstance(node, dict):
+        raise ProblemFormatError("'output.grid' must be an object")
+    grid = {}
+    for key in ("nx", "ny"):
+        if key not in node:
+            raise ProblemFormatError(f"grid spec needs '{key}'")
+        v = node[key]
+        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+            raise ProblemFormatError(
+                f"grid '{key}' must be a positive integer, got {v!r}")
+        grid[key] = v
+    margin = node.get("margin", 0.5)
+    try:
+        ok = (not isinstance(margin, bool) and math.isfinite(margin)
+              and margin >= 0)
+    except (TypeError, OverflowError):   # not a number, or no float holds it
+        ok = False
+    if not ok:
+        raise ProblemFormatError(
+            f"grid 'margin' must be a finite number >= 0, got {margin!r}")
+    grid["margin"] = float(margin)
+    return grid
 
 
 def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
     if spec.grid is None:
         return None
-    nx = int(spec.grid["nx"])
-    ny = int(spec.grid["ny"])
-    margin = float(spec.grid.get("margin", 0.5))
+    nx, ny, margin = spec.grid["nx"], spec.grid["ny"], spec.grid["margin"]
     lo = spec.contour.xy.min(axis=0)
     hi = spec.contour.xy.max(axis=0)
     pad = margin * max(hi[0] - lo[0], hi[1] - lo[1])
@@ -159,8 +183,9 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
     ys = np.linspace(lo[1] - pad, hi[1] + pad, ny)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     flat_x, flat_y = gx.ravel(), gy.ravel()
-    # one distance query per grid point: the one that classifies it also
-    # picks the near or far rule of its evaluation
+    # at most one distance query per grid point, only where the bounds
+    # cannot place it: the distance that classifies a point also picks the
+    # near or far rule of its evaluation
     code, dist = spec.contour._classify(flat_x, flat_y)
     plus_rows: list = [None] * flat_x.size
     minus_rows: list = [None] * flat_x.size

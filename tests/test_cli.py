@@ -221,6 +221,33 @@ class TestSolve:
         assert any(r is not None for r in rows)
         assert any(r is None for r in rows)  # guard band omitted
 
+    @pytest.mark.parametrize("grid", [
+        5,
+        {"nx": -5, "ny": 8},
+        {"nx": "abc", "ny": 8},
+        {"nx": 8, "ny": 8, "margin": "x"},
+        {"nx": 4.7, "ny": 8},
+        {"nx": True, "ny": 8},
+        {"nx": 8, "ny": 8, "margin": -0.5},
+        {"nx": 8, "ny": 8, "margin": float("nan")},
+        {"nx": 8, "ny": 8, "margin": 10 ** 400},
+    ], ids=["grid-5", "nx-negative", "nx-string", "margin-string", "nx-float",
+            "nx-bool", "margin-negative", "margin-nan", "margin-huge-int"])
+    def test_invalid_grid_exit_3_before_solving(self, tmp_path, capsys,
+                                                 monkeypatch, grid):
+        import dualrbvp.cli as cli
+
+        def unreachable(problem):
+            raise AssertionError("solved a problem with an invalid grid")
+
+        monkeypatch.setattr(cli, "solve_auto", unreachable)
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             output={"grid": grid})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 3
+        assert "grid" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_nodes_override(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", g="tau")
         out = tmp_path / "r.json"

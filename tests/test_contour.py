@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dualrbvp import (
+    BasisE,
     build_contour,
     circle_contour,
     ellipse_contour,
@@ -209,6 +212,70 @@ class TestDistanceAndWinding:
         assert np.array_equal(got, angle_sum_winding(c, x, y))
         assert list(got[:8]) == [1, 0, 0, 0, 0, 0, 1, 1]
         assert 0 < got.sum() < got.size
+
+
+# the notch of the U holds the nodes' centroid (1.5, 1.5), outside the curve
+U_SHAPE = [[0.0, 0.0], [3.0, 0.0], [3.0, 3.0], [2.0, 3.0], [2.0, 1.0],
+           [1.0, 1.0], [1.0, 3.0], [0.0, 3.0]]
+# the centroid of a strip this thin lies within the guard band
+THIN_STRIP = [[0.0, 0.0], [1.0, 0.0], [1.0, 0.01], [0.0, 0.01]]
+
+
+def _negative_det_l_shape(bih):
+    # det < 0 reverses the vertices, so the (x, y) trace winds -1 inside
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", UserWarning)
+        return polygon_contour(BasisE(1 + 0j, 0j, -1j, 0.3j), L_SHAPE, nodes=512)
+
+
+BOUND_CONTOURS = {
+    "circle": lambda bih: circle_contour(bih, center=(0.2, -0.1), nodes=256),
+    "ellipse": lambda bih: ellipse_contour(bih, semi_axes=(1.5, 0.8), nodes=192),
+    "explicit": lambda bih: explicit_contour(
+        bih, ellipse_contour(bih, semi_axes=(1.2, 0.7), nodes=128).xy),
+    "square": lambda bih: polygon_contour(bih, SQUARE, nodes=128),
+    "l-shape": lambda bih: polygon_contour(bih, L_SHAPE, nodes=512),
+    "u-shape": lambda bih: polygon_contour(bih, U_SHAPE, nodes=512),
+    "thin-strip": lambda bih: polygon_contour(bih, THIN_STRIP, nodes=64),
+    "far-circle": lambda bih: circle_contour(bih, center=(1e4, -1e4), nodes=256),
+    "negative-det": _negative_det_l_shape,
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOUND_CONTOURS))
+def test_classify_bounds_are_exact(bih, rng, name):
+    """The codes the box and disc bounds give without a distance query are
+    those of measuring every point, at random points and at points one
+    guard band from the box and from the disc, where the bounds are
+    tight."""
+    c = BOUND_CONTOURS[name](bih)
+    band = c.guard_band
+    lo, hi = c.xy.min(axis=0), c.xy.max(axis=0)
+    size = float((hi - lo).max())
+    nudge = 1.0 + np.array([-1e-12, 0.0, 1e-12])
+    u = rng.uniform(0.0, 1.0, 200)
+    off = np.repeat(band * nudge, u.size)
+    sx = np.tile(lo[0] + u * (hi[0] - lo[0]), 3)
+    sy = np.tile(lo[1] + u * (hi[1] - lo[1]), 3)
+    diag = off / np.sqrt(2.0)
+    box_x = np.concatenate([lo[0] - off, hi[0] + off, sx, sx,
+                            lo[0] - diag, hi[0] + diag])
+    box_y = np.concatenate([sy, sy, lo[1] - off, hi[1] + off,
+                            lo[1] - diag, hi[1] + diag])
+    centre = c.centroid
+    r0 = float(c.dist_to(*centre)[0])
+    ang = rng.uniform(0.0, 2.0 * np.pi, 200)
+    rad = np.repeat((r0 - band) * nudge, ang.size)
+    disc_x = centre[0] + rad * np.tile(np.cos(ang), 3)
+    disc_y = centre[1] + rad * np.tile(np.sin(ang), 3)
+    x = np.concatenate([rng.uniform(lo[0] - size, hi[0] + size, 2000),
+                        box_x, disc_x])
+    y = np.concatenate([rng.uniform(lo[1] - size, hi[1] + size, 2000),
+                        box_y, disc_y])
+    want = np.where(c.dist_to(x, y) < band, -1,
+                    (c.winding_number(x, y) != 0).astype(int))
+    np.testing.assert_array_equal(c.interior_mask(x, y), want)
+    assert {0, -1} <= set(want.tolist())
 
 
 def dense_theta(contour, node_index, eps):

@@ -66,28 +66,57 @@ def test_classify_is_the_mask_and_its_distances(bih, rng, kind):
     x, y = rng.uniform(lo[0], hi[0], 2000), rng.uniform(lo[1], hi[1], 2000)
     code, dist = c._classify(x, y)
     assert np.array_equal(code, c.interior_mask(x, y))
-    assert np.array_equal(dist, c.dist_to(x, y))
+    # exact where it is under the guard band; elsewhere a lower bound that
+    # is at least the guard band
+    exact = c.dist_to(x, y)
+    near = dist < c.guard_band
+    assert np.array_equal(dist[near], exact[near])
+    assert np.all((c.guard_band <= dist[~near]) & (dist[~near] <= exact[~near]))
     # the rule trace_defects selected its probes with before
-    clear = dist >= c.guard_band
+    clear = exact >= c.guard_band
     wound = c.winding_number(x, y) != 0
     for inside in (False, True):
         assert np.array_equal(code == int(inside), (wound == inside) & clear)
 
 
-def test_grid_measures_each_point_once(tmp_path, bih, monkeypatch):
-    spec, sol = solved(tmp_path, bih, "circle", grid={"nx": NX, "ny": NY})
+def measured_points(monkeypatch):
+    """The (x, y) of every point ``Contour.dist_to`` measures from now on."""
     measured = []
     dist_to = Contour.dist_to
 
     def counted(self, x, y):
-        out = dist_to(self, x, y)
-        measured.append(out.size)
-        return out
+        measured.append(np.stack(np.broadcast_arrays(
+            np.ravel(x), np.ravel(y)), axis=1))
+        return dist_to(self, x, y)
 
     monkeypatch.setattr(Contour, "dist_to", counted)
+    return measured
+
+
+def test_grid_measures_each_point_once(tmp_path, bih, monkeypatch):
+    spec, sol = solved(tmp_path, bih, "circle", grid={"nx": NX, "ny": NY})
+    measured = measured_points(monkeypatch)
     grid = _grid_section(spec, sol)
     assert sum(r is not None for r in grid["phi_plus"] + grid["phi_minus"]) > 0
-    assert sum(measured) == NX * NY
+    points = np.concatenate(measured)
+    # at most the grid and the centroid, and no point twice
+    assert len(points) <= NX * NY + 1
+    assert len(np.unique(points, axis=0)) == len(points)
+
+
+def test_grid_measures_few_points_far_from_the_curve(tmp_path, bih, monkeypatch):
+    """A 128 x 128 grid around a 256-node unit circle: the bounds place
+    nearly nine points in ten without a distance query (11.7% measured)."""
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "contour": {"kind": "circle", "radius": 1.0, "nodes": 256},
+        "G": "tau", "g": "1 + tau*tau",
+        "output": {"grid": {"nx": 128, "ny": 128, "margin": 0.5}}}))
+    spec = load_problem(str(path))
+    sol = solve_auto(spec.problem)
+    measured = measured_points(monkeypatch)
+    _grid_section(spec, sol)
+    assert sum(map(len, measured)) <= 0.2 * 128 * 128
 
 
 @pytest.mark.parametrize("kind", sorted(CONTOURS))
