@@ -31,7 +31,13 @@ import sys
 
 import numpy as np
 
-from .algebra import PointE, biharmonic_basis, classical_basis, dc_norm
+from .algebra import (
+    DualComplex,
+    PointE,
+    biharmonic_basis,
+    classical_basis,
+    dc_norm,
+)
 from .diagnostics import regularity_report
 from .errors import (
     DualRbvpError,
@@ -125,6 +131,8 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
     spec = load_problem(path, nodes_override=nodes,
                         residual_tol_override=tol_residual)
     doc = read_json(solution_path)
+    if not isinstance(doc, dict):
+        raise ProblemFormatError("solution file must be a JSON object")
     if doc.get("format") != RESULT_FORMAT:
         raise ProblemFormatError(
             f"solution file format {doc.get('format')!r} unsupported")
@@ -139,11 +147,13 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
     boundary = doc.get("boundary")
     residual = exterior = interior = None
     if boundary is not None:
-        if boundary.get("node_indices") != list(range(spec.contour.n)):
+        n = spec.contour.n
+        if (not isinstance(boundary, dict)
+                or boundary.get("node_indices") != list(range(n))):
             raise ProblemFormatError(
                 "boundary section must record every contour node in order")
-        phi_p = dc_array_from_lists(boundary["phi_plus"])
-        phi_m = dc_array_from_lists(boundary["phi_minus"])
+        phi_p, phi_m = (_recorded_table(boundary, key, n)
+                        for key in ("phi_plus", "phi_minus"))
         residual = float(np.max(boundary_defect(
             spec.contour, spec.problem.G, spec.problem.g, phi_p, phi_m)))
         exterior, interior = trace_defects(spec.contour, phi_p, phi_m)
@@ -181,6 +191,18 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
           f"defect {exterior} and interior trace spread {interior} "
           f"(tolerance {report.get('trace_tolerance')})", file=sys.stderr)
     return EXIT_RESIDUAL
+
+
+def _recorded_table(boundary: dict, key: str, n: int) -> DualComplex:
+    """One node table of a result file's boundary section: one row per
+    contour node."""
+    if key not in boundary:
+        raise ProblemFormatError(f"boundary section needs '{key}'")
+    table = dc_array_from_lists(boundary[key])
+    if len(table.c1) != n:
+        raise ProblemFormatError(
+            f"boundary '{key}' has {len(table.c1)} rows for {n} contour nodes")
+    return table
 
 
 def run_index(path: str, nodes: int | None = None) -> int:

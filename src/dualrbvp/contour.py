@@ -192,15 +192,15 @@ class Contour:
 
     def interior_mask(self, x, y) -> np.ndarray:
         """1 interior, 0 exterior, -1 within the guard band of the curve,
-        flattened: the codes of ``winding_number`` and ``dist_to``, which run
-        only where two exact lower bounds on the distance cannot place the
-        point (``_classify``)."""
-        return self._classify(x, y)[0]
+        flattened: the sides of ``_classify``, with -1 wherever its distance
+        is under the guard band."""
+        code, dist = self._classify(x, y)
+        code[dist < self.guard_band] = -1
+        return code
 
     def _classify(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """The ``interior_mask`` codes and a distance for each point, so that
-        a caller evaluating an integral there measures each point at most
-        once (``CauchyIntegralFn._at``).
+        """The side of each point, 1 where the (x, y) trace winds about it and
+        0 elsewhere, and a distance for each point, flattened.
 
         Two lower bounds on the distance to the polyline settle most points
         exactly.  The polyline lies in the nodes' bounding box, so the
@@ -209,11 +209,11 @@ class Contour:
         the polyline, so r0 - |p - c| bounds it, and a point in the disc
         winds as c does.  Only a point whose larger bound is under the guard
         band plus a rounding slack is scanned by ``winding_number`` and
-        ``dist_to``; the codes are the same as scanning every point.  The
+        ``dist_to``; the sides are the same as scanning every point.  The
         distance is exact at scanned points and is the bound, at least the
-        guard band, elsewhere, which is all ``CauchyIntegralFn._at`` reads:
-        its near/far split and its refusal compare with the guard band and
-        with ``min_eval_distance``, which is smaller.
+        guard band, elsewhere: callers compare it only with the guard band
+        (``interior_mask``) or with smaller lengths (the output grid's
+        rounding floor).
         """
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
@@ -236,8 +236,7 @@ class Contour:
         if scan.size:
             xs, ys = x[scan], y[scan]
             dist[scan] = self.dist_to(xs, ys)
-            code[scan] = np.where(dist[scan] < band, -1,
-                                  self.winding_number(xs, ys) != 0)
+            code[scan] = self.winding_number(xs, ys) != 0
         return code, dist
 
     # -- upsampled geometry (smooth kinds) ----------------------------------------

@@ -8,7 +8,9 @@ a function of zeta that is monogenic off the curve and vanishes at infinity.
 Off-curve evaluation uses the contour's native quadrature; points inside the
 guard band use one refined rule per integral, built on first use: an 8x
 trigonometrically upsampled rule on smooth and explicit contours, and 16 Gauss
-sub-panels per panel on polygons.
+sub-panels per panel on polygons.  Only the checks evaluate an integral off
+the curve, so the refined rule serves the offset check alone: solutions
+read their off-curve values from their node tables (``rbvp``).
 
 Either rule is one kernel sum.  A density may be a (K, N) stack of sample
 sets, such as the exponent ln(tau^(-kappa) G) and psi = g/X+ of one
@@ -147,7 +149,8 @@ def _scatter(live: np.ndarray, k: int, v1: np.ndarray, v2: np.ndarray) -> DualCo
 
 
 def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
-                z1: np.ndarray, z2: np.ndarray) -> DualComplex:
+                z1: np.ndarray, z2: np.ndarray,
+                drop: np.ndarray | None = None) -> DualComplex:
     """sum_k dens_k (tau_k - z)^(-1) w_k / (2 pi i) at every target z.
 
     ``dens`` is a (K, N) stack of densities; the result is (K, M) for M
@@ -156,7 +159,9 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     (tau - z)^(-1) = inv_u - (tau2 - z2) inv_u^2 rho; with the (N, L) blocks
     a = d1 w1 and b = d1 w2 + d2 w1 of the live rows the two components are
     inv_u @ a and inv_u @ b - q @ a.  Targets go in chunks of PAIR_CHUNK
-    pairs, on two planes allocated once per call.
+    pairs, on two planes allocated once per call.  ``drop`` gives, for
+    targets that are nodes, the index of the source each one leaves out:
+    its pair's factors are zeroed, so it divides by nothing.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
     live, (a, b) = _weighted_blocks(w, dens)
@@ -168,40 +173,13 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     for s in range(0, m, chunk):
         inv_u, q = planes[:, :min(chunk, m - s)]
         np.subtract(t1, z1[s:s + chunk, None], out=inv_u)
+        if drop is not None:
+            pair = (np.arange(len(inv_u)), drop[s:s + chunk])
+            inv_u[pair] = 1.0
         np.divide(1.0, inv_u, out=inv_u)
+        if drop is not None:
+            inv_u[pair] = 0.0
         np.subtract(t2, z2[s:s + chunk, None], out=q)
-        q *= inv_u
-        q *= inv_u
-        np.matmul(inv_u, a, out=out1[s:s + chunk])
-        np.matmul(inv_u, b, out=out2[s:s + chunk])
-        out2[s:s + chunk] -= q @ a
-    return _scatter(live, len(dens.c1), out1, out2)
-
-
-def _node_kernel_sum(tau: DualComplex, w: DualComplex,
-                     dens: DualComplex) -> DualComplex:
-    """sum_{k != j} dens_k (tau_k - tau_j)^(-1) w_k / (2 pi i) at every node j.
-
-    The same two matrix products as ``_kernel_sum`` over the same live rows,
-    with the nodes as targets, in chunks of PAIR_CHUNK pairs; the k = j pair
-    is dropped by zeroing its factors.
-    """
-    t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
-    live, (a, b) = _weighted_blocks(w, dens)
-    n = t1.size
-    out1 = np.empty((n, live.size), dtype=complex)
-    out2 = np.empty_like(out1)
-    m = n if live.size else 0
-    chunk = max(1, min(m, PAIR_CHUNK // n))
-    planes = np.empty((2, chunk, n), dtype=complex)
-    for s in range(0, m, chunk):
-        inv_u, q = planes[:, :min(chunk, m - s)]
-        diag = (np.arange(len(inv_u)), np.arange(s, s + len(inv_u)))
-        np.subtract(t1, t1[s:s + chunk, None], out=inv_u)
-        inv_u[diag] = 1.0
-        np.divide(1.0, inv_u, out=inv_u)
-        inv_u[diag] = 0.0
-        np.subtract(t2, t2[s:s + chunk, None], out=q)
         q *= inv_u
         q *= inv_u
         np.matmul(inv_u, a, out=out1[s:s + chunk])
@@ -254,9 +232,11 @@ def _subtracted_sum(contour: Contour, dens: DualComplex) -> DualComplex:
         return DualComplex(np.zeros(shape, dtype=complex),
                            np.zeros(shape, dtype=complex))
     k = len(d1)
-    v = _node_kernel_sum(contour.values(), contour.dtau(), DualComplex(
+    tau = contour.values()
+    v = _kernel_sum(tau, contour.dtau(), DualComplex(
         np.vstack([d1, np.ones((1, contour.n))]),
-        np.vstack([d2, np.zeros((1, contour.n))])))
+        np.vstack([d2, np.zeros((1, contour.n))])),
+        tau.c1, tau.c2, drop=np.arange(contour.n))
     ones_sum = DualComplex(v.c1[k], v.c2[k])
     held = dc_mul(DualComplex(d1, d2), ones_sum)
     diag1, diag2 = _diagonal_term(contour, d1, d2)
@@ -285,16 +265,12 @@ class CauchyIntegralFn:
         return self.contour.guard_band / UPSAMPLE
 
     def __call__(self, points: PointE) -> DualComplex:
-        return self._at(points, self.contour.dist_to(points.x, points.y))
-
-    def _at(self, points: PointE, dist: np.ndarray) -> DualComplex:
-        """The integral at ``points``, given their flattened distances to the
-        curve (``Contour.dist_to``), for callers that have measured them."""
         c = self.contour
         shape = np.shape(points.x)
         x = np.asarray(points.x, dtype=float).ravel()
         y = np.asarray(points.y, dtype=float).ravel()
         z = c.basis.vector(x, y)
+        dist = c.dist_to(x, y)
         if np.any(dist < self.min_eval_distance()):
             raise TooCloseToBoundaryError(
                 f"evaluation within {self.min_eval_distance():.3e} of the contour")

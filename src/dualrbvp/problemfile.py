@@ -15,6 +15,10 @@ produce byte-identical outputs.  ``polynomial`` records P, ``psi`` records
 g exp(-E+) at every node (zero rows for a homogeneous problem), and the
 boundary section records Phi+ and Phi- at every contour node, in node
 order, because ``verify`` integrates them with the contour's quadrature.
+The grid section records Phi+ (``phi_plus``) at the grid points inside the
+curve and Phi- (``phi_minus``) at those outside, from the node tables
+(``rbvp``), and ``null`` for the other side; a point has neither only
+within rounding of the curve (GRID_FLOOR).
 
 Result and verify files are compact: one line, ``json.dumps(doc,
 sort_keys=True)`` with its ", " and ": " separators, then a newline.
@@ -40,6 +44,9 @@ RESULT_FORMAT = "dualrbvp-result@1"
 VERIFY_FORMAT = "dualrbvp-verify@1"
 
 DEFAULT_TOLERANCES = {"residual": 1e-6}
+# output grid points nearer the curve than this times its diameter get no
+# value: which side they lie on is rounding
+GRID_FLOOR = 1e-12
 
 
 def dc_to_list(c: DualComplex) -> list:
@@ -60,7 +67,10 @@ def dc_array_to_lists(c: DualComplex) -> list:
 
 
 def dc_array_from_lists(rows) -> DualComplex:
-    arr = np.asarray(rows, dtype=float)
+    try:
+        arr = np.asarray(rows, dtype=float)
+    except (TypeError, ValueError) as e:   # ragged rows, or not numbers
+        raise ProblemFormatError(f"expected a list of four-float rows: {e}") from e
     if arr.ndim != 2 or arr.shape[1] != 4:
         raise ProblemFormatError("expected a list of four-float rows")
     return DualComplex(arr[:, 0] + 1j * arr[:, 1], arr[:, 2] + 1j * arr[:, 3])
@@ -119,11 +129,11 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
         raise ProblemFormatError("'tolerances' must be an object")
     tol_node.update(extra)
     if residual_tol_override is not None:
-        tol_node["residual"] = float(residual_tol_override)
+        tol_node["residual"] = residual_tol_override
     # other keys, such as "quadrature", "index_integrality" and "moment" in
     # older files, are read and ignored: the residual tolerance also judges
     # the moment conditions
-    tols = Tolerances(residual=float(tol_node["residual"]))
+    tols = Tolerances(residual=_parse_residual(tol_node["residual"]))
 
     coeffs = [dc_from_list(row) for row in raw.get("polynomial", [])]
     g_text = raw.get("G", "1")
@@ -141,6 +151,19 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     # the boundary section records every node
     grid = _parse_grid(out_node.get("grid"))
     return ProblemSpec(contour=contour, problem=problem, grid=grid)
+
+
+def _parse_residual(tol) -> float:
+    """The residual tolerance, a finite number > 0, checked before any
+    solve: NaN, infinity or a bound <= 0 would pass or fail every check."""
+    try:
+        ok = not isinstance(tol, bool) and math.isfinite(tol) and tol > 0
+    except (TypeError, OverflowError):   # not a number, or no float holds it
+        ok = False
+    if not ok:
+        raise ProblemFormatError(
+            f"residual tolerance must be a finite number > 0, got {tol!r}")
+    return float(tol)
 
 
 def _parse_grid(node) -> Optional[dict]:
@@ -183,10 +206,8 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
     ys = np.linspace(lo[1] - pad, hi[1] + pad, ny)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     flat_x, flat_y = gx.ravel(), gy.ravel()
-    # at most one distance query per grid point, only where the bounds
-    # cannot place it: the distance that classifies a point also picks the
-    # near or far rule of its evaluation
     code, dist = spec.contour._classify(flat_x, flat_y)
+    code[dist < GRID_FLOOR * spec.contour.diameter] = -1
     plus_rows: list = [None] * flat_x.size
     minus_rows: list = [None] * flat_x.size
     for side, rows, side_code in (("+", plus_rows, 1), ("-", minus_rows, 0)):
@@ -194,7 +215,7 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
         if sel.size == 0:
             continue
         pts = PointE(flat_x[sel], flat_y[sel], spec.contour.basis)
-        vals = solution._side(side, pts, dist[sel])
+        vals = solution._side(side, pts)
         for j, row in zip(sel, dc_array_to_lists(vals)):
             rows[j] = row
     return {"nx": nx, "ny": ny, "x": [float(v) for v in xs],

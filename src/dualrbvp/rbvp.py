@@ -27,6 +27,14 @@ propagated to first order as |X| (e_psi + |psi~ + P| e_E), are the table's
 error estimate there (NaN at the other nodes).  ``boundary_error_estimate``
 is the largest of them over both sides, or None when no node could be
 checked; a diagnostic, since the sample can miss the worst node.
+
+Off the curve a solution is read from its node tables, the traces of one
+sectionally monogenic function, by Cauchy's formula in barycentric form
+(Helsing & Ojala, J. Comput. Phys. 2008): Phi+ = C[Phi+] / C[1] inside and
+Phi- = (C[Phi-] - Phi-(infinity)) / (C[1] - 1) outside, with C the native
+rule's Cauchy-type sum.  The quotient cancels the quadrature error near the
+curve, so it needs no guard band.  Phi-(infinity) is P's coefficient of
+z^kappa when P has degree kappa, and 0 otherwise.
 """
 
 from __future__ import annotations
@@ -47,6 +55,7 @@ from .errors import (
 from .integral import (
     BoundaryTable,
     CauchyIntegralFn,
+    _kernel_sum,
     boundary_defect,
     boundary_samples,
     boundary_values,
@@ -117,12 +126,10 @@ class ResidualReport:
 
 def _poly_eval(coeffs: list, zeta: DualComplex) -> DualComplex:
     """P(zeta) = sum coeffs[j] zeta^j via Horner."""
-    shape = np.shape(zeta.c1)
-    zero = DualComplex(np.zeros(shape, dtype=complex) if shape else 0j,
-                       np.zeros(shape, dtype=complex) if shape else 0j)
+    zero = np.zeros(np.shape(zeta.c1), dtype=complex)
     if not coeffs:
-        return zero
-    acc = DualComplex(zero.c1 + coeffs[-1].c1, zero.c2 + coeffs[-1].c2)
+        return DualComplex(zero, zero)
+    acc = DualComplex(zero + coeffs[-1].c1, zero + coeffs[-1].c2)
     for c in reversed(coeffs[:-1]):
         acc = dc_mul(acc, zeta)
         acc = DualComplex(acc.c1 + c.c1, acc.c2 + c.c2)
@@ -141,8 +148,8 @@ class RBVPSolution:
     psi: DualComplex              # g exp(-E+) at every node
     poly_coeffs: list
     solvability: SolvabilityReport
-    # the stacked integral [E, psi]: one distance query and one kernel pass
-    # per set of points, and the one integral the offset check reads
+    # the stacked integral [E, psi]: its node limits build the tables, and
+    # it is the one integral the offset check evaluates
     integral: CauchyIntegralFn = field(init=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, repr=False)
 
@@ -163,15 +170,23 @@ class RBVPSolution:
     def minus(self, points: PointE) -> DualComplex:
         return self._side("-", points)
 
-    def _side(self, side: str, points: PointE,
-              dist: Optional[np.ndarray] = None) -> DualComplex:
-        """Phi+ or Phi- at points off the curve; ``dist`` passes on their
-        distances to it when the caller has already measured them."""
-        v = self.integral(points) if dist is None else self.integral._at(points, dist)
-        zeta = points.value()
-        p = _poly_eval(self.poly_coeffs, zeta)
-        x = self.canonical.from_exponent(side, zeta, DualComplex(v.c1[0], v.c2[0]))
-        return dc_mul(x, DualComplex(v.c1[1] + p.c1, v.c2[1] + p.c2))
+    def _side(self, side: str, points: PointE) -> DualComplex:
+        """Phi+ at points inside the curve or Phi- at points outside it:
+        one kernel sum over [table, 1] and one quotient (module docstring)."""
+        c = self.problem.contour
+        table = self.boundary_table(side).values
+        z = c.basis.vector(np.ravel(points.x), np.ravel(points.y))
+        v = _kernel_sum(c.values(), c.dtau(), DualComplex(
+            np.stack([table.c1, np.ones(c.n)]),
+            np.stack([table.c2, np.zeros(c.n)])), z.c1, z.c2)
+        num, den = DualComplex(v.c1[0], v.c2[0]), DualComplex(v.c1[1], v.c2[1])
+        if side == "-":
+            kappa, coeffs = self.canonical.kappa, self.poly_coeffs
+            at_infinity = coeffs[kappa] if 0 <= kappa < len(coeffs) else 0.0
+            num, den = num - at_infinity, den - 1.0
+        out = num / den
+        shape = np.shape(points.x)
+        return DualComplex(out.c1.reshape(shape), out.c2.reshape(shape))
 
     def boundary_table(self, side: str) -> BoundaryTable:
         """Phi+ or Phi- at every node: X+- (psi~+- + P(tau)) from the node

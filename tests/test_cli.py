@@ -219,7 +219,7 @@ class TestSolve:
         assert grid["nx"] == 10 and len(grid["x"]) == 10
         rows = grid["phi_plus"]
         assert any(r is not None for r in rows)
-        assert any(r is None for r in rows)  # guard band omitted
+        assert any(r is None for r in rows)  # Phi+ has no exterior rows
 
     @pytest.mark.parametrize("grid", [
         5,
@@ -246,6 +246,35 @@ class TestSolve:
         out = tmp_path / "r.json"
         assert main(["solve", str(prob), "--out", str(out)]) == 3
         assert "grid" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tolerances, argv", [
+        ({"residual": float("nan")}, []),
+        ({"residual": -1}, []),
+        ({"residual": 0}, []),
+        ({"residual": "abc"}, []),
+        ({"residual": float("inf")}, []),
+        ({"residual": True}, []),
+        ({}, ["--tol-residual", "nan"]),
+        ({}, ["--tol-residual", "-1"]),
+        ({}, ["--tol-residual", "inf"]),
+    ], ids=["file-nan", "file-negative", "file-zero", "file-string",
+            "file-inf", "file-bool", "flag-nan", "flag-negative", "flag-inf"])
+    def test_invalid_residual_tolerance_exit_3_before_solving(
+            self, tmp_path, capsys, monkeypatch, tolerances, argv):
+        """A solvable kappa = -1 problem: a NaN or negative tolerance made it
+        exit 2 as unsolvable, a string exit 4, and infinity passed."""
+        import dualrbvp.cli as cli
+
+        def unreachable(problem):
+            raise AssertionError("solved with an invalid tolerance")
+
+        monkeypatch.setattr(cli, "solve_auto", unreachable)
+        prob = write_problem(tmp_path / "p.json", G="tau^(-1)*exp(0.2*tau)",
+                             g="1+tau^2", tolerances=tolerances)
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)] + argv) == 3
+        assert "tolerance" in capsys.readouterr().err
         assert not out.exists()
 
     def test_nodes_override(self, tmp_path):
@@ -377,6 +406,47 @@ class TestVerify:
         doc = json.loads(rep.read_text())
         assert doc["exterior_trace_defect"] <= 1e-12
         assert doc["interior_trace_spread"] <= 1e-12
+
+    def test_infinite_tolerance_exit_3(self, tmp_path, capsys):
+        # an infinite tolerance passed any tables and wrote "Infinity"
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1")
+        out = tmp_path / "r.json"
+        main(["solve", str(prob), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        for row in doc["boundary"]["phi_plus"]:
+            row[0] += 1.0
+        out.write_text(json.dumps(doc))
+        rep = tmp_path / "v.json"
+        assert main(["verify", str(prob), str(out), "--out", str(rep),
+                     "--tol-residual", "inf"]) == 3
+        assert "tolerance" in capsys.readouterr().err
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("damage", ["list", "no-phi-plus", "short-table",
+                                        "ragged-row", "boundary-list"])
+    def test_malformed_result_file_exit_3(self, tmp_path, capsys, damage):
+        """Each of these exited 4 ("unexpected ...") before."""
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 64})
+        out = tmp_path / "r.json"
+        main(["solve", str(prob), "--out", str(out)])
+        doc = json.loads(out.read_text())
+        boundary = doc["boundary"]
+        if damage == "list":
+            doc = [doc]
+        elif damage == "no-phi-plus":
+            del boundary["phi_plus"]
+        elif damage == "short-table":
+            boundary["phi_minus"].pop()
+        elif damage == "ragged-row":
+            boundary["phi_plus"][3].pop()
+        else:
+            doc["boundary"] = [1, 2]
+        out.write_text(json.dumps(doc))
+        assert main(["verify", str(prob), str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "unexpected" not in err
 
     def test_contour_hash_mismatch(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")

@@ -31,7 +31,6 @@ from dualrbvp.integral import (
     OFFSET_SPACING_FACTOR,
     CauchyIntegralFn,
     _kernel_sum,
-    _node_kernel_sum,
     _refined_panel_integral,
     boundary_samples,
     boundary_values,
@@ -360,12 +359,13 @@ class TestChunkLoops:
 
     @pytest.mark.parametrize("n", [128, 571])
     def test_node_kernel_sum_chunks(self, bih, rng, n):
-        """571 nodes are five chunks of 114 rows and a last one of one row;
-        the reference is the same loop on planes allocated per chunk."""
+        """The nodes as targets, each leaving out its own source: 571 nodes
+        are five chunks of 114 rows and a last one of one row; the
+        reference is the same loop on planes allocated per chunk."""
         c = circle_contour(bih, nodes=n)
         dens = self._stack(rng, n)
-        got = _node_kernel_sum(c.values(), c.dtau(), dens)
         t1, t2 = c.values().c1, c.values().c2
+        got = _kernel_sum(c.values(), c.dtau(), dens, t1, t2, drop=np.arange(n))
         w1, w2 = c.dtau().c1, c.dtau().c2
         a = np.ascontiguousarray((dens.c1[[0, 2]] * w1).T)
         b = np.ascontiguousarray((dens.c1[[0, 2]] * w2 + dens.c2[[0, 2]] * w1).T)

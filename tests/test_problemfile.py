@@ -3,7 +3,14 @@ import json
 import numpy as np
 import pytest
 
-from dualrbvp import DualComplex, PointE, build_contour, ellipse_contour
+from dualrbvp import (
+    DualComplex,
+    PointE,
+    build_contour,
+    ellipse_contour,
+    evaluate,
+    parse,
+)
 from dualrbvp.algebra import dc_norm
 from dualrbvp.contour import Contour
 from dualrbvp.integral import CauchyIntegralFn
@@ -65,18 +72,21 @@ def test_classify_is_the_mask_and_its_distances(bih, rng, kind):
     lo, hi = c.xy.min(axis=0) - 0.5, c.xy.max(axis=0) + 0.5
     x, y = rng.uniform(lo[0], hi[0], 2000), rng.uniform(lo[1], hi[1], 2000)
     code, dist = c._classify(x, y)
-    assert np.array_equal(code, c.interior_mask(x, y))
+    mask = c.interior_mask(x, y)
+    assert np.array_equal(mask, np.where(dist < c.guard_band, -1, code))
     # exact where it is under the guard band; elsewhere a lower bound that
     # is at least the guard band
     exact = c.dist_to(x, y)
     near = dist < c.guard_band
     assert np.array_equal(dist[near], exact[near])
     assert np.all((c.guard_band <= dist[~near]) & (dist[~near] <= exact[~near]))
-    # the rule trace_defects selected its probes with before
-    clear = exact >= c.guard_band
+    # the side is the winding's at every point, and the mask keeps the rule
+    # trace_defects selected its probes with before
     wound = c.winding_number(x, y) != 0
+    assert np.array_equal(code, wound.astype(int))
+    clear = exact >= c.guard_band
     for inside in (False, True):
-        assert np.array_equal(code == int(inside), (wound == inside) & clear)
+        assert np.array_equal(mask == int(inside), (wound == inside) & clear)
 
 
 def measured_points(monkeypatch):
@@ -93,8 +103,18 @@ def measured_points(monkeypatch):
     return measured
 
 
+def built_tables(sol):
+    """The solution with both node tables built, as ``result_document``
+    builds them before the grid: the offset check that builds them
+    measures its own points."""
+    for side in "+-":
+        sol.boundary_table(side)
+    return sol
+
+
 def test_grid_measures_each_point_once(tmp_path, bih, monkeypatch):
     spec, sol = solved(tmp_path, bih, "circle", grid={"nx": NX, "ny": NY})
+    built_tables(sol)
     measured = measured_points(monkeypatch)
     grid = _grid_section(spec, sol)
     assert sum(r is not None for r in grid["phi_plus"] + grid["phi_minus"]) > 0
@@ -113,7 +133,7 @@ def test_grid_measures_few_points_far_from_the_curve(tmp_path, bih, monkeypatch)
         "G": "tau", "g": "1 + tau*tau",
         "output": {"grid": {"nx": 128, "ny": 128, "margin": 0.5}}}))
     spec = load_problem(str(path))
-    sol = solve_auto(spec.problem)
+    sol = built_tables(solve_auto(spec.problem))
     measured = measured_points(monkeypatch)
     _grid_section(spec, sol)
     assert sum(map(len, measured)) <= 0.2 * 128 * 128
@@ -124,7 +144,8 @@ def test_grid_rows_equal_the_solution_at_each_point(tmp_path, bih, kind):
     spec, sol = solved(tmp_path, bih, kind, grid={"nx": NX, "ny": NY, "margin": 0.4})
     grid = _grid_section(spec, sol)
     gx, gy = np.meshgrid(grid["x"], grid["y"], indexing="xy")
-    code = spec.contour.interior_mask(gx.ravel(), gy.ravel())
+    # every point has a value, on the side its winding gives
+    code = spec.contour.winding_number(gx.ravel(), gy.ravel()) != 0
     for rows, side_code, fn in ((grid["phi_plus"], 1, sol.plus),
                                 (grid["phi_minus"], 0, sol.minus)):
         sel = np.nonzero(code == side_code)[0]
@@ -133,6 +154,40 @@ def test_grid_rows_equal_the_solution_at_each_point(tmp_path, bih, kind):
         v = fn(PointE(gx.ravel()[sel], gy.ravel()[sel], spec.contour.basis))
         want = np.stack([v.c1.real, v.c1.imag, v.c2.real, v.c2.imag], axis=1)
         assert np.array_equal(np.array([rows[j] for j in sel]), want), kind
+
+
+def test_grid_values_every_point_off_the_curve(tmp_path, bih):
+    """An L-shape whose inner edges lie 1e-7 and 2e-7 beside grid lines:
+    every point farther than rounding from the curve has a row, those
+    within 1e-6 of it included, and meets the closed form Phi+ = 1 + z^2,
+    Phi- = 0; only points on the curve (the grid lines along the outer
+    edges) have none."""
+    d = 1e-7
+    shape = [[-1, -1], [0.5 + d, -1], [0.5 + d, 2 * d], [2, 2 * d], [2, 1],
+             [-1, 1]]
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "contour": {"kind": "polygon", "vertices": shape, "nodes": 512},
+        "G": "tau*exp((0.5+0.25*rho)*tau)", "g": "1+tau^2",
+        "output": {"grid": {"nx": 31, "ny": 21, "margin": 0}}}))
+    spec = load_problem(str(path))
+    c = spec.contour
+    grid = _grid_section(spec, solve_auto(spec.problem))
+    gx, gy = np.meshgrid(grid["x"], grid["y"], indexing="xy")
+    x, y = gx.ravel(), gy.ravel()
+    dist = c.dist_to(x, y)
+    valued = np.array([p is not None or m is not None
+                       for p, m in zip(grid["phi_plus"], grid["phi_minus"])])
+    assert np.array_equal(valued, dist >= 1e-12 * c.diameter)
+    assert np.count_nonzero(valued & (dist < 1e-6)) >= 20
+    for key, text in (("phi_plus", "1+z^2"), ("phi_minus", "0*z")):
+        sel = [j for j, row in enumerate(grid[key]) if row is not None]
+        rows = np.array([grid[key][j] for j in sel])
+        pts = PointE(x[sel], y[sel], c.basis)
+        want = evaluate(parse(text), z=pts)
+        miss = np.hypot(np.abs(rows[:, 0] + 1j * rows[:, 1] - want.c1),
+                        np.abs(rows[:, 2] + 1j * rows[:, 3] - want.c2))
+        assert np.max(miss / np.maximum(1.0, dc_norm(want))) <= 1e-12, key
 
 
 def test_probes_and_points_keep_their_values(tmp_path, bih):
