@@ -36,8 +36,8 @@ these tables, and every construction reads them.
 ``boundary_values`` is the independent check: it evaluates an integral along
 the inward or outward normal at shrinking offsets and extrapolates the
 offset to zero (Neville scheme), at a 64-node sample of the smooth nodes,
-all offsets in one pass.  Solutions call it once per side on one integral
-and report its gap to the node limits.
+all offsets in one pass.  ``rbvp.residual_report`` calls it once per side
+on one integral and reports its gap to the node limits.
 """
 
 from __future__ import annotations
@@ -375,7 +375,6 @@ class BoundaryTable:
     indices: np.ndarray
     values: DualComplex
     error_estimates: np.ndarray
-    side: str
 
 
 def _neville_to_zero(ds: np.ndarray, v1: np.ndarray, v2: np.ndarray):
@@ -402,8 +401,9 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     offsets h, h/2, ..., h/2^(J-1) and extrapolates the offset to zero.
     All J x M points go to the evaluator in one call, so it must accept a
     (J, M) array of points and return (J, M) values, or (K, J, M) for a
-    (K, N) stacked integral; the table holds (K, M).  Solutions call it
-    once per side, as the check of their node limits.  ``error_estimates``
+    (K, N) stacked integral; the table holds (K, M).
+    ``rbvp.residual_report`` calls it once per side, as the check of a
+    solution's node limits.  ``error_estimates``
     is the change made by the last extrapolation step.  Near a singularity
     the sample can miss the worst node, so their maximum is a diagnostic
     of the node limits, not a bound on their error.
@@ -420,8 +420,7 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     v = evaluator(PointE(p[..., 0], p[..., 1], contour.basis))
     limit, err = _neville_to_zero(ds, np.moveaxis(np.asarray(v.c1), -2, 0),
                                   np.moveaxis(np.asarray(v.c2), -2, 0))
-    return BoundaryTable(indices=indices, values=limit,
-                         error_estimates=err, side=side)
+    return BoundaryTable(indices=indices, values=limit, error_estimates=err)
 
 
 @dataclass

@@ -10,11 +10,20 @@ first, one four-float row each.  P has degree at most kappa, so a jump
 problem (kappa = 0) takes at most one row, its additive constant, and a
 negative index takes none that is nonzero; more rows are invalid input.
 
+Every number in a problem file is checked before any solve: node counts
+are positive ints, and coordinates, basis vectors, polynomial rows and
+tolerances are finite numbers.
+
 Result files contain no timestamps and use sorted keys, so identical inputs
 produce byte-identical outputs.  ``polynomial`` records P, ``psi`` records
 g exp(-E+) at every node (zero rows for a homogeneous problem), and the
-boundary section records Phi+ and Phi- at every contour node, in node
-order, because ``verify`` integrates them with the contour's quadrature.
+boundary section records Phi+ and Phi- at every contour node, row j at
+node j, because ``verify`` integrates them with the contour's quadrature.
+``sup_residual`` and ``boundary_error_estimate`` come from
+``rbvp.residual_report``.  Nothing that is fixed by construction is
+recorded: older files of the same format that still hold the node order
+(``boundary.node_indices``) or exterior rings (``infinity_bound``,
+``infinity_by_radius``) verify the same, since ``verify`` reads neither.
 The grid section records Phi+ (``phi_plus``) at the grid points inside the
 curve and Phi- (``phi_minus``) at those outside, from the node tables
 (``rbvp``), and ``null`` for the other side; a point has neither only
@@ -29,6 +38,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
@@ -43,7 +53,6 @@ from . import expr as _expr
 RESULT_FORMAT = "dualrbvp-result@1"
 VERIFY_FORMAT = "dualrbvp-verify@1"
 
-DEFAULT_TOLERANCES = {"residual": 1e-6}
 # output grid points nearer the curve than this times its diameter get no
 # value: which side they lie on is rounding
 GRID_FLOOR = 1e-12
@@ -52,12 +61,6 @@ GRID_FLOOR = 1e-12
 def dc_to_list(c: DualComplex) -> list:
     return [float(np.real(c.c1)), float(np.imag(c.c1)),
             float(np.real(c.c2)), float(np.imag(c.c2))]
-
-
-def dc_from_list(v) -> DualComplex:
-    if not (isinstance(v, (list, tuple)) and len(v) == 4):
-        raise ProblemFormatError(f"expected four floats, got {v!r}")
-    return DualComplex(complex(v[0], v[1]), complex(v[2], v[3]))
 
 
 def dc_array_to_lists(c: DualComplex) -> list:
@@ -89,11 +92,8 @@ def _parse_basis(node) -> BasisE:
     if node == "classical":
         return classical_basis()
     if isinstance(node, dict) and "e1" in node and "e2" in node:
-        e1, e2 = node["e1"], node["e2"]
-        for v in (e1, e2):
-            if not (isinstance(v, (list, tuple)) and len(v) == 4):
-                raise ProblemFormatError("basis vectors need four floats "
-                                         "[re a, im a, re b, im b]")
+        # each vector is [re a, im a, re b, im b]
+        e1, e2 = (_numbers(node[k], f"basis '{k}'", 4) for k in ("e1", "e2"))
         return BasisE(complex(e1[0], e1[1]), complex(e1[2], e1[3]),
                       complex(e2[0], e2[1]), complex(e2[2], e2[3]))
     raise ProblemFormatError(f"unrecognized basis spec {node!r}")
@@ -114,28 +114,21 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
         raise ProblemFormatError("problem file needs a 'contour' section")
 
     basis = _parse_basis(raw.get("basis"))
-    cspec = dict(raw["contour"])
-    if nodes_override is not None:
-        if cspec.get("kind") == "explicit":
-            raise ProblemFormatError(
-                "an explicit contour has exactly its listed points; a node "
-                "count cannot be set for it")
-        cspec["nodes"] = int(nodes_override)
-    contour = build_contour(basis, cspec)
+    contour = build_contour(basis, _parse_contour(raw["contour"], nodes_override))
 
-    tol_node = dict(DEFAULT_TOLERANCES)
-    extra = raw.get("tolerances", {})
-    if not isinstance(extra, dict):
+    tol_node = raw.get("tolerances", {})
+    if not isinstance(tol_node, dict):
         raise ProblemFormatError("'tolerances' must be an object")
-    tol_node.update(extra)
+    tol = tol_node.get("residual", Tolerances.residual)
     if residual_tol_override is not None:
-        tol_node["residual"] = residual_tol_override
+        tol = residual_tol_override
     # other keys, such as "quadrature", "index_integrality" and "moment" in
     # older files, are read and ignored: the residual tolerance also judges
     # the moment conditions
-    tols = Tolerances(residual=_parse_residual(tol_node["residual"]))
+    tols = Tolerances(residual=_finite(tol, "residual tolerance", "> 0"))
 
-    coeffs = [dc_from_list(row) for row in raw.get("polynomial", [])]
+    coeffs = [DualComplex(complex(a, b), complex(c, d))
+              for a, b, c, d in _rows(raw.get("polynomial", []), "'polynomial'", 4)]
     g_text = raw.get("G", "1")
     f_text = raw.get("g", "0")
     if not isinstance(g_text, str) or not isinstance(f_text, str):
@@ -153,17 +146,30 @@ def load_problem(path: str, nodes_override: Optional[int] = None,
     return ProblemSpec(contour=contour, problem=problem, grid=grid)
 
 
-def _parse_residual(tol) -> float:
-    """The residual tolerance, a finite number > 0, checked before any
-    solve: NaN, infinity or a bound <= 0 would pass or fail every check."""
-    try:
-        ok = not isinstance(tol, bool) and math.isfinite(tol) and tol > 0
-    except (TypeError, OverflowError):   # not a number, or no float holds it
-        ok = False
-    if not ok:
-        raise ProblemFormatError(
-            f"residual tolerance must be a finite number > 0, got {tol!r}")
-    return float(tol)
+def _parse_contour(node, nodes_override: Optional[int]) -> dict:
+    """The contour spec, its numbers checked before any solve: a positive
+    integer ``nodes``, a finite ``radius``, and two finite numbers for
+    ``center``, ``semi_axes`` and each row of ``vertices`` or ``points``."""
+    if not isinstance(node, dict):
+        raise ProblemFormatError("'contour' must be an object")
+    spec = dict(node)
+    if nodes_override is not None:
+        if spec.get("kind") == "explicit":
+            raise ProblemFormatError(
+                "an explicit contour has exactly its listed points; a node "
+                "count cannot be set for it")
+        spec["nodes"] = nodes_override
+    if "nodes" in spec:
+        spec["nodes"] = _count(spec["nodes"], "contour 'nodes'")
+    if "radius" in spec:
+        spec["radius"] = _finite(spec["radius"], "contour 'radius'")
+    for key in ("center", "semi_axes"):
+        if key in spec:
+            spec[key] = _numbers(spec[key], f"contour '{key}'", 2)
+    for key in ("vertices", "points"):
+        if key in spec:
+            spec[key] = _rows(spec[key], f"contour '{key}'", 2)
+    return spec
 
 
 def _parse_grid(node) -> Optional[dict]:
@@ -177,22 +183,49 @@ def _parse_grid(node) -> Optional[dict]:
     for key in ("nx", "ny"):
         if key not in node:
             raise ProblemFormatError(f"grid spec needs '{key}'")
-        v = node[key]
-        if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
-            raise ProblemFormatError(
-                f"grid '{key}' must be a positive integer, got {v!r}")
-        grid[key] = v
-    margin = node.get("margin", 0.5)
+        grid[key] = _count(node[key], f"grid '{key}'")
+    grid["margin"] = _finite(node.get("margin", 0.5), "grid 'margin'", ">= 0")
+    return grid
+
+
+_BOUNDS = {"> 0": operator.gt, ">= 0": operator.ge}
+
+
+def _finite(v, what: str, bound: Optional[str] = None) -> float:
+    """``v`` as a float when it is a finite number (not a bool) that meets
+    ``bound``: NaN, infinity, a string or an int no float holds is invalid
+    input, not a value to compute with."""
     try:
-        ok = (not isinstance(margin, bool) and math.isfinite(margin)
-              and margin >= 0)
+        ok = (not isinstance(v, bool) and math.isfinite(v)
+              and (bound is None or _BOUNDS[bound](v, 0)))
     except (TypeError, OverflowError):   # not a number, or no float holds it
         ok = False
     if not ok:
+        rule = f"a finite number {bound}" if bound else "a finite number"
+        raise ProblemFormatError(f"{what} must be {rule}, got {v!r}")
+    return float(v)
+
+
+def _count(v, what: str) -> int:
+    """``v`` when it is a positive int (not a bool, not a float)."""
+    if isinstance(v, bool) or not isinstance(v, int) or v <= 0:
+        raise ProblemFormatError(f"{what} must be a positive integer, got {v!r}")
+    return v
+
+
+def _rows(v, what: str, size: int) -> list:
+    """``v`` as a list of rows of ``size`` finite floats each."""
+    if not isinstance(v, list):
+        raise ProblemFormatError(f"{what} must be a list, got {v!r}")
+    return [_numbers(row, f"{what} row", size) for row in v]
+
+
+def _numbers(v, what: str, size: int) -> list:
+    """``v`` as ``size`` finite floats."""
+    if not isinstance(v, (list, tuple)) or len(v) != size:
         raise ProblemFormatError(
-            f"grid 'margin' must be a finite number >= 0, got {margin!r}")
-    grid["margin"] = float(margin)
-    return grid
+            f"{what} must be a list of {size} finite numbers, got {v!r}")
+    return [_finite(x, what) for x in v]
 
 
 def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
@@ -215,7 +248,7 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
         if sel.size == 0:
             continue
         pts = PointE(flat_x[sel], flat_y[sel], spec.contour.basis)
-        vals = solution._side(side, pts)
+        vals = solution.off_curve(side, pts)
         for j, row in zip(sel, dc_array_to_lists(vals)):
             rows[j] = row
     return {"nx": nx, "ny": ny, "x": [float(v) for v in xs],
@@ -227,11 +260,10 @@ def _boundary_section(spec: ProblemSpec, solution: RBVPSolution) -> dict:
     from .integral import boundary_samples as _samples
     contour = spec.contour
     return {
-        "node_indices": list(range(contour.n)),
         "t": contour.t.tolist(),
         "tau": dc_array_to_lists(contour.values()),
-        "phi_plus": dc_array_to_lists(solution.boundary_table("+").values),
-        "phi_minus": dc_array_to_lists(solution.boundary_table("-").values),
+        "phi_plus": dc_array_to_lists(solution.boundary_table("+")),
+        "phi_minus": dc_array_to_lists(solution.boundary_table("-")),
         "G": dc_array_to_lists(_samples(spec.problem.G, contour)),
         "g": dc_array_to_lists(_samples(spec.problem.g, contour)),
     }
@@ -281,13 +313,9 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
         doc["moments"] = []
     if report is not None:
         doc["sup_residual"] = report.sup_residual
-        doc["infinity_bound"] = report.infinity_bound
-        doc["infinity_by_radius"] = report.infinity_by_radius
         doc["boundary_error_estimate"] = report.boundary_error_estimate
     else:
         doc["sup_residual"] = None
-        doc["infinity_bound"] = None
-        doc["infinity_by_radius"] = None
         doc["boundary_error_estimate"] = None
     return doc
 

@@ -20,13 +20,7 @@ integral [E, psi]; a row that is identically zero (E for a jump problem,
 psi for a homogeneous one) is left out of every kernel sum, so the
 special cases cost no more than before.  Each side's table is assembled
 at every node from the node limits (``CauchyIntegralFn.node_limits``) of
-[E, psi].  Offset extrapolation only checks them: ``boundary_values`` runs
-once per side on [E, psi], at a 64-node sample of the smooth nodes, all
-offsets in one pass, and the gaps e_E and e_psi to the node limits,
-propagated to first order as |X| (e_psi + |psi~ + P| e_E), are the table's
-error estimate there (NaN at the other nodes).  ``boundary_error_estimate``
-is the largest of them over both sides, or None when no node could be
-checked; a diagnostic, since the sample can miss the worst node.
+[E, psi], and nothing else: building a table runs no check.
 
 Off the curve a solution is read from its node tables, the traces of one
 sectionally monogenic function, by Cauchy's formula in barycentric form
@@ -35,6 +29,10 @@ Phi- = (C[Phi-] - Phi-(infinity)) / (C[1] - 1) outside, with C the native
 rule's Cauchy-type sum.  The quotient cancels the quadrature error near the
 curve, so it needs no guard band.  Phi-(infinity) is P's coefficient of
 z^kappa when P has degree kappa, and 0 otherwise.
+
+``residual_report`` is where a solve checks itself: the boundary relation
+on the tables, and the offset check of their node limits (module docstring
+of ``integral``).
 """
 
 from __future__ import annotations
@@ -53,7 +51,6 @@ from .errors import (
     UnsolvableError,
 )
 from .integral import (
-    BoundaryTable,
     CauchyIntegralFn,
     _kernel_sum,
     boundary_defect,
@@ -113,14 +110,11 @@ class SolvabilityReport:
     moments: list                 # DualComplex values, s = 1..-kappa
     moment_norms: list
     solvable: bool
-    tolerance: float
 
 
 @dataclass
 class ResidualReport:
     sup_residual: float
-    infinity_bound: float
-    infinity_by_radius: list
     boundary_error_estimate: Optional[float]
 
 
@@ -164,17 +158,11 @@ class RBVPSolution:
     def trivial_only(self) -> bool:
         return self.kind == "homogeneous" and self.canonical.kappa < 0
 
-    def plus(self, points: PointE) -> DualComplex:
-        return self._side("+", points)
-
-    def minus(self, points: PointE) -> DualComplex:
-        return self._side("-", points)
-
-    def _side(self, side: str, points: PointE) -> DualComplex:
+    def off_curve(self, side: str, points: PointE) -> DualComplex:
         """Phi+ at points inside the curve or Phi- at points outside it:
         one kernel sum over [table, 1] and one quotient (module docstring)."""
         c = self.problem.contour
-        table = self.boundary_table(side).values
+        table = self.boundary_table(side)
         z = c.basis.vector(np.ravel(points.x), np.ravel(points.y))
         v = _kernel_sum(c.values(), c.dtau(), DualComplex(
             np.stack([table.c1, np.ones(c.n)]),
@@ -188,32 +176,21 @@ class RBVPSolution:
         shape = np.shape(points.x)
         return DualComplex(out.c1.reshape(shape), out.c2.reshape(shape))
 
-    def boundary_table(self, side: str) -> BoundaryTable:
-        """Phi+ or Phi- at every node: X+- (psi~+- + P(tau)) from the node
-        limits of [E, psi]."""
+    def boundary_table(self, side: str) -> DualComplex:
+        """Phi+ or Phi- at every node: X+- (psi~+- + P(tau))."""
         if side not in self._cache:
-            self._cache[side] = self._assemble(side)
+            _, x, factor = self._factors(side)
+            self._cache[side] = dc_mul(x, factor)
         return self._cache[side]
 
-    def _assemble(self, side: str) -> BoundaryTable:
-        contour = self.problem.contour
-        tau = contour.values()
+    def _factors(self, side: str) -> tuple[DualComplex, DualComplex, DualComplex]:
+        """The node limits of [E, psi] on one side, and from them X+- and
+        psi~+- + P(tau) at every node."""
+        tau = self.problem.contour.values()
         lim = self.integral.node_limits(side)
         x = self.canonical.from_exponent(side, tau, DualComplex(lim.c1[0], lim.c2[0]))
         factor = DualComplex(lim.c1[1], lim.c2[1]) + _poly_eval(self.poly_coeffs, tau)
-        err = np.full(contour.n, np.nan)
-        if not contour.corner_mask.all():
-            # gaps between the offset-extrapolated limits and the node limits
-            # of E and psi~ at the checked nodes, to first order in Phi
-            table = boundary_values(self.integral, contour, side)
-            at = table.indices
-            e_exp, e_psi = (np.asarray(dc_norm(DualComplex(
-                table.values.c1[r] - lim.c1[r][at],
-                table.values.c2[r] - lim.c2[r][at]))) for r in (0, 1))
-            err[at] = (np.asarray(dc_norm(x))[at]
-                       * (e_psi + np.asarray(dc_norm(factor))[at] * e_exp))
-        return BoundaryTable(indices=np.arange(contour.n), values=dc_mul(x, factor),
-                             error_estimates=err, side=side)
+        return lim, x, factor
 
 
 def _check_poly(coeffs: list, kappa: int) -> list:
@@ -242,7 +219,7 @@ def check_solvability(problem: RBVPProblem, x: CanonicalX,
     tol = problem.tolerances.residual
     if x.kappa >= 0:
         return SolvabilityReport(kappa=x.kappa, moments=[], moment_norms=[],
-                                 solvable=True, tolerance=tol)
+                                 solvable=True)
     if psi is None:
         psi = _psi_samples(problem, x)
     tau = problem.contour.values()
@@ -255,7 +232,7 @@ def check_solvability(problem: RBVPProblem, x: CanonicalX,
         norms.append(float(dc_norm(m)))
     solvable = all(n <= tol for n in norms)
     return SolvabilityReport(kappa=x.kappa, moments=moments, moment_norms=norms,
-                             solvable=solvable, tolerance=tol)
+                             solvable=solvable)
 
 
 def _solve(problem: RBVPProblem, kind: str) -> RBVPSolution:
@@ -292,36 +269,36 @@ def solve_nonhomogeneous(problem: RBVPProblem) -> RBVPSolution:
     return _solve(problem, "nonhomogeneous")
 
 
-# ring radii, in half-diameters of the contour, of the exterior samples
-INFINITY_RADII = (10.0, 100.0, 1000.0)
-
-
 def residual_report(solution: RBVPSolution) -> ResidualReport:
-    """Boundary-condition defect and boundedness of the exterior part.
+    """Boundary-condition defect of the node tables, and the offset check
+    of their node limits.
 
-    Phi+ and Phi- on the curve are the solution's boundary tables at every
-    node; the exterior part is sampled on rings of growing radius around
-    the contour.
+    The check runs ``boundary_values`` once per side on [E, psi], at a
+    64-node sample of the smooth nodes, all offsets in one pass.  The gaps
+    e_E and e_psi to the node limits, propagated to first order as
+    |X| (e_psi + |psi~ + P| e_E), estimate the table's error there.
+    ``boundary_error_estimate`` is the largest of them over both sides, or
+    None when every node is a corner; a diagnostic, since the sample can
+    miss the worst node.
     """
     p = solution.problem
-    plus = solution.boundary_table("+")
-    minus = solution.boundary_table("-")
-    res = boundary_defect(p.contour, p.G, p.g, plus.values, minus.values)
-    cx, cy = p.contour.centroid
-    half = max(p.contour.diameter / 2.0, 1e-12)
-    by_radius = []
-    ang = np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False)
-    for r in INFINITY_RADII:
-        px = cx + r * half * np.cos(ang)
-        py = cy + r * half * np.sin(ang)
-        v = solution.minus(PointE(px, py, p.contour.basis))
-        by_radius.append(float(np.max(dc_norm(v))))
-    est = np.concatenate([plus.error_estimates, minus.error_estimates])
-    est = est[~np.isnan(est)]
+    res = boundary_defect(p.contour, p.G, p.g, solution.boundary_table("+"),
+                          solution.boundary_table("-"))
+    estimate = None
+    if not p.contour.corner_mask.all():
+        gaps = []
+        for side in "+-":
+            lim, x, factor = solution._factors(side)
+            table = boundary_values(solution.integral, p.contour, side)
+            at = table.indices
+            e_exp, e_psi = (np.asarray(dc_norm(DualComplex(
+                table.values.c1[r] - lim.c1[r][at],
+                table.values.c2[r] - lim.c2[r][at]))) for r in (0, 1))
+            gaps.append(np.asarray(dc_norm(x))[at]
+                        * (e_psi + np.asarray(dc_norm(factor))[at] * e_exp))
+        estimate = float(np.concatenate(gaps).max())
     return ResidualReport(sup_residual=float(res.max()),
-                          infinity_bound=float(max(by_radius)),
-                          infinity_by_radius=by_radius,
-                          boundary_error_estimate=float(est.max()) if est.size else None)
+                          boundary_error_estimate=estimate)
 
 
 PROBE_RING = 32

@@ -196,7 +196,6 @@ class TestSolve:
         out = tmp_path / "r.json"
         assert main(["solve", str(prob), "--out", str(out)]) == 0
         boundary = json.loads(out.read_text())["boundary"]
-        assert boundary["node_indices"] == list(range(96))
         assert len(boundary["phi_plus"]) == len(boundary["phi_minus"]) == 96
 
     def test_deterministic_output(self, tmp_path):
@@ -276,6 +275,68 @@ class TestSolve:
         assert main(["solve", str(prob), "--out", str(out)] + argv) == 3
         assert "tolerance" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("overrides, field", [
+        ({"contour": [1.0, 0.0, 0.0]}, "'contour'"),
+        ({"contour": {"kind": "circle", "nodes": "abc"}}, "'nodes'"),
+        ({"contour": {"kind": "circle", "nodes": 64.7}}, "'nodes'"),
+        ({"contour": {"kind": "circle", "nodes": True}}, "'nodes'"),
+        ({"contour": {"kind": "circle", "radius": "x"}}, "'radius'"),
+        ({"contour": {"kind": "circle", "radius": float("nan")}}, "'radius'"),
+        ({"contour": {"kind": "circle", "radius": float("inf")}}, "'radius'"),
+        ({"contour": {"kind": "circle", "radius": "<1e400>"}}, "'radius'"),
+        ({"contour": {"kind": "circle", "center": "ab"}}, "'center'"),
+        ({"contour": {"kind": "ellipse", "semi_axes": [1]}}, "'semi_axes'"),
+        ({"contour": {"kind": "polygon", "vertices": "abc"}}, "'vertices'"),
+        ({"contour": {"kind": "polygon",
+                      "vertices": [[0, 0], [1, "a"], [1, 1]]}}, "'vertices'"),
+        ({"contour": {"kind": "explicit",
+                      "points": [[1, 0], [0, 1], ["-1", 0]]}}, "'points'"),
+        ({"basis": {"e1": [1, 0, "x", 0], "e2": [0, 1, 0, 0]}}, "'e1'"),
+        ({"polynomial": [[1, 0, "a", 0]]}, "'polynomial'"),
+        ({"polynomial": 5}, "'polynomial'"),
+    ], ids=["contour-list", "nodes-string", "nodes-float", "nodes-bool",
+            "radius-string", "radius-nan", "radius-inf", "radius-1e400",
+            "center-string", "semi-axes-short", "vertices-string",
+            "vertices-hold-string", "points-hold-string", "basis-string",
+            "polynomial-string", "polynomial-number"])
+    def test_invalid_number_exit_3_before_solving(self, tmp_path, capsys,
+                                                  monkeypatch, overrides, field):
+        """Each exited 4 ("unexpected ...") before, or, for a float node
+        count, was truncated and solved."""
+        import dualrbvp.cli as cli
+
+        def unreachable(problem):
+            raise AssertionError("solved a problem with an invalid number")
+
+        monkeypatch.setattr(cli, "solve_auto", unreachable)
+        prob = write_problem(tmp_path / "p.json", G="tau", **overrides)
+        # JSON reads the literal 1e400 as infinity
+        prob.write_text(prob.read_text().replace('"<1e400>"', "1e400"))
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and field in err, err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "{prob}", "--tol-residual", "abc"],
+        ["solve", "{prob}", "--nodes", "abc"],
+        ["solve"],
+        ["frobnicate", "{prob}"],
+    ], ids=["tolerance-string", "nodes-string", "no-problem", "unknown-command"])
+    def test_usage_error_exit_3(self, tmp_path, capsys, argv):
+        """argparse exits 2, the code of an unsolvable problem."""
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1")
+        out = tmp_path / "p.json.result.json"
+        assert main([a.format(prob=prob) for a in argv]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    def test_help_exit_0(self, capsys, argv):
+        assert main(argv) == 0
+        assert "usage:" in capsys.readouterr().out
 
     def test_nodes_override(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", g="tau")
@@ -447,6 +508,26 @@ class TestVerify:
         assert main(["verify", str(prob), str(out)]) == 3
         err = capsys.readouterr().err
         assert err.startswith("input error:") and "unexpected" not in err
+
+    def test_result_records_no_fixed_quantities(self, tmp_path):
+        """The node order (always 0..N-1) and the infinity rings (P's
+        z^kappa coefficient + O(1/R)) are not recorded; a file that still
+        has them, as older files do, verifies the same."""
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 64})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        assert "infinity_bound" not in doc and "infinity_by_radius" not in doc
+        assert "node_indices" not in doc["boundary"]
+        rep, old_rep = tmp_path / "v.json", tmp_path / "v-old.json"
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+        doc.update(infinity_bound=0.0, infinity_by_radius=[0.0, 0.0, 0.0])
+        doc["boundary"]["node_indices"] = list(range(64))
+        out.write_text(json.dumps(doc))
+        assert main(["verify", str(prob), str(out), "--out", str(old_rep)]) == 0
+        assert old_rep.read_bytes() == rep.read_bytes()
 
     def test_contour_hash_mismatch(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from dualrbvp import DualComplex, biharmonic_basis, circle_contour, classical_basis
-from dualrbvp.rbvp import RBVPProblem, solve_auto
+from dualrbvp.rbvp import RBVPProblem, residual_report, solve_auto
 
 from oracle_gakhov import GakhovOracle, circle_samples
 
@@ -39,7 +39,8 @@ BASES = {"biharmonic": biharmonic_basis, "classical": classical_basis}
 
 
 def _tables_and_oracle(basis, G, g, a_fn, b_fn, poly):
-    """Both boundary tables of the dual solution, with the oracle's (F+, F-)."""
+    """The dual solution, and its two boundary tables paired with the
+    oracle's (F+, F-), keyed by side."""
     contour = circle_contour(basis, radius=1.0, nodes=N)
     sol = solve_auto(RBVPProblem(
         contour=contour, G=G, g=g,
@@ -49,40 +50,42 @@ def _tables_and_oracle(basis, G, g, a_fn, b_fn, poly):
                           poly=[c1 for c1, _ in poly])
     assert oracle.kappa == sol.kappa
     assert oracle.solvable()
-    tables = [sol.boundary_table(side) for side in "+-"]
-    return zip(tables, oracle.boundary_sides())
+    return sol, {side: (sol.boundary_table(side), want)
+                 for side, want in zip("+-", oracle.boundary_sides())}
 
 
 def _miss(table, want) -> float:
-    return float(np.max(np.abs(np.asarray(table.values.c1) - want[table.indices])))
+    return float(np.max(np.abs(np.asarray(table.c1) - want)))
 
 
 @pytest.mark.parametrize("basis_name", sorted(BASES))
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_complex_part_matches_scalar_solution(case, basis_name):
-    for table, want in _tables_and_oracle(BASES[basis_name](), *CASES[case]):
+    _, sides = _tables_and_oracle(BASES[basis_name](), *CASES[case])
+    for side, (table, want) in sides.items():
         scale = max(1.0, float(np.max(np.abs(want))))
-        assert _miss(table, want) <= 1e-8 * scale, (table.side, _miss(table, want))
+        assert _miss(table, want) <= 1e-8 * scale, (side, _miss(table, want))
 
 
 def test_error_estimate_covers_oracle_miss_for_nonentire_free_term():
     # g with a pole at 0 gives psi~- = -(0.5+0.2i)/zeta: offset
-    # extrapolation meets only ~1e-7 here, and the table must say so
+    # extrapolation meets only ~1e-7 here, and the report must say so
     G, _, a_fn, _, poly = CASES["kappa1-nonhomogeneous"]
-    tables = _tables_and_oracle(biharmonic_basis(), G, "tau^2+(0.5+0.2i)/tau",
-                                a_fn, lambda w: w ** 2 + (0.5 + 0.2j) / w, poly)
-    for table, want in tables:
-        assert _miss(table, want) <= float(np.nanmax(table.error_estimates))
+    sol, sides = _tables_and_oracle(biharmonic_basis(), G, "tau^2+(0.5+0.2i)/tau",
+                                    a_fn, lambda w: w ** 2 + (0.5 + 0.2j) / w, poly)
+    estimate = residual_report(sol).boundary_error_estimate
+    for table, want in sides.values():
+        assert _miss(table, want) <= estimate
 
 
 def test_pole_free_term_meets_oracle_at_every_node():
     # psi~- = -(0.5+0.2i)/zeta has its pole at the curve's scale; offset
     # extrapolation met it only to ~1e-7, the node-limit rule to rounding
     G, _, a_fn, _, poly = CASES["kappa1-nonhomogeneous"]
-    tables = _tables_and_oracle(biharmonic_basis(), G, "tau^2+(0.5+0.2i)/tau",
-                                a_fn, lambda w: w ** 2 + (0.5 + 0.2j) / w, poly)
-    for table, want in tables:
-        assert len(table.indices) == N
+    _, sides = _tables_and_oracle(biharmonic_basis(), G, "tau^2+(0.5+0.2i)/tau",
+                                  a_fn, lambda w: w ** 2 + (0.5 + 0.2j) / w, poly)
+    for table, want in sides.values():
+        assert table.c1.shape == (N,)
         assert _miss(table, want) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 
 

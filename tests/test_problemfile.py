@@ -14,8 +14,10 @@ from dualrbvp import (
 from dualrbvp.algebra import dc_norm
 from dualrbvp.contour import Contour
 from dualrbvp.integral import CauchyIntegralFn
+from dualrbvp.errors import ProblemFormatError
 from dualrbvp.problemfile import (
     _grid_section,
+    _parse_contour,
     load_problem,
     result_document,
     write_json,
@@ -103,18 +105,9 @@ def measured_points(monkeypatch):
     return measured
 
 
-def built_tables(sol):
-    """The solution with both node tables built, as ``result_document``
-    builds them before the grid: the offset check that builds them
-    measures its own points."""
-    for side in "+-":
-        sol.boundary_table(side)
-    return sol
-
-
 def test_grid_measures_each_point_once(tmp_path, bih, monkeypatch):
     spec, sol = solved(tmp_path, bih, "circle", grid={"nx": NX, "ny": NY})
-    built_tables(sol)
+    # the node tables, built inside the grid section, measure no point
     measured = measured_points(monkeypatch)
     grid = _grid_section(spec, sol)
     assert sum(r is not None for r in grid["phi_plus"] + grid["phi_minus"]) > 0
@@ -133,7 +126,7 @@ def test_grid_measures_few_points_far_from_the_curve(tmp_path, bih, monkeypatch)
         "G": "tau", "g": "1 + tau*tau",
         "output": {"grid": {"nx": 128, "ny": 128, "margin": 0.5}}}))
     spec = load_problem(str(path))
-    sol = built_tables(solve_auto(spec.problem))
+    sol = solve_auto(spec.problem)
     measured = measured_points(monkeypatch)
     _grid_section(spec, sol)
     assert sum(map(len, measured)) <= 0.2 * 128 * 128
@@ -146,12 +139,13 @@ def test_grid_rows_equal_the_solution_at_each_point(tmp_path, bih, kind):
     gx, gy = np.meshgrid(grid["x"], grid["y"], indexing="xy")
     # every point has a value, on the side its winding gives
     code = spec.contour.winding_number(gx.ravel(), gy.ravel()) != 0
-    for rows, side_code, fn in ((grid["phi_plus"], 1, sol.plus),
-                                (grid["phi_minus"], 0, sol.minus)):
+    for rows, side_code, side in ((grid["phi_plus"], 1, "+"),
+                                  (grid["phi_minus"], 0, "-")):
         sel = np.nonzero(code == side_code)[0]
         assert sel.size > 0
         assert all(rows[j] is None for j in np.nonzero(code != side_code)[0])
-        v = fn(PointE(gx.ravel()[sel], gy.ravel()[sel], spec.contour.basis))
+        v = sol.off_curve(side, PointE(gx.ravel()[sel], gy.ravel()[sel],
+                                       spec.contour.basis))
         want = np.stack([v.c1.real, v.c1.imag, v.c2.real, v.c2.imag], axis=1)
         assert np.array_equal(np.array([rows[j] for j in sel]), want), kind
 
@@ -193,7 +187,7 @@ def test_grid_values_every_point_off_the_curve(tmp_path, bih):
 def test_probes_and_points_keep_their_values(tmp_path, bih):
     spec, sol = solved(tmp_path, bih, "polygon")
     c = spec.contour
-    plus, minus = sol.boundary_table("+").values, sol.boundary_table("-").values
+    plus, minus = sol.boundary_table("+"), sol.boundary_table("-")
     # reference: each probe set selected by winding and distance, and
     # evaluated through __call__, which measures the distances again
     lo, hi = c.xy.min(axis=0), c.xy.max(axis=0)
@@ -224,3 +218,22 @@ def test_result_file_is_compact_and_exact(tmp_path, bih):
     assert text == json.dumps(doc, sort_keys=True) + "\n"
     assert text.count("\n") == 1
     assert same_floats(json.loads(text), doc)
+
+
+@pytest.mark.parametrize("nodes", [1e9, 1e3, 64.0])
+def test_float_node_count_is_refused_before_any_build(nodes):
+    """A float is not a node count, however whole: 1e9 was taken as 10^9
+    nodes.  The check is on the type, so no contour is built here."""
+    with pytest.raises(ProblemFormatError, match="'nodes'"):
+        _parse_contour({"kind": "circle", "nodes": nodes}, None)
+
+
+def test_checked_contour_numbers_keep_their_values(bih):
+    """Ints read as the floats the builders took them as before: the
+    contour, and so its hash, is unchanged."""
+    spec = {"kind": "polygon", "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]],
+            "nodes": 64}
+    checked = _parse_contour(spec, None)
+    assert checked["vertices"][0] == [-1.0, -1.0] and checked["nodes"] == 64
+    assert (build_contour(bih, checked).content_hash()
+            == build_contour(bih, spec).content_hash())
