@@ -14,12 +14,15 @@ read their off-curve values from their node tables (``rbvp``).
 
 Either rule is one kernel sum.  A density may be a (K, N) stack of sample
 sets, such as the exponent ln(tau^(-kappa) G) and psi = g/X+ of one
-solution, and the sum over (target, source) pairs is then two matrix
-products shared by all K: with u = tau - z, the pairwise factors
-1/u1 and u2/u1^2 multiply the (N, K) blocks of weighted densities, because
-(tau - z)^(-1) = 1/u1 - (u2/u1^2) rho.  Targets go in chunks of a fixed
-number of pairs, so memory does not grow with the number of targets, and
-rows that are identically zero are left out of the products.
+solution, and the sum over (target, source) pairs is then one or two
+matrix products shared by all K: with u = tau - z,
+(tau - z)^(-1) = 1/u1 - (u2/u1^2) rho, so one product of the pairwise
+1/u1 with the (N, 2K) block of weighted densities gives the complex part
+and the first term of the rho part, and the pairwise u2/u1^2 takes a
+second product only when tau or z has a rho part (not on the classical
+basis).  Targets go in chunks of a fixed number of pairs, so memory does
+not grow with the number of targets, and rows that are identically zero
+are left out of the products.
 
 Boundary values at the nodes come from one on-curve rule, singularity
 subtraction (Helsing & Ojala, J. Comput. Phys. 2008; Plemelj-Sokhotski as
@@ -157,21 +160,26 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     targets.  Per (target, source) pair only inv_u = 1/(tau1 - z1) and
     q = (tau2 - z2) inv_u^2 are formed, because
     (tau - z)^(-1) = inv_u - (tau2 - z2) inv_u^2 rho; with the (N, L) blocks
-    a = d1 w1 and b = d1 w2 + d2 w1 of the live rows the two components are
-    inv_u @ a and inv_u @ b - q @ a.  Targets go in chunks of PAIR_CHUNK
-    pairs, on two planes allocated once per call.  ``drop`` gives, for
-    targets that are nodes, the index of the source each one leaves out:
-    its pair's factors are zeroed, so it divides by nothing.
+    a = d1 w1 and b = d1 w2 + d2 w1 of the live rows, one product
+    inv_u @ [a | b] gives the complex part and the first term of the rho
+    part, and q @ a is subtracted from the latter.  When tau2 and z2 are
+    zero, as on the classical basis, q is zero and neither it nor its
+    product is formed.  Targets go in chunks of PAIR_CHUNK pairs, on planes
+    allocated once per call.  ``drop`` gives, for targets that are nodes,
+    the index of the source each one leaves out: its pair's factors are
+    zeroed, so it divides by nothing.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
     live, (a, b) = _weighted_blocks(w, dens)
-    out1 = np.empty((z1.size, live.size), dtype=complex)
-    out2 = np.empty_like(out1)
-    m = z1.size if live.size else 0
+    n_live = live.size
+    ab = np.concatenate([a, b], axis=1)
+    out = np.empty((z1.size, 2 * n_live), dtype=complex)
+    m = z1.size if n_live else 0
     chunk = max(1, min(m, PAIR_CHUNK // t1.size))
-    planes = np.empty((2, chunk, t1.size), dtype=complex)
+    rho = bool(np.any(t2) or np.any(z2))
+    planes = np.empty((1 + rho, chunk, t1.size), dtype=complex)
     for s in range(0, m, chunk):
-        inv_u, q = planes[:, :min(chunk, m - s)]
+        inv_u = planes[0, :min(chunk, m - s)]
         np.subtract(t1, z1[s:s + chunk, None], out=inv_u)
         if drop is not None:
             pair = (np.arange(len(inv_u)), drop[s:s + chunk])
@@ -179,13 +187,14 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
         np.divide(1.0, inv_u, out=inv_u)
         if drop is not None:
             inv_u[pair] = 0.0
-        np.subtract(t2, z2[s:s + chunk, None], out=q)
-        q *= inv_u
-        q *= inv_u
-        np.matmul(inv_u, a, out=out1[s:s + chunk])
-        np.matmul(inv_u, b, out=out2[s:s + chunk])
-        out2[s:s + chunk] -= q @ a
-    return _scatter(live, len(dens.c1), out1, out2)
+        np.matmul(inv_u, ab, out=out[s:s + chunk])
+        if rho:
+            q = planes[1, :len(inv_u)]
+            np.subtract(t2, z2[s:s + chunk, None], out=q)
+            q *= inv_u
+            q *= inv_u
+            out[s:s + chunk, n_live:] -= q @ a
+    return _scatter(live, len(dens.c1), out[:, :n_live], out[:, n_live:])
 
 
 # Legendre differentiation on the Gauss nodes of [-1, 1], one matrix for

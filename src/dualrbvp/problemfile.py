@@ -322,9 +322,13 @@ def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
 
 def write_json(path: str, doc: dict) -> None:
     # json.dumps without indent runs the C encoder; json.dump never does
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc, sort_keys=True))
-        fh.write("\n")
+    text = json.dumps(doc, sort_keys=True)
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.write("\n")
+    except OSError as e:
+        raise ProblemFormatError(f"cannot write file: {e}") from e
 
 
 def read_json(path: str) -> dict:

@@ -338,6 +338,26 @@ class TestSolve:
         assert main(argv) == 0
         assert "usage:" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("case", ["solve", "verify", "unsolvable"])
+    def test_unwritable_out_exit_3(self, tmp_path, capsys, case):
+        """An --out path in a missing directory exited 4 ("unexpected
+        FileNotFoundError") after solving."""
+        G, g = ("1/tau", "1/tau") if case == "unsolvable" else ("tau", "1")
+        prob = write_problem(tmp_path / "p.json", G=G, g=g,
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 64})
+        bad = str(tmp_path / "missing" / "out.json")
+        argv = ["solve", str(prob), "--out", bad]
+        if case == "verify":
+            out = tmp_path / "r.json"
+            assert main(["solve", str(prob), "--out", str(out)]) == 0
+            capsys.readouterr()
+            argv = ["verify", str(prob), str(out), "--out", bad]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error: cannot write file:"), err
+        assert "Traceback" not in err and len(err.strip().splitlines()) == 1
+
     def test_nodes_override(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", g="tau")
         out = tmp_path / "r.json"

@@ -320,7 +320,8 @@ class TestStackedKernel:
 
 class TestChunkLoops:
     """The kernel loops reuse one set of planes for every chunk of targets;
-    a chunk must see none of the previous chunk's values."""
+    a chunk must see none of the previous chunk's values.  The classical
+    basis has no rho part, so it runs the loop without the q plane."""
 
     @staticmethod
     def _stack(rng, n):
@@ -329,15 +330,18 @@ class TestChunkLoops:
         d.c1[1] = d.c2[1] = 0.0   # a zero row is left out of the products
         return d
 
-    @pytest.mark.parametrize("kind", ["circle", "square"])
-    def test_kernel_sum_chunks(self, bih, rng, kind):
-        c = (circle_contour(bih, nodes=300) if kind == "circle"
-             else polygon_contour(bih, SQUARE, nodes=128))
+    @pytest.mark.parametrize("kind, basis", [
+        ("circle", "bih"), ("square", "bih"), ("circle", "cls"), ("square", "cls")],
+        ids=["circle", "square", "circle-classical", "square-classical"])
+    def test_kernel_sum_chunks(self, request, rng, kind, basis):
+        e = request.getfixturevalue(basis)
+        c = (circle_contour(e, nodes=300) if kind == "circle"
+             else polygon_contour(e, SQUARE, nodes=128))
         dens = self._stack(rng, c.n)
         chunk = PAIR_CHUNK // c.n
         x = rng.uniform(-3.0, 3.0, chunk + 1)
         y = rng.uniform(-3.0, 3.0, chunk + 1)
-        z = bih.vector(x, y)
+        z = e.vector(x, y)
 
         def at(sl):
             return _kernel_sum(c.values(), c.dtau(), dens, z.c1[sl], z.c2[sl])
@@ -357,18 +361,21 @@ class TestChunkLoops:
         none = at(slice(0, 0))
         assert np.shape(none.c1) == np.shape(none.c2) == (3, 0)
 
-    @pytest.mark.parametrize("n", [128, 571])
-    def test_node_kernel_sum_chunks(self, bih, rng, n):
+    @pytest.mark.parametrize("n, basis", [
+        (128, "bih"), (571, "bih"), (128, "cls"), (571, "cls")],
+        ids=["128", "571", "128-classical", "571-classical"])
+    def test_node_kernel_sum_chunks(self, request, rng, n, basis):
         """The nodes as targets, each leaving out its own source: 571 nodes
-        are five chunks of 114 rows and a last one of one row; the
+        are ten chunks of 57 rows and a last one of one row; the
         reference is the same loop on planes allocated per chunk."""
-        c = circle_contour(bih, nodes=n)
+        c = circle_contour(request.getfixturevalue(basis), nodes=n)
         dens = self._stack(rng, n)
         t1, t2 = c.values().c1, c.values().c2
         got = _kernel_sum(c.values(), c.dtau(), dens, t1, t2, drop=np.arange(n))
         w1, w2 = c.dtau().c1, c.dtau().c2
-        a = np.ascontiguousarray((dens.c1[[0, 2]] * w1).T)
-        b = np.ascontiguousarray((dens.c1[[0, 2]] * w2 + dens.c2[[0, 2]] * w1).T)
+        a = (dens.c1[[0, 2]] * w1).T
+        b = (dens.c1[[0, 2]] * w2 + dens.c2[[0, 2]] * w1).T
+        ab = np.ascontiguousarray(np.hstack([a, b]))
         want1 = np.zeros((3, n), dtype=complex)
         want2 = np.zeros((3, n), dtype=complex)
         chunk, scale = max(1, PAIR_CHUNK // n), 1.0 / (2j * np.pi)
@@ -379,11 +386,45 @@ class TestChunkLoops:
             u[diag] = 1.0
             inv_u = 1.0 / u
             inv_u[diag] = 0.0
-            q = (t2 - t2[rows, None]) * inv_u * inv_u
-            want1[[0, 2], s:s + rows.size] = (inv_u @ a).T * scale
-            want2[[0, 2], s:s + rows.size] = (inv_u @ b - q @ a).T * scale
+            v = inv_u @ ab
+            if t2.any():
+                q = (t2 - t2[rows, None]) * inv_u * inv_u
+                v[:, 2:] -= q @ np.ascontiguousarray(a)
+            want1[[0, 2], s:s + rows.size] = v[:, :2].T * scale
+            want2[[0, 2], s:s + rows.size] = v[:, 2:].T * scale
         np.testing.assert_array_equal(got.c1, want1)
         np.testing.assert_array_equal(got.c2, want2)
+
+
+class TestKernelSumReference:
+    """``_kernel_sum`` against the sum written pair by pair in the algebra,
+    sum_k dens_k w_k (tau_k - z)^(-1) / (2 pi i).  The mixed cases put a
+    rho part on one side only, so the q term must still be formed."""
+
+    @pytest.mark.parametrize("sources, targets", [
+        ("cls", "cls"), ("bih", "bih"), ("cls", "bih"), ("bih", "cls")],
+        ids=["classical", "biharmonic", "rho-in-targets-only",
+             "rho-in-sources-only"])
+    def test_dense_reference(self, request, rng, sources, targets):
+        c = ellipse_contour(request.getfixturevalue(sources),
+                            semi_axes=(1.3, 0.8), nodes=64)
+        d = DualComplex(rng.normal(size=(2, c.n)) + 1j * rng.normal(size=(2, c.n)),
+                        rng.normal(size=(2, c.n)) + 1j * rng.normal(size=(2, c.n)))
+        x, y = rng.uniform(-3.0, 3.0, 40), rng.uniform(-3.0, 3.0, 40)
+        z = request.getfixturevalue(targets).vector(x, y)
+        assert bool(np.any(c.values().c2)) == (sources == "bih")
+        assert bool(np.any(z.c2)) == (targets == "bih")
+        got = _kernel_sum(c.values(), c.dtau(), d, z.c1, z.c2)
+        tau, w = c.values(), c.dtau()
+        kern = dc_inv(dc_sub(DualComplex(tau.c1[None, :], tau.c2[None, :]),
+                             DualComplex(z.c1[:, None], z.c2[:, None])))
+        for k in range(2):
+            dw = dc_mul(DualComplex(d.c1[k], d.c2[k]), w)
+            term = dc_mul(DualComplex(dw.c1[None, :], dw.c2[None, :]), kern)
+            want1 = term.c1.sum(axis=1) / (2j * np.pi)
+            want2 = term.c2.sum(axis=1) / (2j * np.pi)
+            np.testing.assert_allclose(got.c1[k], want1, rtol=1e-13)
+            np.testing.assert_allclose(got.c2[k], want2, rtol=1e-13)
 
 
 @pytest.fixture(scope="session")
