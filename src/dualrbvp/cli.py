@@ -19,9 +19,9 @@ spread of C[Phi-] inside it are each within tolerance * max(1, max |Phi|)
 
 Exit codes: 0 success; 1 verification residual failure; 2 unsolvable
 (result file still written with the moment report); 3 invalid input,
-including a command line that does not parse and an output path that
-cannot be written; 4 numerical failure, including any unexpected internal
-error.
+including a command line that does not parse, and any failure to write an
+output file (a missing directory as much as a full disk); 4 numerical
+failure, including any unexpected internal error.
 """
 
 from __future__ import annotations

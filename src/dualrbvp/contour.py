@@ -31,14 +31,14 @@ GAUSS_ORDER = 8
 GUARD_SPACING_FACTOR = 3.0
 UPSAMPLE = 8
 # (target, source) pairs per chunk of a distance query, kernel sum or pair
-# pass: each complex plane is 512 KB, so memory does not grow with the
-# number of targets, and the planes are allocated once per call and reused
-# by every chunk.  Set by an interleaved A/B on the seed-301 bench cases
-# (one BLAS thread, shared 2-core host): against 2^16, 2^15 took the
-# biharmonic grid's off-curve sums from 54-58 to 49-52 ms (2^14: 50-55,
-# 2^17: 61-66; the classical grid tied) and won 23 of 32 whole passes of
-# each workload (median solve -2 to -3% on field-grid, -4 to +1% on factor)
-PAIR_CHUNK = 2 ** 15
+# pass: each complex plane is 1 MB, so memory does not grow with the number
+# of targets, and the planes are allocated once per call and reused by
+# every chunk.  Interleaved A/B on the seed-301 bench cases (one BLAS
+# thread, shared 2-core host): 2^15 took the biharmonic grid's off-curve
+# sums from 54-58 to 49-52 ms (2^14: 50-55, 2^17: 61-66; the classical grid
+# tied), but won only 23 of 32 whole passes of each workload and 2 of 4
+# pairs of 20 s field-grid bench runs, so 2^16 stays
+PAIR_CHUNK = 2 ** 16
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 

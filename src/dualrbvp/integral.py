@@ -126,16 +126,16 @@ def contour_integral(contour: Contour, samples) -> DualComplex:
 
 def _weighted_blocks(w: DualComplex, dens: DualComplex):
     """The rows of a (K, N) density stack that are not identically zero, and
-    the (N, L) blocks a = d1 w1 and b = d1 w2 + d2 w1 of those L rows times
-    the weights.  A zero row has a zero kernel sum, so it is left out of the
-    matrix products: a vanishing exponent or psi in a stack costs nothing."""
+    the (N, 2L) block [a | b] of a = d1 w1 and b = d1 w2 + d2 w1 for those L
+    rows times the weights.  A zero row has a zero kernel sum, so it is left
+    out of the matrix products: a vanishing exponent or psi in a stack costs
+    nothing."""
     w1, w2 = np.asarray(w.c1), np.asarray(w.c2)
     d1, d2 = np.asarray(dens.c1), np.asarray(dens.c2)
     live = np.flatnonzero(d1.any(axis=1) | d2.any(axis=1))
     if live.size < len(d1):
         d1, d2 = d1[live], d2[live]
-    return live, (np.ascontiguousarray((d1 * w1).T),
-                  np.ascontiguousarray((d1 * w2 + d2 * w1).T))
+    return live, np.concatenate([d1 * w1, d1 * w2 + d2 * w1]).T
 
 
 def _scatter(live: np.ndarray, k: int, v1: np.ndarray, v2: np.ndarray) -> DualComplex:
@@ -170,9 +170,8 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     zeroed, so it divides by nothing.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
-    live, (a, b) = _weighted_blocks(w, dens)
+    live, ab = _weighted_blocks(w, dens)
     n_live = live.size
-    ab = np.concatenate([a, b], axis=1)
     out = np.empty((z1.size, 2 * n_live), dtype=complex)
     m = z1.size if n_live else 0
     chunk = max(1, min(m, PAIR_CHUNK // t1.size))
@@ -193,7 +192,7 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
             np.subtract(t2, z2[s:s + chunk, None], out=q)
             q *= inv_u
             q *= inv_u
-            out[s:s + chunk, n_live:] -= q @ a
+            out[s:s + chunk, n_live:] -= q @ ab[:, :n_live]
     return _scatter(live, len(dens.c1), out[:, :n_live], out[:, n_live:])
 
 

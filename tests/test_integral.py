@@ -366,40 +366,40 @@ class TestChunkLoops:
         ids=["128", "571", "128-classical", "571-classical"])
     def test_node_kernel_sum_chunks(self, request, rng, n, basis):
         """The nodes as targets, each leaving out its own source: 571 nodes
-        are ten chunks of 57 rows and a last one of one row; the
-        reference is the same loop on planes allocated per chunk."""
+        are five chunks of 114 rows and a last one of one row."""
         c = circle_contour(request.getfixturevalue(basis), nodes=n)
         dens = self._stack(rng, n)
-        t1, t2 = c.values().c1, c.values().c2
-        got = _kernel_sum(c.values(), c.dtau(), dens, t1, t2, drop=np.arange(n))
-        w1, w2 = c.dtau().c1, c.dtau().c2
-        a = (dens.c1[[0, 2]] * w1).T
-        b = (dens.c1[[0, 2]] * w2 + dens.c2[[0, 2]] * w1).T
-        ab = np.ascontiguousarray(np.hstack([a, b]))
-        want1 = np.zeros((3, n), dtype=complex)
-        want2 = np.zeros((3, n), dtype=complex)
-        chunk, scale = max(1, PAIR_CHUNK // n), 1.0 / (2j * np.pi)
-        for s in range(0, n, chunk):
-            rows = np.arange(s, min(s + chunk, n))
-            diag = (np.arange(rows.size), rows)
-            u = t1 - t1[rows, None]
-            u[diag] = 1.0
-            inv_u = 1.0 / u
-            inv_u[diag] = 0.0
-            v = inv_u @ ab
-            if t2.any():
-                q = (t2 - t2[rows, None]) * inv_u * inv_u
-                v[:, 2:] -= q @ np.ascontiguousarray(a)
-            want1[[0, 2], s:s + rows.size] = v[:, :2].T * scale
-            want2[[0, 2], s:s + rows.size] = v[:, 2:].T * scale
-        np.testing.assert_array_equal(got.c1, want1)
-        np.testing.assert_array_equal(got.c2, want2)
+        tau = c.values()
+        drop = np.arange(n)
+        got = _kernel_sum(tau, c.dtau(), dens, tau.c1, tau.c2, drop=drop)
+        want = _pairwise_kernel_sum(tau, c.dtau(), dens, tau.c1, tau.c2, drop)
+        np.testing.assert_allclose(got.c1, want.c1, rtol=1e-13)
+        np.testing.assert_allclose(got.c2, want.c2, rtol=1e-13)
+
+
+def _pairwise_kernel_sum(tau, w, dens, z1, z2, drop=None):
+    """sum_k dens_k w_k (tau_k - z)^(-1) / (2 pi i), written pair by pair in
+    the algebra; ``drop`` leaves out one source per target."""
+    u = dc_sub(DualComplex(tau.c1[None, :], tau.c2[None, :]),
+               DualComplex(z1[:, None], z2[:, None]))
+    keep = np.ones(u.c1.shape, dtype=bool)
+    if drop is not None:
+        keep[np.arange(len(z1)), drop] = False
+    kern = dc_inv(DualComplex(np.where(keep, u.c1, 1.0), np.where(keep, u.c2, 0.0)))
+    kern = DualComplex(kern.c1 * keep, kern.c2 * keep)
+    rows = []
+    for k in range(len(dens.c1)):
+        dw = dc_mul(DualComplex(dens.c1[k], dens.c2[k]), w)
+        term = dc_mul(DualComplex(dw.c1[None, :], dw.c2[None, :]), kern)
+        rows.append((term.c1.sum(axis=1), term.c2.sum(axis=1)))
+    return DualComplex(np.array([r[0] for r in rows]) / (2j * np.pi),
+                       np.array([r[1] for r in rows]) / (2j * np.pi))
 
 
 class TestKernelSumReference:
-    """``_kernel_sum`` against the sum written pair by pair in the algebra,
-    sum_k dens_k w_k (tau_k - z)^(-1) / (2 pi i).  The mixed cases put a
-    rho part on one side only, so the q term must still be formed."""
+    """``_kernel_sum`` against the sum written pair by pair in the algebra.
+    The mixed cases put a rho part on one side only, so the q term must
+    still be formed."""
 
     @pytest.mark.parametrize("sources, targets", [
         ("cls", "cls"), ("bih", "bih"), ("cls", "bih"), ("bih", "cls")],
@@ -415,16 +415,9 @@ class TestKernelSumReference:
         assert bool(np.any(c.values().c2)) == (sources == "bih")
         assert bool(np.any(z.c2)) == (targets == "bih")
         got = _kernel_sum(c.values(), c.dtau(), d, z.c1, z.c2)
-        tau, w = c.values(), c.dtau()
-        kern = dc_inv(dc_sub(DualComplex(tau.c1[None, :], tau.c2[None, :]),
-                             DualComplex(z.c1[:, None], z.c2[:, None])))
-        for k in range(2):
-            dw = dc_mul(DualComplex(d.c1[k], d.c2[k]), w)
-            term = dc_mul(DualComplex(dw.c1[None, :], dw.c2[None, :]), kern)
-            want1 = term.c1.sum(axis=1) / (2j * np.pi)
-            want2 = term.c2.sum(axis=1) / (2j * np.pi)
-            np.testing.assert_allclose(got.c1[k], want1, rtol=1e-13)
-            np.testing.assert_allclose(got.c2[k], want2, rtol=1e-13)
+        want = _pairwise_kernel_sum(c.values(), c.dtau(), d, z.c1, z.c2)
+        np.testing.assert_allclose(got.c1, want.c1, rtol=1e-13)
+        np.testing.assert_allclose(got.c2, want.c2, rtol=1e-13)
 
 
 @pytest.fixture(scope="session")
