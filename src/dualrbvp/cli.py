@@ -15,7 +15,8 @@ homogeneous one, and every case is built by the one solution formula.
 tables is within the residual tolerance and the tables are the traces of
 one sectionally monogenic function: max |C[Phi+]| outside the curve and the
 spread of C[Phi-] inside it are each within tolerance * max(1, max |Phi|)
-(``rbvp.trace_defects``).
+(``rbvp.trace_defects``).  It reads the result's ``boundary`` section and
+neither decodes nor checks its ``grid`` (``problemfile.read_json``).
 
 Exit codes: 0 success; 1 verification residual failure; 2 unsolvable
 (result file still written with the moment report); 3 invalid input,

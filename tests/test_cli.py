@@ -20,6 +20,11 @@ def write_problem(path, **overrides):
     return path
 
 
+# files that are not text a JSON decoder can read: each exited 4 with
+# "unexpected UnicodeDecodeError" or "unexpected RecursionError"
+UNREADABLE = {"not-utf8": b"\xff\xfe{}", "deep-nesting": b"[" * 200000}
+
+
 class TestSolve:
     def test_auto_dispatches_jump(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", g="tau")
@@ -219,6 +224,20 @@ class TestSolve:
         rows = grid["phi_plus"]
         assert any(r is not None for r in rows)
         assert any(r is None for r in rows)  # Phi+ has no exterior rows
+
+    @pytest.mark.parametrize("raw", [
+        UNREADABLE["not-utf8"],
+        UNREADABLE["deep-nesting"],
+        b'{"contour": ' + b"[" * 200000 + b"}",
+    ], ids=["not-utf8", "deep-nesting", "deep-contour"])
+    def test_unreadable_problem_file_exit_3(self, tmp_path, capsys, raw):
+        prob = tmp_path / "p.json"
+        prob.write_bytes(raw)
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith("input error:") and "unexpected" not in err, err
+        assert not out.exists()
 
     @pytest.mark.parametrize("grid", [
         5,
@@ -504,15 +523,21 @@ class TestVerify:
         assert not rep.exists()
 
     @pytest.mark.parametrize("damage", ["list", "no-phi-plus", "short-table",
-                                        "ragged-row", "boundary-list"])
+                                        "ragged-row", "boundary-list",
+                                        "not-utf8", "deep-nesting",
+                                        "truncated-in-grid", "trailing-data"])
     def test_malformed_result_file_exit_3(self, tmp_path, capsys, damage):
-        """Each of these exited 4 ("unexpected ...") before."""
+        """Each of the first seven exited 4 ("unexpected ...") before.  A
+        file cut inside its grid, or with data after the document, must
+        not read as whole although the grid is stepped over."""
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
                              contour={"kind": "circle", "radius": 1.0,
-                                      "nodes": 64})
+                                      "nodes": 64},
+                             output={"grid": {"nx": 6, "ny": 6}})
         out = tmp_path / "r.json"
         main(["solve", str(prob), "--out", str(out)])
-        doc = json.loads(out.read_text())
+        text = out.read_text()
+        doc = json.loads(text)
         boundary = doc["boundary"]
         if damage == "list":
             doc = [doc]
@@ -522,12 +547,44 @@ class TestVerify:
             boundary["phi_minus"].pop()
         elif damage == "ragged-row":
             boundary["phi_plus"][3].pop()
-        else:
+        elif damage == "boundary-list":
             doc["boundary"] = [1, 2]
-        out.write_text(json.dumps(doc))
+        if damage in UNREADABLE:
+            out.write_bytes(UNREADABLE[damage])
+        elif damage == "truncated-in-grid":
+            grid = text.index('"grid": {')
+            out.write_text(text[:text.index('"phi_plus"', grid)])
+        elif damage == "trailing-data":
+            out.write_text(text + "{}\n")
+        else:
+            out.write_text(json.dumps(doc))
         assert main(["verify", str(prob), str(out)]) == 3
         err = capsys.readouterr().err
-        assert err.startswith("input error:") and "unexpected" not in err
+        assert err.startswith("input error:") and "unexpected" not in err, err
+
+    def test_report_does_not_depend_on_the_grid(self, tmp_path):
+        """``verify`` reads the boundary section alone: the report is the
+        same byte for byte with the grid as written, without it, and with
+        every row emptied.  This is what lets ``read_json`` step over the
+        grid."""
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 64},
+                             output={"grid": {"nx": 10, "ny": 10}})
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        grid = doc["grid"]
+        assert grid["nx"] * grid["ny"] == len(grid["phi_plus"]) == 100
+        no_rows = dict(grid, phi_plus=[None] * 100, phi_minus=[None] * 100)
+        reports = []
+        for variant in (None, dict(doc, grid=None), dict(doc, grid=no_rows)):
+            if variant is not None:
+                out.write_text(json.dumps(variant, sort_keys=True) + "\n")
+            rep = tmp_path / f"v{len(reports)}.json"
+            assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+            reports.append(rep.read_bytes())
+        assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_result_records_no_fixed_quantities(self, tmp_path):
         """The node order (always 0..N-1) and the infinity rings (P's

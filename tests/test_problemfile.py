@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from dualrbvp import (
     DualComplex,
@@ -19,6 +21,7 @@ from dualrbvp.problemfile import (
     _grid_section,
     _parse_contour,
     load_problem,
+    read_json,
     result_document,
     write_json,
 )
@@ -237,3 +240,129 @@ def test_checked_contour_numbers_keep_their_values(bih):
     assert checked["vertices"][0] == [-1.0, -1.0] and checked["nodes"] == 64
     assert (build_contour(bih, checked).content_hash()
             == build_contour(bih, spec).content_hash())
+
+
+# -- read_json: json.load's dict, without a flat grid -------------------------
+
+SCALARS = (st.none() | st.booleans() | st.integers()
+           | st.floats(allow_nan=False) | st.text(max_size=6))
+VALUES = st.recursive(
+    SCALARS, lambda inner: (st.lists(inner, max_size=3)
+                            | st.dictionaries(st.text(max_size=4), inner,
+                                              max_size=3)),
+    max_leaves=12)
+ROWS = st.lists(st.none() | st.lists(st.floats(allow_nan=False), max_size=4),
+                max_size=4)
+FLAT_GRIDS = st.dictionaries(st.sampled_from(["nx", "x", "phi_plus", "é"]),
+                             st.integers() | ROWS, max_size=4)
+GRIDS = (FLAT_GRIDS | VALUES
+         | st.builds(lambda s: {"nx": 2, "phi_plus": [[s]]},
+                     st.sampled_from(["}", "{", "a}b", 'a"b', "a\\b", "\n",
+                                      "é", '"}"'])))
+NO_GRID = object()
+LAYOUTS = st.fixed_dictionaries({
+    "sort_keys": st.booleans(),
+    "indent": st.sampled_from([None, 0, 2, "\t"]),
+    "separators": st.sampled_from([None, (",", ":"), (" ,\n", " :\t ")]),
+    "ensure_ascii": st.booleans(),
+})
+
+
+def _plain(s: str, ensure_ascii: bool) -> bool:
+    """A string written with no escape and no brace."""
+    return ("{" not in s and "}" not in s
+            and json.dumps(s, ensure_ascii=ensure_ascii) == f'"{s}"')
+
+
+def _is_flat(grid, ensure_ascii: bool) -> bool:
+    """An object with no object inside it and every string plain."""
+    def flat(v):
+        if isinstance(v, dict):
+            return False
+        if isinstance(v, list):
+            return all(flat(x) for x in v)
+        return not isinstance(v, str) or _plain(v, ensure_ascii)
+    return isinstance(grid, dict) and all(
+        _plain(k, ensure_ascii) and flat(v) for k, v in grid.items())
+
+
+def _read(tmp_path_factory, text: str):
+    path = tmp_path_factory.getbasetemp() / "read_json.json"
+    path.write_text(text, encoding="utf-8")
+    return read_json(str(path))
+
+
+@given(members=st.dictionaries(st.text(max_size=6), VALUES, max_size=5),
+       grid=st.just(NO_GRID) | GRIDS, at=st.integers(0, 5), layout=LAYOUTS)
+@example(members={"a": 1}, grid={"x": [[1.0, None]]}, at=1, layout={})
+@example(members={"a": 1}, grid={"x": [{"y": 1}]}, at=0, layout={})
+@example(members={"a": 1}, grid=None, at=1, layout={})
+@example(members={"a": 1}, grid=[1, 2], at=1, layout={})
+@example(members={"a": 1}, grid={"x": 'q"}'}, at=0, layout={})
+@example(members={"a": 1}, grid={"x": "}"}, at=0, layout={})
+def test_read_json_is_json_load_without_a_flat_grid(tmp_path_factory, members,
+                                                    grid, at, layout):
+    items = list(members.items())
+    if grid is not NO_GRID:
+        items.insert(at, ("grid", grid))
+    text = json.dumps(dict(items), **layout)
+    want = json.loads(text)
+    if _is_flat(want.get("grid"), layout.get("ensure_ascii", True)):
+        del want["grid"]
+    assert _read(tmp_path_factory, text) == want
+
+
+def test_every_prefix_of_a_result_file_is_refused(tmp_path, bih):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps({
+        "contour": {"kind": "circle", "radius": 1.0, "nodes": 16}, "G": "tau",
+        "g": "1", "output": {"grid": {"nx": 3, "ny": 3}}}))
+    spec = load_problem(str(path))
+    sol = solve_auto(spec.problem)
+    out = tmp_path / "r.json"
+    write_json(str(out), result_document(spec, sol, residual_report(sol)))
+    text = out.read_text(encoding="utf-8").rstrip("\n")
+    assert "grid" not in read_json(str(out))
+    for k in range(len(text)):
+        out.write_text(text[:k], encoding="utf-8")
+        with pytest.raises(ProblemFormatError):
+            read_json(str(out))
+
+
+@given(rows=st.lists(st.none() | st.lists(st.floats(), min_size=4, max_size=4),
+                     max_size=6))
+def test_a_flat_grid_is_skipped_whatever_numbers_it_holds(tmp_path_factory,
+                                                          rows):
+    """NaN and infinities included: the grid is neither decoded nor
+    checked, since ``verify`` does not read it."""
+    doc = {"format": "dualrbvp-result@1", "grid": {"nx": 1, "phi_plus": rows},
+           "kind": "jump"}
+    want = {"format": "dualrbvp-result@1", "kind": "jump"}
+    assert _read(tmp_path_factory, json.dumps(doc, sort_keys=True)) == want
+
+
+def test_a_flat_grid_is_not_checked(tmp_path):
+    """The documented cost of the skip: text in a flat grid that is not
+    JSON reads as a file without a grid, where ``json.load`` refuses it."""
+    path = tmp_path / "r.json"
+    path.write_text('{"grid": {"x": [1, oops, 1e999]}, "kind": "jump"}\n')
+    assert read_json(str(path)) == {"kind": "jump"}
+    path.write_text('{"grid": {"x": [1, {"oops"]}, "kind": "jump"}\n')
+    with pytest.raises(ProblemFormatError, match="not valid JSON"):
+        read_json(str(path))
+
+
+@pytest.mark.parametrize("text", [
+    '{"grid": {"x": {}}, "grid": {"x": 1}}',
+    '{"grid": [1], "grid": {"x": 1}, "a": 2}',
+    '{"grid": {"x": 1}, "grid": [1]}',
+    '{"grid": {"x": 1}, "grid": null}',
+])
+def test_the_last_of_repeated_grid_members_wins(tmp_path, text):
+    """As in ``json.load``; a flat last grid is left out."""
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    want = json.loads(text)
+    if isinstance(want["grid"], dict):
+        del want["grid"]
+    assert read_json(str(path)) == want
