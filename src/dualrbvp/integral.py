@@ -407,9 +407,12 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
 
     Approaches each node along its inward ('+') or outward ('-') normal at
     offsets h, h/2, ..., h/2^(J-1) and extrapolates the offset to zero.
-    All J x M points go to the evaluator in one call, so it must accept a
-    (J, M) array of points and return (J, M) values, or (K, J, M) for a
-    (K, N) stacked integral; the table holds (K, M).
+    A node is left out of ``indices`` unless each of its approach points
+    lies on its side, at least ``CauchyIntegralFn.min_eval_distance`` from
+    the curve (``_clear_of_curve``): on a thin or coarse curve the offsets
+    can cross it.  All J x M points go to the evaluator in one call, so it
+    must accept a (J, M) array of points and return (J, M) values, or
+    (K, J, M) for a (K, N) stacked integral; the table holds (K, M).
     ``rbvp.residual_report`` calls it once per side, as the check of a
     solution's node limits.  ``error_estimates``
     is the change made by the last extrapolation step.  Near a singularity
@@ -425,10 +428,40 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     ds = h0 / (2.0 ** np.arange(N_OFFSETS))
     p = (contour.xy[indices]
          + sign * ds[:, None, None] * contour.inward_normals()[indices])
+    keep = _clear_of_curve(contour, p, side == "+")
+    indices, p = indices[keep], p[:, keep]
     v = evaluator(PointE(p[..., 0], p[..., 1], contour.basis))
     limit, err = _neville_to_zero(ds, np.moveaxis(np.asarray(v.c1), -2, 0),
                                   np.moveaxis(np.asarray(v.c2), -2, 0))
     return BoundaryTable(indices=indices, values=limit, error_estimates=err)
+
+
+def _clear_of_curve(contour: Contour, p: np.ndarray, inside: bool) -> np.ndarray:
+    """Which columns of the (J, M, 2) approach points ``p``, farthest first,
+    lie wholly inside the curve when ``inside``, or outside it, and at least
+    the evaluator's floor guard_band / UPSAMPLE from it.
+
+    The open disc about a column's farthest point, with that point's
+    distance to the polyline as radius, misses the polyline: every point in
+    it winds as the centre does, and is at least the radius less its
+    distance to the centre from the curve.  Only points that this bound
+    leaves within the floor plus a rounding slack are measured themselves,
+    so the answer is that of a winding number and distance at every point.
+    """
+    floor = contour.guard_band / UPSAMPLE
+    far = p[0]
+    dist = (contour.dist_to(far[:, 0], far[:, 1])
+            - np.hypot(p[..., 0] - far[:, 0], p[..., 1] - far[:, 1]))
+    code = np.broadcast_to(contour.winding_number(far[:, 0], far[:, 1]) != 0,
+                           dist.shape).copy()
+    # as in Contour._classify: rounding in the bound, relative to the size
+    # of the coordinates
+    scan = dist < floor + 1e-9 * (floor + float(np.abs(contour.xy).max()))
+    if scan.any():
+        q = p[scan]
+        code[scan] = contour.winding_number(q[:, 0], q[:, 1]) != 0
+        dist[scan] = contour.dist_to(q[:, 0], q[:, 1])
+    return ((code == inside) & (dist >= floor)).all(axis=0)
 
 
 @dataclass

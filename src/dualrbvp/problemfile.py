@@ -15,15 +15,24 @@ are positive ints, and coordinates, basis vectors, polynomial rows and
 tolerances are finite numbers.
 
 Result files contain no timestamps and use sorted keys, so identical inputs
-produce byte-identical outputs.  ``polynomial`` records P, ``psi`` records
-g exp(-E+) at every node (zero rows for a homogeneous problem), and the
-boundary section records Phi+ and Phi- at every contour node, row j at
-node j, because ``verify`` integrates them with the contour's quadrature.
-``sup_residual`` and ``boundary_error_estimate`` come from
-``rbvp.residual_report``.  Nothing that is fixed by construction is
-recorded: older files of the same format that still hold the node order
-(``boundary.node_indices``) or exterior rings (``infinity_bound``,
-``infinity_by_radius``) verify the same, since ``verify`` reads neither.
+produce byte-identical outputs.  A result records what the solve computed,
+and what a reader needs in order to use it; it does not restate its inputs,
+since ``verify`` samples G and g from the problem, independently of
+construction.  ``kind``, ``kappa`` and ``raw_index`` record the branch and
+the index; ``polynomial`` records P, the member of the solution family that
+was built; ``psi`` records g exp(-E+) at every node (zero rows for a
+homogeneous problem); ``solvable``, ``moments`` and ``moment_norms`` record
+the moment conditions; and ``tolerances`` the residual tolerance in force,
+which ``--tol-residual`` can change.  The boundary section records Phi+ and
+Phi- at every contour node, row j at node j, because ``verify`` integrates
+them with the contour's quadrature, and ``tau`` at each node, so that a
+reader can pair each row with its point.  ``sup_residual`` and
+``boundary_error_estimate`` come from ``rbvp.residual_report``.  Older files
+of the same format verify the same when they also hold the node order
+(``boundary.node_indices``), exterior rings (``infinity_bound``,
+``infinity_by_radius``), samples of t, G and g (``boundary.t``,
+``boundary.G``, ``boundary.g``) or ``trivial_only``: ``verify`` reads none
+of them.
 The grid section records Phi+ (``phi_plus``) at the grid points inside the
 curve and Phi- (``phi_minus``) at those outside, from the node tables
 (``rbvp``), and ``null`` for the other side; a point has neither only
@@ -38,7 +47,8 @@ steps over a top-level ``grid`` object that is flat: one whose text holds
 no other "{", no backslash and an even number of '"' before its first "}".
 Every string in it is then closed, so that "}" ends it.  This is always the
 case for what ``write_json`` writes, and the grid is most of a grid
-result's bytes (93% at 128 x 128).  ``verify`` reads the boundary section
+result's bytes (94.8% and 95.3% of the two 128 x 128 grid results of the
+benchmark at seed 301).  ``verify`` reads the boundary section
 and never the grid, so a flat grid is neither decoded nor checked; any
 other grid is decoded.
 """
@@ -57,7 +67,8 @@ import numpy as np
 from .algebra import BasisE, DualComplex, PointE, biharmonic_basis, classical_basis
 from .contour import Contour, build_contour
 from .errors import ProblemFormatError
-from .rbvp import RBVPProblem, RBVPSolution, ResidualReport, Tolerances
+from .rbvp import (RBVPProblem, RBVPSolution, ResidualReport,
+                   SolvabilityReport, Tolerances)
 from . import expr as _expr
 
 RESULT_FORMAT = "dualrbvp-result@1"
@@ -261,66 +272,54 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
 
 
 def _boundary_section(spec: ProblemSpec, solution: RBVPSolution) -> dict:
-    from .integral import boundary_samples as _samples
-    contour = spec.contour
     return {
-        "t": contour.t.tolist(),
-        "tau": dc_array_to_lists(contour.values()),
+        "tau": dc_array_to_lists(spec.contour.values()),
         "phi_plus": dc_array_to_lists(solution.boundary_table("+")),
         "phi_minus": dc_array_to_lists(solution.boundary_table("-")),
-        "G": dc_array_to_lists(_samples(spec.problem.G, contour)),
-        "g": dc_array_to_lists(_samples(spec.problem.g, contour)),
     }
 
 
 def result_document(spec: ProblemSpec, solution: Optional[RBVPSolution],
                     report: Optional[ResidualReport],
-                    solvability=None) -> dict:
-    """Assemble the result file body; ``solution`` is None for unsolvable
-    problems, which still record their moment data.  Only a nonhomogeneous
+                    solvability: Optional[SolvabilityReport] = None) -> dict:
+    """Assemble the result file body: what the solve computed, and what a
+    reader needs in order to use it (module docstring).  ``solution`` and
+    its ``report`` are None for an unsolvable problem, which records its
+    ``solvability`` report and the defaults below.  Only a nonhomogeneous
     problem can be unsolvable: a jump or homogeneous one has no moment
     condition to fail."""
+    conditions = solvability if solution is None else solution.solvability
     doc: dict = {
         "format": RESULT_FORMAT,
         "contour_hash": spec.contour.content_hash(),
         "tolerances": {"residual": spec.problem.tolerances.residual},
+        "kind": "nonhomogeneous",
+        "kappa": conditions.kappa,
+        "raw_index": None,
+        "polynomial": [],
+        "psi": None,
+        "boundary": None,
+        "grid": None,
+        "solvable": conditions.solvable,
+        "moment_norms": [float(v) for v in conditions.moment_norms],
+        "moments": [dc_to_list(m) for m in conditions.moments],
+        "sup_residual": None,
+        "boundary_error_estimate": None,
     }
-    sol_report = solvability
     if solution is not None:
-        sol_report = solution.solvability if sol_report is None else sol_report
-        doc["kind"] = solution.kind
-        doc["kappa"] = solution.kappa
-        # a jump problem records no index, like its kappa label
-        doc["raw_index"] = (solution.canonical.raw_index
-                            if solution.kappa is not None else None)
-        doc["trivial_only"] = solution.trivial_only
-        doc["polynomial"] = [dc_to_list(c) for c in solution.poly_coeffs]
-        doc["psi"] = dc_array_to_lists(solution.psi)
-        doc["boundary"] = _boundary_section(spec, solution)
-        doc["grid"] = _grid_section(spec, solution)
-    else:
-        doc["kind"] = "nonhomogeneous"
-        doc["kappa"] = sol_report.kappa if sol_report is not None else None
-        doc["raw_index"] = None
-        doc["trivial_only"] = False
-        doc["polynomial"] = []
-        doc["psi"] = None
-        doc["boundary"] = None
-        doc["grid"] = None
-    if sol_report is not None:
-        doc["solvable"] = sol_report.solvable
-        doc["moment_norms"] = [float(v) for v in sol_report.moment_norms]
-        doc["moments"] = [dc_to_list(m) for m in sol_report.moments]
-    else:
-        doc["solvable"] = True
-        doc["moment_norms"] = []
-        doc["moments"] = []
-    if report is not None:
-        doc["sup_residual"] = report.sup_residual
-        doc["boundary_error_estimate"] = report.boundary_error_estimate
-    else:
-        doc["sup_residual"] = None
-        doc["boundary_error_estimate"] = None
+        doc.update(
+            kind=solution.kind,
+            kappa=solution.kappa,
+            # a jump problem records no index, like its kappa label
+            raw_index=(solution.canonical.raw_index
+                       if solution.kappa is not None else None),
+            polynomial=[dc_to_list(c) for c in solution.poly_coeffs],
+            psi=dc_array_to_lists(solution.psi),
+            boundary=_boundary_section(spec, solution),
+            grid=_grid_section(spec, solution),
+            sup_residual=report.sup_residual,
+            boundary_error_estimate=report.boundary_error_estimate,
+        )
     return doc
 
 

@@ -154,10 +154,6 @@ class RBVPSolution:
     def kappa(self) -> Optional[int]:
         return None if self.kind == "jump" else self.canonical.kappa
 
-    @property
-    def trivial_only(self) -> bool:
-        return self.kind == "homogeneous" and self.canonical.kappa < 0
-
     def off_curve(self, side: str, points: PointE) -> DualComplex:
         """Phi+ at points inside the curve or Phi- at points outside it:
         one kernel sum over [table, 1] and one quotient (module docstring)."""
@@ -278,15 +274,15 @@ def residual_report(solution: RBVPSolution) -> ResidualReport:
     e_E and e_psi to the node limits, propagated to first order as
     |X| (e_psi + |psi~ + P| e_E), estimate the table's error there.
     ``boundary_error_estimate`` is the largest of them over both sides, or
-    None when every node is a corner; a diagnostic, since the sample can
-    miss the worst node.
+    None when no node is checked: every node is a corner, or every sampled
+    node's approach points cross or near the curve (``boundary_values``).
+    It is a diagnostic, since the sample can miss the worst node.
     """
     p = solution.problem
     res = boundary_defect(p.contour, p.G, p.g, solution.boundary_table("+"),
                           solution.boundary_table("-"))
-    estimate = None
+    gaps = [np.empty(0)]
     if not p.contour.corner_mask.all():
-        gaps = []
         for side in "+-":
             lim, x, factor = solution._factors(side)
             table = boundary_values(solution.integral, p.contour, side)
@@ -296,9 +292,10 @@ def residual_report(solution: RBVPSolution) -> ResidualReport:
                 table.values.c2[r] - lim.c2[r][at]))) for r in (0, 1))
             gaps.append(np.asarray(dc_norm(x))[at]
                         * (e_psi + np.asarray(dc_norm(factor))[at] * e_exp))
-        estimate = float(np.concatenate(gaps).max())
-    return ResidualReport(sup_residual=float(res.max()),
-                          boundary_error_estimate=estimate)
+    gaps = np.concatenate(gaps)
+    return ResidualReport(
+        sup_residual=float(res.max()),
+        boundary_error_estimate=float(gaps.max()) if gaps.size else None)
 
 
 PROBE_RING = 32

@@ -3,7 +3,9 @@ import json
 import numpy as np
 import pytest
 
+from dualrbvp import evaluate, parse
 from dualrbvp.cli import main
+from dualrbvp.problemfile import dc_array_from_lists
 
 
 def write_problem(path, **overrides):
@@ -439,13 +441,12 @@ class TestVerify:
 
         doc = json.loads(out.read_text())
         bnd = doc["boundary"]
-        rows = np.asarray(bnd["G"])
-        G = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
-        rows = np.asarray(bnd["g"])
-        g = rows[:, 0] + 1j * rows[:, 1], rows[:, 2] + 1j * rows[:, 3]
+        # G and g at the recorded nodes, as the solve and verify sample them
+        tau = dc_array_from_lists(bnd["tau"])
+        G, g = (evaluate(parse(f), tau=tau) for f in ("tau*exp(tau)", "1+tau^2"))
         noise = np.random.default_rng(7).normal(size=(4, 128))
         h = noise[0] + 1j * noise[1], noise[2] + 1j * noise[3]
-        plus = (G[0] * h[0] + g[0], G[0] * h[1] + G[1] * h[0] + g[1])
+        plus = (G.c1 * h[0] + g.c1, G.c1 * h[1] + G.c2 * h[0] + g.c2)
         bnd["phi_minus"] = [[a.real, a.imag, b.real, b.imag] for a, b in zip(*h)]
         bnd["phi_plus"] = [[a.real, a.imag, b.real, b.imag] for a, b in zip(*plus)]
         out.write_text(json.dumps(doc, sort_keys=True))
@@ -587,24 +588,47 @@ class TestVerify:
         assert reports[1] == reports[0] and reports[2] == reports[0]
 
     def test_result_records_no_fixed_quantities(self, tmp_path):
-        """The node order (always 0..N-1) and the infinity rings (P's
-        z^kappa coefficient + O(1/R)) are not recorded; a file that still
-        has them, as older files do, verifies the same."""
+        """The node order (always 0..N-1), the infinity rings (P's
+        z^kappa coefficient + O(1/R)), the samples of t, G and g, and
+        ``trivial_only`` (kind and kappa) are not recorded; a file that
+        still has them, as older files do, verifies the same."""
         prob = write_problem(tmp_path / "p.json", G="tau", g="1",
                              contour={"kind": "circle", "radius": 1.0,
                                       "nodes": 64})
         out = tmp_path / "r.json"
         assert main(["solve", str(prob), "--out", str(out)]) == 0
         doc = json.loads(out.read_text())
-        assert "infinity_bound" not in doc and "infinity_by_radius" not in doc
-        assert "node_indices" not in doc["boundary"]
+        old_keys = ("infinity_bound", "infinity_by_radius", "trivial_only")
+        assert not any(k in doc for k in old_keys)
+        bnd = doc["boundary"]
+        assert not any(k in bnd for k in ("node_indices", "t", "G", "g"))
         rep, old_rep = tmp_path / "v.json", tmp_path / "v-old.json"
         assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
-        doc.update(infinity_bound=0.0, infinity_by_radius=[0.0, 0.0, 0.0])
-        doc["boundary"]["node_indices"] = list(range(64))
+        doc.update(infinity_bound=0.0, infinity_by_radius=[0.0, 0.0, 0.0],
+                   trivial_only=False)
+        tau = dc_array_from_lists(bnd["tau"])
+        for key, f in (("G", "tau"), ("g", "1")):
+            v = evaluate(parse(f), tau=tau)
+            bnd[key] = np.broadcast_to(np.stack(
+                [v.c1.real, v.c1.imag, v.c2.real, v.c2.imag], axis=-1),
+                (64, 4)).tolist()
+        bnd.update(node_indices=list(range(64)), t=(np.arange(64) / 64).tolist())
         out.write_text(json.dumps(doc))
         assert main(["verify", str(prob), str(out), "--out", str(old_rep)]) == 0
         assert old_rep.read_bytes() == rep.read_bytes()
+
+    @pytest.mark.parametrize("contour", [
+        *({"kind": "circle", "radius": 1.0, "nodes": n} for n in (3, 12, 16, 20, 24)),
+        {"kind": "ellipse", "semi_axes": [3.0, 0.2], "nodes": 64},
+        {"kind": "explicit", "points": [[1, 0], [0, 1], [-1, 0], [0, -1]]}])
+    def test_coarse_or_thin_curves_solve(self, tmp_path, contour):
+        """Offsets of eight node spacings cross these curves inward; the
+        offset check leaves those nodes out and the solve succeeds."""
+        prob = write_problem(tmp_path / "p.json", G="tau", g="1",
+                             contour=contour)
+        out = tmp_path / "r.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["boundary_error_estimate"] > 0.0
 
     def test_contour_hash_mismatch(self, tmp_path):
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")

@@ -612,6 +612,49 @@ class TestCheckSample:
         assert calls == [(N_OFFSETS, 64)] * 2
 
 
+class TestCoarseCurves:
+    """Offsets of eight node spacings reach past a curve this coarse or
+    thin: a node is checked only when each of its approach points lies on
+    its side, at least ``min_eval_distance`` from the curve."""
+
+    @pytest.mark.parametrize("nodes", [12, 16, 20, 24])
+    def test_every_evaluated_point_is_on_its_side(self, bih, nodes):
+        c = circle_contour(bih, radius=1.0, nodes=nodes)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
+        for side in "+-":
+            seen = []
+
+            def spy(points):
+                seen.append(np.hypot(points.x, points.y))
+                return fn(points)
+            table = boundary_values(spy, c, side)
+            (r,) = seen
+            assert r.shape == (N_OFFSETS, table.indices.size)
+            assert (r < 1.0).all() if side == "+" else (r > 1.0).all()
+            # the first inward offset, 8 spacings, crosses the circle; no
+            # outward one does
+            assert table.indices.size == (0 if side == "+" else nodes)
+
+    def test_only_points_off_the_curve_are_kept(self, bih):
+        """The kept nodes are those whose every approach point is at least
+        the evaluator's floor from the polyline and on its side, measured
+        point by point.  Inward, the (3, 0.5) ellipse keeps only the
+        nodes at the ends of its major axis."""
+        for c in (ellipse_contour(bih, semi_axes=(3.0, 0.2), nodes=64),
+                  ellipse_contour(bih, semi_axes=(3.0, 0.5), nodes=64),
+                  polygon_contour(bih, SQUARE, nodes=256)):
+            fn = CauchyIntegralFn(c, boundary_samples(parse("1"), c))
+            smooth = check_sample(c)
+            ds = OFFSET_SPACING_FACTOR * c.max_spacing / 2.0 ** np.arange(N_OFFSETS)
+            for side, sign in (("+", 1.0), ("-", -1.0)):
+                p = c.xy[smooth] + sign * ds[:, None, None] * c.inward_normals()[smooth]
+                x, y = p[..., 0].ravel(), p[..., 1].ravel()
+                ok = ((c.dist_to(x, y) >= fn.min_eval_distance())
+                      & ((c.winding_number(x, y) != 0) == (side == "+")))
+                want = smooth[ok.reshape(p.shape[:2]).all(axis=0)]
+                assert np.array_equal(boundary_values(fn, c, side).indices, want)
+
+
 class TestJumpCheck:
     def test_zero_density(self, unit_circle):
         zero = DualComplex(np.zeros(512, complex), np.zeros(512, complex))

@@ -14,6 +14,7 @@ from dualrbvp import (
     parse,
 )
 from dualrbvp.algebra import dc_norm
+from dualrbvp.cli import main
 from dualrbvp.contour import Contour
 from dualrbvp.integral import CauchyIntegralFn
 from dualrbvp.errors import ProblemFormatError
@@ -221,6 +222,64 @@ def test_result_file_is_compact_and_exact(tmp_path, bih):
     assert text == json.dumps(doc, sort_keys=True) + "\n"
     assert text.count("\n") == 1
     assert same_floats(json.loads(text), doc)
+
+
+# Every key a result records, with its reader: ``verify`` (cli.run_verify),
+# bench/oracle.py, or a user of the solution, for the reason given.  A key
+# that result_document starts to write is added here with its reader.
+RESULT_KEYS = {
+    "format": "verify: the format it reads",
+    "contour_hash": "verify: the problem's contour must match",
+    "kind": "verify and bench/oracle.py: an unsolvable record passes vacuously",
+    "solvable": "verify and bench/oracle.py",
+    "kappa": "bench/oracle.py",
+    "moment_norms": "bench/oracle.py",
+    "sup_residual": "bench/oracle.py",
+    "boundary_error_estimate": "bench/oracle.py",
+    "boundary": "verify and bench/oracle.py",
+    "grid": "bench/oracle.py",
+    "raw_index": "user: how far the computed index is from the integer kappa",
+    "polynomial": "user: which member of the solution family was built",
+    "psi": "user: g exp(-E+), the density of the solution formula's integral",
+    "moments": "user: the value of each moment condition, not only its norm",
+    "tolerances": "user: the residual tolerance in force, which --tol-residual "
+                  "can change",
+}
+BOUNDARY_KEYS = {
+    "tau": "bench/oracle.py: the node each row belongs to",
+    "phi_plus": "verify and bench/oracle.py",
+    "phi_minus": "verify and bench/oracle.py",
+}
+GRID_KEYS = {
+    "x": "bench/oracle.py",
+    "y": "bench/oracle.py",
+    "phi_plus": "bench/oracle.py",
+    "phi_minus": "bench/oracle.py",
+    "nx": "user: the grid's shape, ny rows of nx points each",
+    "ny": "user: the grid's shape, ny rows of nx points each",
+}
+
+
+def test_a_result_records_exactly_the_keys_with_a_reader(tmp_path):
+    """A solved grid problem and an unsolvable one write one top-level key
+    set, and every key in the sections, each of which has a reader."""
+    docs = []
+    for name, G, g, output in (("grid", "tau*exp(tau)", "1+tau^2",
+                                {"grid": {"nx": NX, "ny": NY}}),
+                               ("unsolvable", "1/tau", "1/tau", {})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({
+            "contour": {"kind": "circle", "radius": 1.0, "nodes": 64},
+            "G": G, "g": g, "output": output}))
+        out = tmp_path / f"{name}.result.json"
+        assert main(["solve", str(path), "--out", str(out)]) == (
+            0 if name == "grid" else 2)
+        docs.append(json.loads(out.read_text()))
+    solved_doc, unsolvable_doc = docs
+    assert solved_doc.keys() == unsolvable_doc.keys() == RESULT_KEYS.keys()
+    assert solved_doc["boundary"].keys() == BOUNDARY_KEYS.keys()
+    assert solved_doc["grid"].keys() == GRID_KEYS.keys()
+    assert unsolvable_doc["boundary"] is None and unsolvable_doc["grid"] is None
 
 
 @pytest.mark.parametrize("nodes", [1e9, 1e3, 64.0])

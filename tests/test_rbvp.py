@@ -103,8 +103,10 @@ class TestHomogeneous:
 
     def test_negative_index_trivial_only(self, bih, unit_circle):
         s = solve_homogeneous(problem(unit_circle, G="1/tau"))
-        assert s.trivial_only
+        assert s.kind == "homogeneous"
         assert s.kappa == -1
+        for table in tables(s):
+            assert not table.c1.any() and not table.c2.any()
         assert norm_of(s.off_curve("+", bih.embed(0.1, 0.1))) == 0.0
         assert norm_of(s.off_curve("-", bih.embed(2.0, 2.0))) == 0.0
 
@@ -288,6 +290,17 @@ class TestSampledEstimate:
         monkeypatch.setattr(integral, "CHECK_NODES", 10 ** 6)
         full = estimate(contour, *pole_family(c, d))
         assert 0.5 * full <= sampled <= full
+
+    def test_no_checked_node_gives_no_estimate(self, bih, monkeypatch):
+        """When the offset check keeps no node on either side, as when
+        every approach crosses or nears the curve, there is no estimate."""
+        contour = circle_contour(bih, radius=1.0, nodes=64)
+        monkeypatch.setattr(integral, "_clear_of_curve",
+                            lambda c, p, inside: np.zeros(p.shape[1], dtype=bool))
+        report = residual_report(solve_nonhomogeneous(problem(
+            contour, G="tau*exp(tau)", g="1+tau^2")))
+        assert report.boundary_error_estimate is None
+        assert report.sup_residual <= 1e-12
 
     def test_sample_can_miss_the_worst_node(self, bih, monkeypatch):
         """Near a pole the estimate is a diagnostic, not a bound: with this
