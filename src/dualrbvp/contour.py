@@ -12,6 +12,9 @@ one rule per family:
   from the spectral speed, and the points between the nodes (Trefethen &
   Weideman, SIAM Review 2014).  The kinds only place the nodes;
 * polygons use composite 8-point Gauss-Legendre panels on each edge.
+
+``resolved_count`` is the one spectral-tail test: the fewest of a smooth
+contour's nodes, every 2^j-th, that still resolve a stack of node samples.
 """
 
 from __future__ import annotations
@@ -39,6 +42,9 @@ UPSAMPLE = 8
 # tied), but won only 23 of 32 whole passes of each workload and 2 of 4
 # pairs of 20 s field-grid bench runs, so 2^16 stays
 PAIR_CHUNK = 2 ** 16
+# Fourier coefficients under this many units of rounding, relative to
+# max(1, the row's largest), count as zero in ``resolved_count``
+TAIL_ROUNDING = 8.0
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(GAUSS_ORDER)
 
@@ -201,18 +207,27 @@ class Contour:
         code[dist < self.guard_band] = -1
         return code
 
+    def rounding_slack(self, length: float) -> float:
+        """A margin for rounding in a distance bound near ``length`` and in
+        ``dist_to``, relative to the size of the coordinates, so that a
+        contour far from the origin keeps it."""
+        return 1e-9 * (length + float(np.abs(self.xy).max()))
+
     def _classify(self, x, y) -> tuple[np.ndarray, np.ndarray]:
         """The side of each point, 1 where the (x, y) trace winds about it and
         0 elsewhere, and a distance for each point, flattened.
 
-        Two lower bounds on the distance to the polyline settle most points
-        exactly.  The polyline lies in the nodes' bounding box, so the
-        distance to the box bounds it, and a point outside the box winds 0.
-        The open disc about the centroid c of radius r0 = dist_to(c) misses
-        the polyline, so r0 - |p - c| bounds it, and a point in the disc
-        winds as c does.  Only a point whose larger bound is under the guard
-        band plus a rounding slack is scanned by ``winding_number`` and
-        ``dist_to``; the sides are the same as scanning every point.  The
+        Three lower bounds on the distance to the polyline settle most
+        points exactly.  The polyline lies in the nodes' bounding box, so
+        the distance to the box bounds it, and a point outside the box winds
+        0.  The open disc about the centroid c of radius r0 = dist_to(c)
+        misses the polyline, so r0 - |p - c| bounds it, and a point in the
+        disc winds as c does.  The closed disc about c of radius
+        r1 = max |node - c| holds every node and, being convex, the whole
+        polyline, so |p - c| - r1 bounds it, and a point beyond r1 winds 0.
+        Only a point whose largest bound is under the guard band plus a
+        rounding slack is scanned by ``winding_number`` and ``dist_to``;
+        the sides are the same as scanning every point.  The
         distance is exact at scanned points and is the bound, at least the
         guard band, elsewhere: callers compare it only with the guard band
         (``interior_mask``) or with smaller lengths (the output grid's
@@ -224,25 +239,42 @@ class Contour:
         lo, hi = self.xy.min(axis=0), self.xy.max(axis=0)
         box = np.hypot(np.maximum(np.maximum(lo[0] - x, x - hi[0]), 0.0),
                        np.maximum(np.maximum(lo[1] - y, y - hi[1]), 0.0))
-        if "disc" not in self._cache:
+        if "discs" not in self._cache:
             c = self.centroid
-            self._cache["disc"] = (c, float(self.dist_to(*c)[0]),
-                                   int(self.winding_number(*c)[0] != 0))
-        c, r0, c_code = self._cache["disc"]
-        disc = r0 - np.hypot(x - c[0], y - c[1])
-        dist = np.maximum(box, disc)
-        code = np.where(box > 0.0, 0, c_code)
-        # covers rounding in the bounds and in dist_to, relative to the
-        # coordinates' magnitude so that a contour far from the origin keeps it
-        slack = 1e-9 * (band + float(np.abs(self.xy).max()))
-        scan = np.nonzero(dist < band + slack)[0]
+            self._cache["discs"] = (c, float(self.dist_to(*c)[0]),
+                                    float(np.hypot(*(self.xy - c).T).max()),
+                                    int(self.winding_number(*c)[0] != 0))
+        c, r0, r1, c_code = self._cache["discs"]
+        rc = np.hypot(x - c[0], y - c[1])
+        dist = np.maximum(np.maximum(box, r0 - rc), rc - r1)
+        code = np.where((box > 0.0) | (rc > r1), 0, c_code)
+        scan = np.nonzero(dist < band + self.rounding_slack(band))[0]
         if scan.size:
             xs, ys = x[scan], y[scan]
             dist[scan] = self.dist_to(xs, ys)
             code[scan] = self.winding_number(xs, ys) != 0
         return code, dist
 
-    # -- upsampled geometry (smooth kinds) ----------------------------------------
+    # -- resampled geometry (smooth kinds) ----------------------------------------
+
+    def resolved_rule(self, samples: DualComplex
+                      ) -> tuple[int, DualComplex, DualComplex]:
+        """(step, tau, dtau) of the fewest uniform nodes, every step-th, that
+        resolve both the node samples (N,) or (K, N) and the curve itself:
+        ``resolved_count`` of the samples' two parts and of the node
+        coordinates, which carry the geometry of the trigonometric
+        interpolant.  The weights are the trapezoid rule of those nodes, as
+        ``_trapezoid_contour`` builds it.  A polygon, or a count that no
+        halving resolves, keeps its own rule with step 1."""
+        step = 1 if self.kind == "polygon" else self.n // resolved_count(
+            np.vstack([np.atleast_2d(samples.c1), np.atleast_2d(samples.c2),
+                       self.xy.T]))
+        if step == 1:
+            return 1, self.values(), self.dtau()
+        xy = self.xy[::step]
+        d = _trig_derivative(xy.T, len(xy)) / len(xy)
+        return (step, self.basis.vector(xy[:, 0], xy[:, 1]),
+                self.basis.vector(d[0], d[1]))
 
     def refined_geometry(self):
         """(xy, dtau-weights) of a smooth contour's trigonometric interpolant
@@ -260,6 +292,28 @@ class Contour:
         m = self.n * UPSAMPLE
         return DualComplex(_trig_interp(np.asarray(values.c1, dtype=complex), m),
                            _trig_interp(np.asarray(values.c2, dtype=complex), m))
+
+
+def resolved_count(rows) -> int:
+    """The fewest uniform samples N' = N / 2^j that resolve every row of an
+    (N,) or (K, N) stack of periodic samples: the smallest such N' at which
+    every Fourier coefficient with |k| >= N'/4 of every row is under
+    TAIL_ROUNDING units of rounding, relative to max(1, the row's largest
+    coefficient) (a chopping rule, Aurentz & Trefethen, ACM TOMS 2017).
+    The modes kept are then under half of N'/2, a 2x margin.  The floor
+    of 1 lets a row that is zero to rounding resolve at any N'.  An odd N
+    is its own answer."""
+    rows = np.atleast_2d(rows)
+    n = rows.shape[-1]
+    mag = np.abs(np.fft.fft(rows)) / n
+    floor = TAIL_ROUNDING * np.finfo(float).eps * np.maximum(
+        1.0, mag.max(axis=-1, keepdims=True))
+    kept = (mag >= floor).any(axis=0)
+    top = np.abs(np.fft.fftfreq(n, d=1.0 / n))[kept].max(initial=0.0)
+    m = n
+    while m % 2 == 0 and 8 * top < m:
+        m //= 2
+    return m
 
 
 def theta_measure(contour: Contour, node_index, eps):

@@ -256,6 +256,17 @@ def _subtracted_sum(contour: Contour, dens: DualComplex) -> DualComplex:
 
 # -- Cauchy-type integral ---------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class BoundedPoints(PointE):
+    """Points with a lower and an upper bound on each one's distance to the
+    polyline, both shaped like the coordinates and both holding up to
+    rounding, so that ``CauchyIntegralFn`` need not measure the points
+    the bounds settle."""
+
+    lower: np.ndarray
+    upper: np.ndarray
+
+
 @dataclass(eq=False)
 class CauchyIntegralFn:
     """Evaluable Cauchy-type integral of a fixed density on a fixed contour.
@@ -273,16 +284,31 @@ class CauchyIntegralFn:
         return self.contour.guard_band / UPSAMPLE
 
     def __call__(self, points: PointE) -> DualComplex:
+        """The integral at ``points``: the native rule at least a guard band
+        from the curve, the refined rule nearer, and an error within
+        ``min_eval_distance``.  A point's distance to the curve is measured
+        only where the bounds of ``BoundedPoints`` leave either comparison
+        open; plain points have none, so every one is measured."""
         c = self.contour
         shape = np.shape(points.x)
         x = np.asarray(points.x, dtype=float).ravel()
         y = np.asarray(points.y, dtype=float).ravel()
         z = c.basis.vector(x, y)
-        dist = c.dist_to(x, y)
-        if np.any(dist < self.min_eval_distance()):
-            raise TooCloseToBoundaryError(
-                f"evaluation within {self.min_eval_distance():.3e} of the contour")
-        near = dist < c.guard_band
+        band, floor = c.guard_band, self.min_eval_distance()
+        if isinstance(points, BoundedPoints):
+            lower = np.ravel(points.lower)
+            upper = np.ravel(points.upper)
+            near = upper < band
+            measure = (lower < floor) | ((lower < band) & ~near)
+        else:
+            near = np.zeros(x.size, dtype=bool)
+            measure = np.ones(x.size, dtype=bool)
+        if measure.any():
+            dist = c.dist_to(x[measure], y[measure])
+            if np.any(dist < floor):
+                raise TooCloseToBoundaryError(
+                    f"evaluation within {floor:.3e} of the contour")
+            near[measure] = dist < band
         far = ~near
         stacked = np.ndim(self.density.c1) == 2
         dens = DualComplex(np.atleast_2d(self.density.c1),
@@ -412,7 +438,11 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     the curve (``_clear_of_curve``): on a thin or coarse curve the offsets
     can cross it.  All J x M points go to the evaluator in one call, so it
     must accept a (J, M) array of points and return (J, M) values, or
-    (K, J, M) for a (K, N) stacked integral; the table holds (K, M).
+    (K, J, M) for a (K, N) stacked integral; the table holds (K, M).  The
+    points are ``BoundedPoints``: the offset bounds each one's distance to
+    the curve from above, and ``_clear_of_curve``'s disc from below, so a
+    ``CauchyIntegralFn`` measures only those whose bounds straddle its
+    guard band.
     ``rbvp.residual_report`` calls it once per side, as the check of a
     solution's node limits.  ``error_estimates``
     is the change made by the last extrapolation step.  Near a singularity
@@ -428,18 +458,25 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     ds = h0 / (2.0 ** np.arange(N_OFFSETS))
     p = (contour.xy[indices]
          + sign * ds[:, None, None] * contour.inward_normals()[indices])
-    keep = _clear_of_curve(contour, p, side == "+")
+    keep, lower = _clear_of_curve(contour, p, side == "+")
     indices, p = indices[keep], p[:, keep]
-    v = evaluator(PointE(p[..., 0], p[..., 1], contour.basis))
+    # each node is a vertex of the polyline, so an approach point's offset
+    # bounds its distance from above
+    upper = np.broadcast_to(ds[:, None] + contour.rounding_slack(ds[0]),
+                            p.shape[:2])
+    v = evaluator(BoundedPoints(p[..., 0], p[..., 1], contour.basis,
+                                lower[:, keep], upper))
     limit, err = _neville_to_zero(ds, np.moveaxis(np.asarray(v.c1), -2, 0),
                                   np.moveaxis(np.asarray(v.c2), -2, 0))
     return BoundaryTable(indices=indices, values=limit, error_estimates=err)
 
 
-def _clear_of_curve(contour: Contour, p: np.ndarray, inside: bool) -> np.ndarray:
+def _clear_of_curve(contour: Contour, p: np.ndarray, inside: bool
+                    ) -> tuple[np.ndarray, np.ndarray]:
     """Which columns of the (J, M, 2) approach points ``p``, farthest first,
     lie wholly inside the curve when ``inside``, or outside it, and at least
-    the evaluator's floor guard_band / UPSAMPLE from it.
+    the evaluator's floor guard_band / UPSAMPLE from it; and a (J, M) lower
+    bound on each point's distance to the polyline.
 
     The open disc about a column's farthest point, with that point's
     distance to the polyline as radius, misses the polyline: every point in
@@ -447,21 +484,23 @@ def _clear_of_curve(contour: Contour, p: np.ndarray, inside: bool) -> np.ndarray
     distance to the centre from the curve.  Only points that this bound
     leaves within the floor plus a rounding slack are measured themselves,
     so the answer is that of a winding number and distance at every point.
+    The lower bound is the measured distance there, and the disc's bound
+    less the slack elsewhere.
     """
     floor = contour.guard_band / UPSAMPLE
+    slack = contour.rounding_slack(floor)
     far = p[0]
     dist = (contour.dist_to(far[:, 0], far[:, 1])
             - np.hypot(p[..., 0] - far[:, 0], p[..., 1] - far[:, 1]))
     code = np.broadcast_to(contour.winding_number(far[:, 0], far[:, 1]) != 0,
                            dist.shape).copy()
-    # as in Contour._classify: rounding in the bound, relative to the size
-    # of the coordinates
-    scan = dist < floor + 1e-9 * (floor + float(np.abs(contour.xy).max()))
+    scan = dist < floor + slack
+    lower = dist - slack
     if scan.any():
         q = p[scan]
         code[scan] = contour.winding_number(q[:, 0], q[:, 1]) != 0
-        dist[scan] = contour.dist_to(q[:, 0], q[:, 1])
-    return ((code == inside) & (dist >= floor)).all(axis=0)
+        dist[scan] = lower[scan] = contour.dist_to(q[:, 0], q[:, 1])
+    return ((code == inside) & (dist >= floor)).all(axis=0), lower
 
 
 @dataclass

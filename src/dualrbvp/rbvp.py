@@ -30,6 +30,17 @@ rule's Cauchy-type sum.  The quotient cancels the quadrature error near the
 curve, so it needs no guard band.  Phi-(infinity) is P's coefficient of
 z^kappa when P has degree kappa, and 0 otherwise.
 
+On a smooth contour the sum runs over every step-th node only, the fewest
+N' = N / 2^j nodes at which the table's and the node coordinates' Fourier
+coefficients with |k| >= N'/4 are at rounding (``Contour.resolved_rule``).
+The quotient keeps its accuracy there because it reproduces any trace its
+nodes resolve: the N'-node trigonometric interpolants of the table and of
+the curve equal the N-node ones to rounding, and the quotient's error near
+the curve is that of the table's interpolant, not that of the quadrature
+(Helsing & Ojala 2008).  An under-resolved table, a curve whose
+coordinates are not band-limited, and a polygon keep all N nodes, and the
+node tables themselves, which the result records, always have N rows.
+
 ``residual_report`` is where a solve checks itself: the boundary relation
 on the tables, and the offset check of their node limits (module docstring
 of ``integral``).
@@ -156,13 +167,16 @@ class RBVPSolution:
 
     def off_curve(self, side: str, points: PointE) -> DualComplex:
         """Phi+ at points inside the curve or Phi- at points outside it:
-        one kernel sum over [table, 1] and one quotient (module docstring)."""
+        one kernel sum over [table, 1] on the fewest nodes that resolve the
+        table and the curve, and one quotient (module docstring)."""
         c = self.problem.contour
         table = self.boundary_table(side)
+        step, tau, dtau = c.resolved_rule(table)
+        n = c.n // step
         z = c.basis.vector(np.ravel(points.x), np.ravel(points.y))
-        v = _kernel_sum(c.values(), c.dtau(), DualComplex(
-            np.stack([table.c1, np.ones(c.n)]),
-            np.stack([table.c2, np.zeros(c.n)])), z.c1, z.c2)
+        v = _kernel_sum(tau, dtau, DualComplex(
+            np.stack([table.c1[::step], np.ones(n)]),
+            np.stack([table.c2[::step], np.zeros(n)])), z.c1, z.c2)
         num, den = DualComplex(v.c1[0], v.c2[0]), DualComplex(v.c1[1], v.c2[1])
         if side == "-":
             kappa, coeffs = self.canonical.kappa, self.poly_coeffs

@@ -14,7 +14,13 @@ from dualrbvp import (
     polygon_contour,
     theta_measure,
 )
-from dualrbvp.contour import PAIR_CHUNK, _trig_derivative, _trig_eval, _trig_interp
+from dualrbvp.contour import (
+    PAIR_CHUNK,
+    _trig_derivative,
+    _trig_eval,
+    _trig_interp,
+    resolved_count,
+)
 from dualrbvp.errors import (
     CornerNodeError,
     EmptySpecError,
@@ -246,8 +252,8 @@ BOUND_CONTOURS = {
 def test_classify_bounds_are_exact(bih, rng, name):
     """The codes the box and disc bounds give without a distance query are
     those of measuring every point, at random points and at points one
-    guard band from the box and from the disc, where the bounds are
-    tight."""
+    guard band from the box, from the inner disc and from the outer disc,
+    where the bounds are tight."""
     c = BOUND_CONTOURS[name](bih)
     band = c.guard_band
     lo, hi = c.xy.min(axis=0), c.xy.max(axis=0)
@@ -268,10 +274,14 @@ def test_classify_bounds_are_exact(bih, rng, name):
     rad = np.repeat((r0 - band) * nudge, ang.size)
     disc_x = centre[0] + rad * np.tile(np.cos(ang), 3)
     disc_y = centre[1] + rad * np.tile(np.sin(ang), 3)
+    r1 = float(np.hypot(*(c.xy - centre).T).max())
+    rad = np.repeat((r1 + band) * nudge, ang.size)
+    outer_x = centre[0] + rad * np.tile(np.cos(ang), 3)
+    outer_y = centre[1] + rad * np.tile(np.sin(ang), 3)
     x = np.concatenate([rng.uniform(lo[0] - size, hi[0] + size, 2000),
-                        box_x, disc_x])
+                        box_x, disc_x, outer_x])
     y = np.concatenate([rng.uniform(lo[1] - size, hi[1] + size, 2000),
-                        box_y, disc_y])
+                        box_y, disc_y, outer_y])
     want = np.where(c.dist_to(x, y) < band, -1,
                     (c.winding_number(x, y) != 0).astype(int))
     np.testing.assert_array_equal(c.interior_mask(x, y), want)
@@ -450,3 +460,51 @@ class TestTrigInterp:
         up = _trig_interp(f, factor * len(f))
         scale = max(1.0, float(np.max(np.abs(f))))
         assert np.max(np.abs(up[::factor] - f)) <= 1e-12 * len(f) * scale
+
+
+class TestResolvedCount:
+    """The chopping rule: the smallest N' = N / 2^j at which every
+    coefficient with |k| >= N'/4 is at rounding."""
+
+    @pytest.mark.parametrize("degree, want", [(1, 8), (3, 16), (4, 32),
+                                              (15, 64), (16, 128), (40, 256)])
+    def test_a_trigonometric_polynomial_keeps_four_times_its_degree(
+            self, rng, degree, want):
+        k = np.fft.fftfreq(256, d=1.0 / 256)
+        spec = (rng.normal(size=(2, 256)) + 1j * rng.normal(size=(2, 256))) \
+            * (np.abs(k) <= degree)
+        spec[:, k == degree] = 1.0
+        rows = 256 * np.fft.ifft(spec)
+        assert resolved_count(rows) == want
+        assert resolved_count(rows[0].real) == want
+
+    def test_a_row_at_rounding_counts_as_zero(self, rng):
+        """Relative to max(1, its largest coefficient), so a table that is
+        zero to rounding resolves at any count: a purely relative test
+        would keep every node for it."""
+        t = 2 * np.pi * np.arange(256) / 256
+        noise = 1e-17 * rng.normal(size=256)
+        assert resolved_count(np.stack([np.cos(t), noise])) == 8
+        assert resolved_count(np.stack([np.cos(t), 1e-10 * np.cos(100 * t)])) == 256
+
+    def test_an_odd_count_or_a_tail_above_rounding_keeps_every_sample(self, rng):
+        t = 2 * np.pi * np.arange(255) / 255
+        assert resolved_count(np.cos(t)) == 255
+        assert resolved_count(rng.normal(size=256)) == 256
+        # a kink: the coefficients fall like 1/k^2
+        t = 2 * np.pi * np.arange(256) / 256
+        assert resolved_count(np.abs(np.sin(t))) == 256
+
+    def test_the_rule_is_the_contour_and_the_samples(self, bih):
+        c = ellipse_contour(bih, semi_axes=(1.3, 0.8), nodes=256)
+        zero = c.values() * 0.0
+        step, tau, dtau = c.resolved_rule(zero)
+        assert step == 256 // 8
+        # the trapezoid rule of the subsample, as a contour of those nodes
+        coarse = ellipse_contour(bih, semi_axes=(1.3, 0.8), nodes=8)
+        np.testing.assert_allclose(tau.c1, coarse.values().c1, atol=1e-15)
+        np.testing.assert_allclose(dtau.c1, coarse.dtau().c1, atol=1e-15)
+        np.testing.assert_allclose(dtau.c2, coarse.dtau().c2, atol=1e-15)
+        square = polygon_contour(bih, SQUARE, nodes=128)
+        step, tau, dtau = square.resolved_rule(square.values() * 0.0)
+        assert step == 1 and tau is square.values() and dtau is square.dtau()

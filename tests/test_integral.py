@@ -24,11 +24,12 @@ from dualrbvp import (
     polygon_contour,
 )
 from dualrbvp.algebra import PointE
-from dualrbvp.contour import PAIR_CHUNK
+from dualrbvp.contour import PAIR_CHUNK, Contour
 from dualrbvp.integral import (
     CHECK_NODES,
     N_OFFSETS,
     OFFSET_SPACING_FACTOR,
+    BoundedPoints,
     CauchyIntegralFn,
     _kernel_sum,
     _refined_panel_integral,
@@ -610,6 +611,70 @@ class TestCheckSample:
         for side in "+-":
             boundary_values(counted, c, side)
         assert calls == [(N_OFFSETS, 64)] * 2
+
+
+class TestBoundedApproach:
+    """The offset check hands its evaluator each approach point's offset as
+    an upper bound on its distance to the curve and the disc bound of
+    ``_clear_of_curve`` as a lower one, so the integral measures only the
+    points whose bounds straddle its guard band, and splits near from far
+    exactly as measuring every point does."""
+
+    CURVES = {
+        "circle": lambda bih: circle_contour(bih, radius=1.0, nodes=256),
+        "ellipse": lambda bih: ellipse_contour(bih, semi_axes=(1.3, 0.8),
+                                               nodes=192),
+        "thin-ellipse": lambda bih: ellipse_contour(bih, semi_axes=(3.0, 0.5),
+                                                    nodes=64),
+        "square": lambda bih: polygon_contour(bih, SQUARE, nodes=128),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_same_limits_as_measuring_every_point(self, bih, monkeypatch, name):
+        c = self.CURVES[name](bih)
+        d1, d2 = (boundary_samples(parse(f), c) for f in ("exp(z)", "1/(z-2)+rho*z"))
+        fn = CauchyIntegralFn(c, DualComplex(np.stack([d1.c1, d2.c1]),
+                                             np.stack([d1.c2, d2.c2])))
+        measured = []
+        dist_to = Contour.dist_to
+
+        def counted(self, x, y):
+            measured.append(np.size(x))
+            return dist_to(self, x, y)
+        monkeypatch.setattr(Contour, "dist_to", counted)
+        for side in "+-":
+            seen = []
+
+            def spy(points):
+                seen.append(points)
+                return fn(points)
+            measured.clear()
+            table = boundary_values(spy, c, side)
+            cheap = sum(measured)
+            (points,) = seen
+            assert isinstance(points, BoundedPoints)
+            want = boundary_values(
+                lambda p: fn(PointE(p.x, p.y, p.basis)), c, side)
+            assert np.array_equal(table.indices, want.indices)
+            for got, ref in ((table.values.c1, want.values.c1),
+                             (table.values.c2, want.values.c2)):
+                assert np.array_equal(got, ref)
+            exact = dist_to(c, points.x, points.y).reshape(np.shape(points.x))
+            assert np.all(points.lower <= exact)
+            assert np.all(exact <= points.upper)
+            if name == "circle":
+                # the farthest point of each column, and nothing else
+                assert cheap == table.indices.size
+
+    def test_plain_points_are_all_measured(self, bih, monkeypatch):
+        c = circle_contour(bih, radius=1.0, nodes=256)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
+        measured = []
+        dist_to = Contour.dist_to
+        monkeypatch.setattr(Contour, "dist_to", lambda self, x, y: (
+            measured.append(np.size(x)) or dist_to(self, x, y)))
+        fn(PointE(np.array([0.0, 0.5, 0.99]), np.zeros(3), bih))
+        assert measured == [3]
 
 
 class TestCoarseCurves:

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,9 @@ from dualrbvp import (
 )
 from dualrbvp import integral, rbvp
 from dualrbvp.algebra import PointE
+from dualrbvp.cli import main
+from dualrbvp.contour import Contour
+from dualrbvp.problemfile import _grid_section, load_problem
 from dualrbvp.integral import boundary_defect
 from dualrbvp.rbvp import RBVPProblem, Tolerances
 from dualrbvp.errors import (
@@ -296,7 +301,8 @@ class TestSampledEstimate:
         every approach crosses or nears the curve, there is no estimate."""
         contour = circle_contour(bih, radius=1.0, nodes=64)
         monkeypatch.setattr(integral, "_clear_of_curve",
-                            lambda c, p, inside: np.zeros(p.shape[1], dtype=bool))
+                            lambda c, p, inside: (np.zeros(p.shape[1], dtype=bool),
+                                                  np.zeros(p.shape[:2])))
         report = residual_report(solve_nonhomogeneous(problem(
             contour, G="tau*exp(tau)", g="1+tau^2")))
         assert report.boundary_error_estimate is None
@@ -398,6 +404,127 @@ class TestOffCurveEvaluator:
             pts = PointE(xy[:, 0], xy[:, 1], bih)
             assert relative_miss(s.off_curve(side, pts),
                                  evaluate(parse(text), z=pts)) <= bound
+
+
+# the circle and ellipse-jump grid problems of the field-grid bench workload
+# at seed 301, with their coefficients rounded to six digits
+BENCH_GRID_PROBLEMS = {
+    "circle-k1": {
+        "basis": "biharmonic",
+        "contour": {"kind": "circle", "radius": 1.0, "nodes": 256},
+        "G": "tau*exp((0.050652-0.283845*i+(-0.062617+0.128558*i)*rho)*tau)",
+        "g": "(0.560218-0.515749*i+(0.688538+0.596796*i)*rho)"
+             "+(0.271837-0.413845*i+(0.930989-0.545525*i)*rho)*tau"
+             "+(0.132852-0.017873*i+(0.551016+0.858274*i)*rho)*tau^2",
+        "polynomial": [[-0.014222, -0.004769, -0.393606, 0.08503],
+                       [0.374607, -0.149181, -0.309423, -0.186886]]},
+    "classical-ellipse-jump": {
+        "basis": "classical",
+        "contour": {"kind": "ellipse", "semi_axes": [1.272986, 0.825387],
+                    "nodes": 256},
+        "G": "1",
+        "g": "(0.515226+0.895587*i+(-0.940343+0.393606*i)*rho)"
+             "+(0.584223+0.395746*i+(-0.404729+0.388119*i)*rho)*tau"
+             "+(0.261745+0.231804*i+(-0.327119-0.582507*i)*rho)*tau^2"},
+}
+
+# the pole family of the off-curve tests with its pole at a1 = 0.9, 0.1 from
+# a unit circle: at 256 nodes its tables' tail is far above rounding
+POLE_NEAR_CURVE = {
+    "contour": {"kind": "circle", "radius": 1.0, "nodes": 256},
+    "G": "tau*exp(0.5*tau+0.3*inv(tau-(0.9+0.1*rho)))",
+    "g": "exp(0.5*tau)*(1+tau^2-0.2*inv(tau-(0.9+0.05*rho)))"}
+
+
+def grid_problem(tmp_path, doc, n=128):
+    path = tmp_path / "p.json"
+    path.write_text(json.dumps(
+        {**doc, "output": {"grid": {"nx": n, "ny": n, "margin": 0.5}}}))
+    return path
+
+
+def every_node(monkeypatch):
+    """Evaluate off the curve on all N nodes from now on: the rule before
+    the chop."""
+    monkeypatch.setattr(Contour, "resolved_rule",
+                        lambda self, samples: (1, self.values(), self.dtau()))
+
+
+def grid_values(grid):
+    rows = [r for r in grid["phi_plus"] + grid["phi_minus"] if r is not None]
+    return np.array(rows)
+
+
+class TestResolvedOffCurve:
+    """Off the curve the barycentric quotient runs on the fewest nodes that
+    resolve the table and the curve (``Contour.resolved_rule``)."""
+
+    def test_bench_grids_chop_within_rounding(self, tmp_path, monkeypatch):
+        for name, doc in sorted(BENCH_GRID_PROBLEMS.items()):
+            spec = load_problem(str(grid_problem(tmp_path, doc)))
+            s = solve_auto(spec.problem)
+            c = spec.contour
+            steps = [c.resolved_rule(s.boundary_table(side))[0] for side in "+-"]
+            assert min(steps) > 1, name
+            got = grid_values(_grid_section(spec, s))
+            with monkeypatch.context() as m:
+                every_node(m)
+                want = grid_values(_grid_section(spec, s))
+            assert got.shape == want.shape
+            a = want[:, 0::2] + 1j * want[:, 1::2]
+            miss = np.abs(got[:, 0::2] + 1j * got[:, 1::2] - a)
+            scale = np.maximum(1.0, np.hypot(*np.abs(a).T))
+            assert np.max(np.hypot(*miss.T) / scale) <= 1e-14, name
+
+    @pytest.mark.parametrize("case", ["pole-near-curve", "square",
+                                      "rough-star"])
+    def test_unresolved_keeps_every_node_bit_for_bit(self, tmp_path, bih,
+                                                     monkeypatch, case):
+        """An under-resolved table, a polygon and an explicit curve whose
+        coordinates are not band-limited (a star with kinks) keep N."""
+        theta = 2 * np.pi * np.arange(128) / 128
+        r = 1.0 + 0.2 * np.abs(np.sin(2.5 * theta))
+        doc = {
+            "pole-near-curve": POLE_NEAR_CURVE,
+            "square": {"contour": {"kind": "polygon", "nodes": 128,
+                                   "vertices": [[-1, -1], [1, -1], [1, 1], [-1, 1]]},
+                       "G": "tau", "g": "1+tau^2"},
+            "rough-star": {"contour": {"kind": "explicit", "points": np.stack(
+                [r * np.cos(theta), r * np.sin(theta)], axis=1).tolist()},
+                "G": "tau*exp(0.5*tau)", "g": "1+tau^2"},
+        }[case]
+        spec = load_problem(str(grid_problem(tmp_path, doc, n=48)))
+        s = solve_auto(spec.problem)
+        for side in "+-":
+            assert spec.contour.resolved_rule(s.boundary_table(side))[0] == 1
+        got = _grid_section(spec, s)
+        every_node(monkeypatch)
+        assert _grid_section(spec, s) == got
+
+    def test_zero_table_gives_exact_zeros(self, bih):
+        """The homogeneous kappa = -1 problem has only the zero solution;
+        the chop leaves the coordinates to decide N', and the zero row is
+        left out of the kernel sum."""
+        contour = circle_contour(bih, radius=1.0, nodes=256)
+        s = solve_homogeneous(problem(contour, G="inv(tau)"))
+        x = np.linspace(-2.0, 2.0, 41)
+        gx, gy = np.meshgrid(x, x)
+        code = contour.interior_mask(gx.ravel(), gy.ravel())
+        for side, want in (("+", 1), ("-", 0)):
+            table = s.boundary_table(side)
+            assert not (table.c1.any() or table.c2.any())
+            assert contour.resolved_rule(table)[0] == 256 // 8
+            sel = code == want
+            v = s.off_curve(side, PointE(gx.ravel()[sel], gy.ravel()[sel], bih))
+            assert v.c1.size == sel.sum() > 0
+            assert not (v.c1.any() or v.c2.any())
+
+    def test_two_solves_write_the_same_bytes(self, tmp_path):
+        prob = grid_problem(tmp_path, BENCH_GRID_PROBLEMS["circle-k1"], n=32)
+        out = [tmp_path / "r1.json", tmp_path / "r2.json"]
+        for path in out:
+            assert main(["solve", str(prob), "--out", str(path)]) == 0
+        assert out[0].read_bytes() == out[1].read_bytes()
 
 
 class TestResidualReport:
