@@ -118,9 +118,7 @@ def _check_invertible(c: DualComplex, what: str) -> None:
         idx = np.nonzero(np.atleast_1d(bad))[0]
         raise NotInvertibleError(
             f"{what}: complex part vanishes"
-            + (f" at {idx.size} sample(s), first index {int(idx[0])}" if np.ndim(bad) else ""),
-            indices=idx if np.ndim(bad) else None,
-        )
+            + (f" at {idx.size} sample(s), first index {int(idx[0])}" if np.ndim(bad) else ""))
 
 
 def dc_inv(c: DualComplex) -> DualComplex:
@@ -202,7 +200,7 @@ def basis_validate(b: BasisE) -> BasisE:
     n2 = math.hypot(abs(b.a2), abs(b.b2))
     if abs(det) <= BASIS_DET_RTOL * n1 * n2:
         raise DegenerateBasisError(
-            f"basis is degenerate: determinant {det:.3e} below threshold", det=det)
+            f"basis is degenerate: determinant {det:.3e} below threshold")
     return b
 
 

@@ -62,8 +62,7 @@ def _accumulated_argument(contour: Contour, g: np.ndarray,
     bad = np.abs(g) <= floor
     if np.any(bad):
         raise NotInvertibleOnContourError(
-            "coefficient complex part vanishes at contour node(s)",
-            indices=np.nonzero(bad)[0])
+            "coefficient complex part vanishes at contour node(s)")
     g_next = np.roll(g, -1)
     t_next = np.concatenate([contour.t[1:], [1.0]])
     ratios = g_next / g
@@ -120,7 +119,7 @@ def continuous_log(contour: Contour, G, kappa: int) -> DualComplex:
     if abs(total) > np.pi:
         raise ClosureFailureError(
             f"branch fails to close: residual winding {total / (2 * np.pi):.6f} "
-            "(wrong index?)", mismatch=float(abs(total)))
+            "(wrong index?)")
     theta0 = float(np.angle(w.c1[0]))
     theta = theta0 + np.concatenate([[0.0], np.cumsum(steps[:-1])])
     ln1 = np.log(np.abs(w.c1)) + 1j * theta

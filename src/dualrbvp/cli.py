@@ -16,7 +16,13 @@ tables is within the residual tolerance and the tables are the traces of
 one sectionally monogenic function: max |C[Phi+]| outside the curve and the
 spread of C[Phi-] inside it are each within tolerance * max(1, max |Phi|)
 (``rbvp.trace_defects``).  It reads the result's ``boundary`` section and
-neither decodes nor checks its ``grid`` (``problemfile.read_json``).
+neither decodes nor checks its ``grid`` (``problemfile.read_json``).  A
+record that claims to be unsolvable holds no boundary data; it passes only
+when the problem is unsolvable, which ``verify`` re-derives from the problem
+and never reads from the record: the index (``build_canonical_X``) is
+negative, and some moment norm (``check_solvability``) exceeds the residual
+tolerance.  The verify file reports the re-derived ``kappa`` and
+``moment_norms`` next to the record's own (``recorded_moment_norms``).
 
 Exit codes: 0 success; 1 verification residual failure; 2 unsolvable
 (result file still written with the moment report); 3 invalid input,
@@ -60,8 +66,8 @@ from .problemfile import (
     result_document,
     write_json,
 )
-from .rbvp import residual_report, solve_auto, trace_defects
-from .canonical import compute_index
+from .rbvp import check_solvability, residual_report, solve_auto, trace_defects
+from .canonical import build_canonical_X, compute_index
 from . import expr as _expr
 
 EXIT_OK = 0
@@ -175,18 +181,29 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
     passed = (residual is not None and residual <= tol
               and exterior is not None and exterior <= trace_tol
               and interior is not None and interior <= trace_tol)
-    if doc.get("kind") == "nonhomogeneous" and not doc.get("solvable", True):
-        # an unsolvable record verifies vacuously on its moment data
-        passed = residual is None
+    unsolvable = (doc.get("kind") == "nonhomogeneous"
+                  and not doc.get("solvable", True))
+    if unsolvable:
+        # re-derived from the problem; solvable is True whenever kappa >= 0
+        conditions = check_solvability(
+            spec.problem, build_canonical_X(spec.contour, spec.problem.G))
+        report.update(kappa=conditions.kappa,
+                      moment_norms=conditions.moment_norms,
+                      recorded_moment_norms=doc.get("moment_norms"))
+        passed = residual is None and not conditions.solvable
     report["passed"] = bool(passed)
     if out_path:
         write_json(out_path, report)
     else:
         import json as _json
         print(_json.dumps(report, sort_keys=True, indent=1))
+    if unsolvable:
+        print(f"verify: unsolvable record; re-derived kappa={conditions.kappa} "
+              f"and moment norms {conditions.moment_norms} (tolerance {tol})",
+              file=None if passed else sys.stderr)
+        return EXIT_OK if passed else EXIT_RESIDUAL
     if passed:
-        print(f"verify: residual {residual} <= {tol}" if residual is not None
-              else "verify: no boundary data (unsolvable record)")
+        print(f"verify: residual {residual} <= {tol}")
         return EXIT_OK
     print(f"verify: residual {residual} (tolerance {tol}), exterior trace "
           f"defect {exterior} and interior trace spread {interior} "

@@ -32,7 +32,6 @@ from .errors import CornerNodeError, EmptySpecError, SelfIntersectingError
 DEFAULT_NODES = 512
 GAUSS_ORDER = 8
 GUARD_SPACING_FACTOR = 3.0
-UPSAMPLE = 8
 # (target, source) pairs per chunk of a distance query, kernel sum or pair
 # pass: each complex plane is 1 MB, so memory does not grow with the number
 # of targets, and the planes are allocated once per call and reused by
@@ -62,7 +61,7 @@ class Contour:
     length: float
     max_spacing: float
     corner_mask: np.ndarray    # (N,) True near polygon corners
-    panels: Optional[list] = None   # polygon: (start_idx, p0_xy, p1_xy)
+    panels: Optional[list] = None   # polygon: (p0_xy, p1_xy) of each panel
     _cache: dict = field(default_factory=dict, repr=False)
 
     # -- basic views -----------------------------------------------------------
@@ -199,43 +198,28 @@ class Contour:
             out[s:s + chunk] = up.sum(axis=1) - down.sum(axis=1)
         return out
 
-    def interior_mask(self, x, y) -> np.ndarray:
-        """1 interior, 0 exterior, -1 within the guard band of the curve,
-        flattened: the sides of ``_classify``, with -1 wherever its distance
-        is under the guard band."""
-        code, dist = self._classify(x, y)
-        code[dist < self.guard_band] = -1
-        return code
-
-    def rounding_slack(self, length: float) -> float:
-        """A margin for rounding in a distance bound near ``length`` and in
-        ``dist_to``, relative to the size of the coordinates, so that a
-        contour far from the origin keeps it."""
-        return 1e-9 * (length + float(np.abs(self.xy).max()))
-
-    def _classify(self, x, y) -> tuple[np.ndarray, np.ndarray]:
-        """The side of each point, 1 where the (x, y) trace winds about it and
-        0 elsewhere, and a distance for each point, flattened.
+    def interior_mask(self, x, y, band: Optional[float] = None) -> np.ndarray:
+        """1 where the (x, y) trace winds about a point, 0 where it does not,
+        and -1 within ``band`` (default the guard band) of the polyline,
+        flattened.
 
         Three lower bounds on the distance to the polyline settle most
-        points exactly.  The polyline lies in the nodes' bounding box, so
-        the distance to the box bounds it, and a point outside the box winds
-        0.  The open disc about the centroid c of radius r0 = dist_to(c)
-        misses the polyline, so r0 - |p - c| bounds it, and a point in the
-        disc winds as c does.  The closed disc about c of radius
+        points.  The polyline lies in the nodes' bounding box, so the
+        distance to the box bounds it, and a point outside the box winds 0.
+        The open disc about the centroid c of radius r0 = dist_to(c) misses
+        the polyline, so r0 - |p - c| bounds it, and a point in the disc
+        winds as c does.  The closed disc about c of radius
         r1 = max |node - c| holds every node and, being convex, the whole
         polyline, so |p - c| - r1 bounds it, and a point beyond r1 winds 0.
-        Only a point whose largest bound is under the guard band plus a
-        rounding slack is scanned by ``winding_number`` and ``dist_to``;
-        the sides are the same as scanning every point.  The
-        distance is exact at scanned points and is the bound, at least the
-        guard band, elsewhere: callers compare it only with the guard band
-        (``interior_mask``) or with smaller lengths (the output grid's
-        rounding floor).
+        Only a point whose largest bound is under ``band`` plus a rounding
+        slack goes to ``dist_to`` and ``winding_number``, so the codes are
+        those of measuring every point.  ``trace_defects`` keeps the guard
+        band; the output grid passes its rounding floor, which leaves only
+        the points between the discs to measure.
         """
         x = np.asarray(x, dtype=float).ravel()
         y = np.asarray(y, dtype=float).ravel()
-        band = self.guard_band
+        band = self.guard_band if band is None else band
         lo, hi = self.xy.min(axis=0), self.xy.max(axis=0)
         box = np.hypot(np.maximum(np.maximum(lo[0] - x, x - hi[0]), 0.0),
                        np.maximum(np.maximum(lo[1] - y, y - hi[1]), 0.0))
@@ -246,14 +230,20 @@ class Contour:
                                     int(self.winding_number(*c)[0] != 0))
         c, r0, r1, c_code = self._cache["discs"]
         rc = np.hypot(x - c[0], y - c[1])
-        dist = np.maximum(np.maximum(box, r0 - rc), rc - r1)
+        bound = np.maximum(np.maximum(box, r0 - rc), rc - r1)
         code = np.where((box > 0.0) | (rc > r1), 0, c_code)
-        scan = np.nonzero(dist < band + self.rounding_slack(band))[0]
+        scan = np.nonzero(bound < band + self.rounding_slack(band))[0]
         if scan.size:
             xs, ys = x[scan], y[scan]
-            dist[scan] = self.dist_to(xs, ys)
-            code[scan] = self.winding_number(xs, ys) != 0
-        return code, dist
+            code[scan] = np.where(self.dist_to(xs, ys) < band, -1,
+                                  self.winding_number(xs, ys) != 0)
+        return code
+
+    def rounding_slack(self, length: float) -> float:
+        """A margin for rounding in a distance bound near ``length`` and in
+        ``dist_to``, relative to the size of the coordinates, so that a
+        contour far from the origin keeps it."""
+        return 1e-9 * (length + float(np.abs(self.xy).max()))
 
     # -- resampled geometry (smooth kinds) ----------------------------------------
 
@@ -272,26 +262,9 @@ class Contour:
         if step == 1:
             return 1, self.values(), self.dtau()
         xy = self.xy[::step]
-        d = _trig_derivative(xy.T, len(xy)) / len(xy)
+        d = _trig_resample(xy.T, len(xy), derivative=True) / len(xy)
         return (step, self.basis.vector(xy[:, 0], xy[:, 1]),
                 self.basis.vector(d[0], d[1]))
-
-    def refined_geometry(self):
-        """(xy, dtau-weights) of a smooth contour's trigonometric interpolant
-        at UPSAMPLE * N uniform parameters."""
-        if "refined" not in self._cache:
-            m = self.n * UPSAMPLE
-            xy = _trig_interp(self.xy.T, m).T
-            d = _trig_derivative(self.xy.T, m) / m
-            self._cache["refined"] = (xy, self.basis.vector(d[0], d[1]))
-        return self._cache["refined"]
-
-    def upsample_samples(self, values: DualComplex) -> DualComplex:
-        """Trigonometric interpolation of node samples onto the refined grid,
-        along the last axis (a (K, N) stack gives (K, UPSAMPLE * N))."""
-        m = self.n * UPSAMPLE
-        return DualComplex(_trig_interp(np.asarray(values.c1, dtype=complex), m),
-                           _trig_interp(np.asarray(values.c2, dtype=complex), m))
 
 
 def resolved_count(rows) -> int:
@@ -442,7 +415,7 @@ def polygon_contour(basis: BasisE, vertices, nodes: int = DEFAULT_NODES) -> Cont
         for p in range(n_panels):
             a_pt = verts[e] + unit * (p * plen)
             pos_along = (p + (_GL_X + 1.0) / 2.0) * plen
-            panels.append((len(arcs), a_pt, a_pt + unit * plen))
+            panels.append((a_pt, a_pt + unit * plen))
             for j in range(GAUSS_ORDER):
                 xs.append(verts[e] + unit * pos_along[j])
                 ws.append(unit * (_GL_W[j] * plen / 2.0))
@@ -521,7 +494,7 @@ def _trapezoid_contour(kind: str, basis: BasisE, params: dict,
     n = len(xy)
     if n < 3:
         raise EmptySpecError("a smooth contour needs at least 3 nodes")
-    deriv = _trig_derivative(xy.T, n).T
+    deriv = _trig_resample(xy.T, n, derivative=True).T
     speed = np.hypot(deriv[:, 0], deriv[:, 1])
     seg = (speed + np.roll(speed, -1)) / (2.0 * n)
     chords = np.hypot(*(np.roll(xy, -1, axis=0) - xy).T)
@@ -587,32 +560,36 @@ def _check_simple(closed: np.ndarray) -> None:
             f"segments {int(i_idx[k])} and {int(j_idx[k])} intersect")
 
 
-def _trig_interp(f: np.ndarray, m: int) -> np.ndarray:
+def _trig_resample(f: np.ndarray, m: int, derivative: bool = False
+                   ) -> np.ndarray:
     """Zero-padded FFT interpolation of periodic uniform samples onto m
-    points, along the last axis."""
+    points, along the last axis, or of their spectral derivative d/dt."""
     n = f.shape[-1]
     spec = np.fft.fft(f)
+    if derivative:
+        k = np.fft.fftfreq(n, d=1.0 / n)
+        if n % 2 == 0:
+            k[n // 2] = 0.0
+        spec = spec * (2j * np.pi * k)
     out = np.zeros(f.shape[:-1] + (m,), dtype=complex)
     # the first ceil(n/2) coefficients are the modes 0, 1, ...; the rest are
     # the negative modes, the Nyquist mode first when n is even
     half = n - n // 2
     out[..., :half] = spec[..., :half]
     out[..., m - (n - half):] = spec[..., half:]
-    if n % 2 == 0 and m > n:
+    if n % 2 == 0 and m > n and not derivative:
         # split the Nyquist coefficient symmetrically
         out[..., half] = out[..., m - half] = spec[..., half] / 2.0
     vals = np.fft.ifft(out) * (m / n)
-    if np.isrealobj(f):
-        return vals.real
-    return vals
+    return vals.real if np.isrealobj(f) else vals
 
 
 def _trig_eval(f: np.ndarray, tq: np.ndarray) -> np.ndarray:
     """The trigonometric interpolant of periodic uniform samples, a (N,) or
     (K, N) array ``f``, at any parameters ``tq``, shaped
     ``tq.shape + f.shape[:-1]``.  The Nyquist mode of an even count is split
-    symmetrically, so at uniform parameters this is ``_trig_interp``; it
-    costs O(N) per parameter, where ``_trig_interp`` costs O(log N)."""
+    symmetrically, so at uniform parameters this is ``_trig_resample``; it
+    costs O(N) per parameter, where ``_trig_resample`` costs O(log N)."""
     n = f.shape[-1]
     tq = np.asarray(tq, dtype=float)
     k = np.fft.fftfreq(n, d=1.0 / n)
@@ -620,21 +597,4 @@ def _trig_eval(f: np.ndarray, tq: np.ndarray) -> np.ndarray:
     if n % 2 == 0:
         waves[..., n // 2] = np.cos(np.pi * n * tq)
     vals = waves @ (np.fft.fft(f) / n).T
-    return vals.real if np.isrealobj(f) else vals
-
-
-def _trig_derivative(f: np.ndarray, m: int) -> np.ndarray:
-    """Spectral derivative d/dt of periodic samples, on m points, along the
-    last axis."""
-    n = f.shape[-1]
-    spec = np.fft.fft(f)
-    k = np.fft.fftfreq(n, d=1.0 / n)
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    dspec = spec * (2j * np.pi * k)
-    out = np.zeros(f.shape[:-1] + (m,), dtype=complex)
-    half = n - n // 2
-    out[..., :half] = dspec[..., :half]
-    out[..., m - (n - half):] = dspec[..., half:]
-    vals = np.fft.ifft(out) * (m / n)
     return vals.real if np.isrealobj(f) else vals

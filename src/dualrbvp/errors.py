@@ -27,10 +27,6 @@ class NumericalError(DualRbvpError):
 class NotInvertibleError(InputError):
     """Element has (numerically) vanishing complex part, hence no inverse."""
 
-    def __init__(self, message: str = "element is not invertible", indices=None):
-        super().__init__(message)
-        self.indices = indices
-
 
 class ExpOverflowError(NumericalError):
     """exp() result is not representable in double precision."""
@@ -38,10 +34,6 @@ class ExpOverflowError(NumericalError):
 
 class DegenerateBasisError(InputError):
     """Basis pair fails the real-linear independence determinant test."""
-
-    def __init__(self, message: str, det: float):
-        super().__init__(message)
-        self.det = det
 
 
 # -- expressions ------------------------------------------------------------
@@ -53,20 +45,16 @@ class ExprError(InputError):
 class ExprSyntaxError(ExprError):
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (offset {position})")
-        self.position = position
 
 
 class UnknownIdentifierError(ExprError):
     def __init__(self, name: str, position: int):
         super().__init__(f"unknown identifier {name!r} (offset {position})")
-        self.name = name
-        self.position = position
 
 
 class UnboundVariableError(ExprError):
     def __init__(self, name: str):
         super().__init__(f"no value bound for variable {name!r}")
-        self.name = name
 
 
 # -- contours ---------------------------------------------------------------
@@ -98,10 +86,6 @@ class CornerNodeError(NumericalError):
 class NotInvertibleOnContourError(InputError):
     """Coefficient is singular at one or more contour nodes."""
 
-    def __init__(self, message: str, indices=None):
-        super().__init__(message)
-        self.indices = indices
-
 
 class BranchAmbiguityError(NumericalError):
     """Argument tracking cannot resolve the branch even after refinement."""
@@ -109,10 +93,6 @@ class BranchAmbiguityError(NumericalError):
 
 class ClosureFailureError(NumericalError):
     """Continuous logarithm does not return to its start after a loop."""
-
-    def __init__(self, message: str, mismatch: float):
-        super().__init__(message)
-        self.mismatch = mismatch
 
 
 class OriginNotInteriorError(InputError):

@@ -6,11 +6,14 @@ The Cauchy-type integral of a density psi on a contour gamma is
 
 a function of zeta that is monogenic off the curve and vanishes at infinity.
 Off-curve evaluation uses the contour's native quadrature; points inside the
-guard band use one refined rule per integral, built on first use: an 8x
-trigonometrically upsampled rule on smooth and explicit contours, and 16 Gauss
-sub-panels per panel on polygons.  Only the checks evaluate an integral off
-the curve, so the refined rule serves the offset check alone: solutions
-read their off-curve values from their node tables (``rbvp``).
+guard band use one refined rule per integral, built on first use by one
+function per family, each (contour, density) -> (tau, dtau, density): an 8x
+trigonometrically upsampled rule on smooth and explicit contours
+(``_refined_trig_integral``), and 16 Gauss sub-panels per panel on polygons
+(``_refined_panel_integral``).  Only the offset check evaluates an integral
+near the curve: solutions read their off-curve values from their node
+tables (``rbvp``), and ``verify``'s probes, a guard band or more from the
+curve, are native kernel sums (``rbvp.trace_defects``).
 
 Either rule is one kernel sum.  A density may be a (K, N) stack of sample
 sets, such as the exponent ln(tau^(-kappa) G) and psi = g/X+ of one
@@ -54,11 +57,10 @@ from .algebra import DualComplex, PointE, dc_mul, dc_norm
 from .contour import (
     GAUSS_ORDER,
     PAIR_CHUNK,
-    UPSAMPLE,
     Contour,
     _GL_W,
     _GL_X,
-    _trig_derivative,
+    _trig_resample,
 )
 from .errors import TooCloseToBoundaryError
 from . import expr as _expr
@@ -66,6 +68,9 @@ from . import expr as _expr
 N_OFFSETS = 5
 CHECK_NODES = 64
 OFFSET_SPACING_FACTOR = 8.0
+# the smooth refined rule has this many times the contour's nodes, and no
+# point nearer the curve than guard_band / UPSAMPLE is evaluated
+UPSAMPLE = 8
 
 
 # -- sampling helpers ----------------------------------------------------------
@@ -204,9 +209,9 @@ _GL_DIFF = (np.polynomial.legendre.legvander(_GL_X, GAUSS_ORDER - 2)
 
 
 def _panel_nodes(contour: Contour) -> np.ndarray:
-    """(panels, GAUSS_ORDER) node indices of a polygon's Gauss panels."""
-    starts = np.array([p[0] for p in contour.panels])
-    return starts[:, None] + np.arange(GAUSS_ORDER)[None, :]
+    """(panels, GAUSS_ORDER) node indices of a polygon's Gauss panels, which
+    are consecutive blocks of nodes."""
+    return np.arange(contour.n).reshape(-1, GAUSS_ORDER)
 
 
 def _diagonal_term(contour: Contour, d1: np.ndarray, d2: np.ndarray):
@@ -220,7 +225,8 @@ def _diagonal_term(contour: Contour, d1: np.ndarray, d2: np.ndarray):
     """
     if contour.kind != "polygon":
         n = contour.n
-        return _trig_derivative(d1, n) / n, _trig_derivative(d2, n) / n
+        return (_trig_resample(d1, n, derivative=True) / n,
+                _trig_resample(d2, n, derivative=True) / n)
     idx = _panel_nodes(contour)
     out1, out2 = np.empty_like(d1), np.empty_like(d2)
     out1[..., idx] = (d1[..., idx] @ _GL_DIFF.T) * _GL_W
@@ -356,21 +362,32 @@ class CauchyIntegralFn:
 
     def _near_eval(self, dens: DualComplex, z1: np.ndarray,
                    z2: np.ndarray) -> DualComplex:
-        """Kernel sum over the contour's refined rule, built once per integral
+        """Kernel sum over the family's refined rule, built once per integral
         for all stacked densities at once."""
         if "up" not in self._cache:
-            c = self.contour
-            if c.kind == "polygon":
-                self._cache["up"] = _refined_panel_integral(c, dens)
-            else:
-                xy_up, w_up = c.refined_geometry()
-                tau_up = c.basis.vector(xy_up[:, 0], xy_up[:, 1])
-                self._cache["up"] = (tau_up, w_up, c.upsample_samples(dens))
+            refine = (_refined_panel_integral if self.contour.kind == "polygon"
+                      else _refined_trig_integral)
+            self._cache["up"] = refine(self.contour, dens)
         tau_up, w_up, dens_up = self._cache["up"]
         return _kernel_sum(tau_up, w_up, dens_up, z1, z2)
 
 
-# polygon panel refinement ------------------------------------------------------
+# refined rules, one per family ---------------------------------------------------
+
+def _refined_trig_integral(contour: Contour, dens: DualComplex
+                           ) -> tuple[DualComplex, DualComplex, DualComplex]:
+    """Refined rule of a smooth-contour integral: (tau, dtau, density) of
+    the trigonometric interpolants of the nodes and of the density at
+    UPSAMPLE * N uniform parameters, with the trapezoid weights of the
+    spectral derivative; a (K, N) density stack is carried over along its
+    last axis."""
+    m = contour.n * UPSAMPLE
+    xy = _trig_resample(contour.xy.T, m)
+    d = _trig_resample(contour.xy.T, m, derivative=True) / m
+    return (contour.basis.vector(xy[0], xy[1]), contour.basis.vector(d[0], d[1]),
+            DualComplex(_trig_resample(np.asarray(dens.c1, dtype=complex), m),
+                        _trig_resample(np.asarray(dens.c2, dtype=complex), m)))
+
 
 # Each 8-node Gauss panel is split into PANEL_SPLIT equal sub-panels with the
 # same Gauss rule; node samples move onto them through one Lagrange matrix.
@@ -387,8 +404,8 @@ def _refined_panel_integral(contour: Contour, dens: DualComplex
     """Refined rule of a polygon integral: (tau, dtau, density) at the nodes
     of PANEL_SPLIT Gauss sub-panels per panel, for every panel at once; a
     (K, N) density stack is carried over along its last axis."""
-    p0 = np.array([p[1] for p in contour.panels])
-    edge = np.array([p[2] for p in contour.panels]) - p0
+    p0 = np.array([p[0] for p in contour.panels])
+    edge = np.array([p[1] for p in contour.panels]) - p0
     pts = (p0[:, None, :] + _SUB_S[None, :, None] * edge[:, None, :]).reshape(-1, 2)
     w = (_SUB_W[None, :, None] * edge[:, None, :]).reshape(-1, 2)
     idx = _panel_nodes(contour)

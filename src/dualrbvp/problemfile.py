@@ -36,7 +36,8 @@ of them.
 The grid section records Phi+ (``phi_plus``) at the grid points inside the
 curve and Phi- (``phi_minus``) at those outside, from the node tables
 (``rbvp``), and ``null`` for the other side; a point has neither only
-within rounding of the curve (GRID_FLOOR).
+within rounding of the curve, GRID_FLOOR times its diameter, the band that
+the grid passes to ``Contour.interior_mask``.
 
 Result and verify files are compact: one line, ``json.dumps(doc,
 sort_keys=True)`` with its ", " and ": " separators, then a newline.
@@ -254,8 +255,8 @@ def _grid_section(spec: ProblemSpec, solution: RBVPSolution) -> Optional[dict]:
     ys = np.linspace(lo[1] - pad, hi[1] + pad, ny)
     gx, gy = np.meshgrid(xs, ys, indexing="xy")
     flat_x, flat_y = gx.ravel(), gy.ravel()
-    code, dist = spec.contour._classify(flat_x, flat_y)
-    code[dist < GRID_FLOOR * spec.contour.diameter] = -1
+    code = spec.contour.interior_mask(flat_x, flat_y,
+                                      GRID_FLOOR * spec.contour.diameter)
     plus_rows: list = [None] * flat_x.size
     minus_rows: list = [None] * flat_x.size
     for side, rows, side_code in (("+", plus_rows, 1), ("-", minus_rows, 0)):

@@ -62,6 +62,7 @@ from .errors import (
     UnsolvableError,
 )
 from .integral import (
+    BoundedPoints,
     CauchyIntegralFn,
     _kernel_sum,
     boundary_defect,
@@ -329,9 +330,12 @@ def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
     bounding-box centre, and the largest distance of C[minus] from its mean
     over the points of a PROBE_LATTICE^2 lattice on the bounding box that
     lie inside the curve; either is None when no probe qualifies.  Probes
-    stay at least one guard band from the curve, where ``CauchyIntegralFn``
-    runs the native rule alone: neither the refined near-curve rule, nor
-    the node-limit rule, nor offset extrapolation takes part.
+    stay at least one guard band from the curve (``Contour.interior_mask``,
+    which settles most of them by its bounds), and go to
+    ``CauchyIntegralFn`` with the guard band as their lower bound, so it
+    measures none of them again and runs the native rule alone: neither
+    the refined near-curve rule, nor the node-limit rule, nor offset
+    extrapolation takes part.
     """
     lo, hi = contour.xy.min(axis=0), contour.xy.max(axis=0)
     mid, half = (lo + hi) / 2.0, float(np.hypot(*(hi - lo))) / 2.0
@@ -347,7 +351,9 @@ def trace_defects(contour: Contour, plus: DualComplex, minus: DualComplex
         if not keep.any():
             out.append(None)
             continue
-        v = CauchyIntegralFn(contour, table)(PointE(x[keep], y[keep], contour.basis))
+        lower = np.full(int(keep.sum()), contour.guard_band)
+        v = CauchyIntegralFn(contour, table)(BoundedPoints(
+            x[keep], y[keep], contour.basis, lower, np.full_like(lower, np.inf)))
         if inside:
             v = DualComplex(v.c1 - np.mean(v.c1), v.c2 - np.mean(v.c2))
         out.append(float(np.max(dc_norm(v))))

@@ -457,6 +457,40 @@ class TestVerify:
         assert forged["exterior_trace_defect"] > forged["trace_tolerance"]
         assert forged["interior_trace_spread"] > forged["trace_tolerance"]
 
+    @pytest.mark.parametrize("G, g, kappa", [
+        ("tau*exp(0.5*tau)", "exp(0.5*tau)*(1+tau^2)", 1),
+        # kappa = -1 with a first moment that vanishes: solvable
+        ("exp(tau)/tau", "1", -1)])
+    def test_forged_unsolvable_record_fails(self, tmp_path, G, g, kappa):
+        """A solved result stripped of its boundary and marked unsolvable:
+        verify re-derives kappa and the moments from the problem."""
+        prob = write_problem(tmp_path / "p.json", G=G, g=g,
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 128})
+        out, rep = tmp_path / "r.json", tmp_path / "v.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        doc.update(boundary=None, solvable=False)
+        out.write_text(json.dumps(doc, sort_keys=True))
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 1
+        report = json.loads(rep.read_text())
+        assert report["passed"] is False and report["kappa"] == kappa
+        assert report["recorded_moment_norms"] == doc["moment_norms"]
+        assert all(n <= 1e-6 for n in report["moment_norms"])
+
+    def test_genuine_unsolvable_record_passes(self, tmp_path):
+        prob = write_problem(tmp_path / "p.json", G="1/tau", g="1/tau",
+                             contour={"kind": "circle", "radius": 1.0,
+                                      "nodes": 128})
+        out, rep = tmp_path / "r.json", tmp_path / "v.json"
+        assert main(["solve", str(prob), "--out", str(out)]) == 2
+        assert main(["verify", str(prob), str(out), "--out", str(rep)]) == 0
+        report = json.loads(rep.read_text())
+        assert report["passed"] is True and report["kappa"] == -1
+        assert report["moment_norms"][0] == pytest.approx(2 * np.pi)
+        assert report["recorded_moment_norms"] == json.loads(
+            out.read_text())["moment_norms"]
+
     def test_nonconvex_polygon_verifies(self, tmp_path):
         # L-shaped region with the origin inside; interior probes come
         # from the lattice points the winding test keeps

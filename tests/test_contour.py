@@ -16,11 +16,12 @@ from dualrbvp import (
 )
 from dualrbvp.contour import (
     PAIR_CHUNK,
-    _trig_derivative,
     _trig_eval,
-    _trig_interp,
+    _trig_resample,
     resolved_count,
 )
+from dualrbvp.integral import _refined_trig_integral
+from dualrbvp.problemfile import GRID_FLOOR
 from dualrbvp.errors import (
     CornerNodeError,
     EmptySpecError,
@@ -250,42 +251,44 @@ BOUND_CONTOURS = {
 
 @pytest.mark.parametrize("name", sorted(BOUND_CONTOURS))
 def test_classify_bounds_are_exact(bih, rng, name):
-    """The codes the box and disc bounds give without a distance query are
-    those of measuring every point, at random points and at points one
-    guard band from the box, from the inner disc and from the outer disc,
-    where the bounds are tight."""
+    """The codes ``interior_mask`` gives from its box and disc bounds without
+    a distance query are those of measuring every point, for the guard band
+    and for the output grid's rounding floor: at random points, at the
+    nodes, and at points one band times 1 - 1e-12, 1 and 1 + 1e-12 from the
+    box, from the inner disc and from the outer disc, where the bounds are
+    tight."""
     c = BOUND_CONTOURS[name](bih)
-    band = c.guard_band
     lo, hi = c.xy.min(axis=0), c.xy.max(axis=0)
     size = float((hi - lo).max())
-    nudge = 1.0 + np.array([-1e-12, 0.0, 1e-12])
-    u = rng.uniform(0.0, 1.0, 200)
-    off = np.repeat(band * nudge, u.size)
-    sx = np.tile(lo[0] + u * (hi[0] - lo[0]), 3)
-    sy = np.tile(lo[1] + u * (hi[1] - lo[1]), 3)
-    diag = off / np.sqrt(2.0)
-    box_x = np.concatenate([lo[0] - off, hi[0] + off, sx, sx,
-                            lo[0] - diag, hi[0] + diag])
-    box_y = np.concatenate([sy, sy, lo[1] - off, hi[1] + off,
-                            lo[1] - diag, hi[1] + diag])
     centre = c.centroid
     r0 = float(c.dist_to(*centre)[0])
-    ang = rng.uniform(0.0, 2.0 * np.pi, 200)
-    rad = np.repeat((r0 - band) * nudge, ang.size)
-    disc_x = centre[0] + rad * np.tile(np.cos(ang), 3)
-    disc_y = centre[1] + rad * np.tile(np.sin(ang), 3)
     r1 = float(np.hypot(*(c.xy - centre).T).max())
-    rad = np.repeat((r1 + band) * nudge, ang.size)
-    outer_x = centre[0] + rad * np.tile(np.cos(ang), 3)
-    outer_y = centre[1] + rad * np.tile(np.sin(ang), 3)
-    x = np.concatenate([rng.uniform(lo[0] - size, hi[0] + size, 2000),
-                        box_x, disc_x, outer_x])
-    y = np.concatenate([rng.uniform(lo[1] - size, hi[1] + size, 2000),
-                        box_y, disc_y, outer_y])
-    want = np.where(c.dist_to(x, y) < band, -1,
-                    (c.winding_number(x, y) != 0).astype(int))
-    np.testing.assert_array_equal(c.interior_mask(x, y), want)
-    assert {0, -1} <= set(want.tolist())
+    nudge = 1.0 + np.array([-1e-12, 0.0, 1e-12])
+    u = rng.uniform(0.0, 1.0, 200)
+    ang = rng.uniform(0.0, 2.0 * np.pi, 200)
+    for band in (c.guard_band, GRID_FLOOR * c.diameter):
+        off = np.repeat(band * nudge, u.size)
+        sx = np.tile(lo[0] + u * (hi[0] - lo[0]), 3)
+        sy = np.tile(lo[1] + u * (hi[1] - lo[1]), 3)
+        diag = off / np.sqrt(2.0)
+        box_x = np.concatenate([lo[0] - off, hi[0] + off, sx, sx,
+                                lo[0] - diag, hi[0] + diag])
+        box_y = np.concatenate([sy, sy, lo[1] - off, hi[1] + off,
+                                lo[1] - diag, hi[1] + diag])
+        rad = np.repeat((r0 - band) * nudge, ang.size)
+        disc_x = centre[0] + rad * np.tile(np.cos(ang), 3)
+        disc_y = centre[1] + rad * np.tile(np.sin(ang), 3)
+        rad = np.repeat((r1 + band) * nudge, ang.size)
+        outer_x = centre[0] + rad * np.tile(np.cos(ang), 3)
+        outer_y = centre[1] + rad * np.tile(np.sin(ang), 3)
+        x = np.concatenate([rng.uniform(lo[0] - size, hi[0] + size, 2000),
+                            c.xy[:, 0], box_x, disc_x, outer_x])
+        y = np.concatenate([rng.uniform(lo[1] - size, hi[1] + size, 2000),
+                            c.xy[:, 1], box_y, disc_y, outer_y])
+        want = np.where(c.dist_to(x, y) < band, -1,
+                        (c.winding_number(x, y) != 0).astype(int))
+        np.testing.assert_array_equal(c.interior_mask(x, y, band), want)
+        assert {0, -1} <= set(want.tolist())
 
 
 def dense_theta(contour, node_index, eps):
@@ -382,9 +385,10 @@ class TestGeometryHelpers:
                   ellipse_contour(bih, semi_axes=(1.5, 0.8), nodes=64),
                   explicit_contour(bih, ellipse_contour(
                       bih, semi_axes=(1.5, 0.8), nodes=128).xy)):
-            xy_up, _ = c.refined_geometry()
-            got = c.point_at(np.arange(len(xy_up)) / len(xy_up))
-            assert np.max(np.abs(got - xy_up)) < 1e-13, c.kind
+            tau_up, _, _ = _refined_trig_integral(c, c.values())
+            got = c.value_at(np.arange(len(tau_up.c1)) / len(tau_up.c1))
+            assert np.max(np.abs(got.c1 - tau_up.c1)) < 1e-13, c.kind
+            assert np.max(np.abs(got.c2 - tau_up.c2)) < 1e-13, c.kind
 
     def test_polygon_point_at_lands_on_edges(self, bih):
         c = polygon_contour(bih, SQUARE, nodes=128)
@@ -428,7 +432,7 @@ class TestGeometryHelpers:
 
 class TestTrigInterp:
     def test_nyquist_mode_is_not_doubled(self):
-        up = _trig_interp(np.array([1.0, -1.0] * 4), 16)
+        up = _trig_resample(np.array([1.0, -1.0] * 4), 16)
         assert np.allclose(up, np.cos(np.pi * np.arange(16) / 2), atol=1e-12)
 
     def test_odd_count_keeps_the_highest_mode(self):
@@ -436,8 +440,8 @@ class TestTrigInterp:
         t = np.arange(7) / 7
         tq = np.arange(28) / 28
         f = np.cos(6 * np.pi * t)
-        assert np.max(np.abs(_trig_interp(f, 28) - np.cos(6 * np.pi * tq))) < 1e-13
-        assert np.max(np.abs(_trig_derivative(f, 28)
+        assert np.max(np.abs(_trig_resample(f, 28) - np.cos(6 * np.pi * tq))) < 1e-13
+        assert np.max(np.abs(_trig_resample(f, 28, derivative=True)
                              + 6 * np.pi * np.sin(6 * np.pi * tq))) < 1e-12
 
     @pytest.mark.parametrize("n", [7, 8])
@@ -446,9 +450,9 @@ class TestTrigInterp:
         m = 5 * n
         got = _trig_eval(f, np.arange(m) / m)
         assert got.shape == (m, 2)
-        assert np.max(np.abs(got.T - _trig_interp(f, m))) < 1e-13
+        assert np.max(np.abs(got.T - _trig_resample(f, m))) < 1e-13
         assert np.max(np.abs(_trig_eval(f[0].real, np.arange(m) / m)
-                             - _trig_interp(f[0].real, m))) < 1e-13
+                             - _trig_resample(f[0].real, m))) < 1e-13
 
     @settings(max_examples=60)
     @given(values=st.lists(st.floats(-1e3, 1e3), min_size=2, max_size=33),
@@ -457,7 +461,7 @@ class TestTrigInterp:
     @example(values=[0.5, 2.0, -1.0], factor=3)
     def test_upsampled_signal_reproduces_its_nodes(self, values, factor):
         f = np.asarray(values)
-        up = _trig_interp(f, factor * len(f))
+        up = _trig_resample(f, factor * len(f))
         scale = max(1.0, float(np.max(np.abs(f))))
         assert np.max(np.abs(up[::factor] - f)) <= 1e-12 * len(f) * scale
 

@@ -33,6 +33,7 @@ from dualrbvp.integral import (
     CauchyIntegralFn,
     _kernel_sum,
     _refined_panel_integral,
+    _refined_trig_integral,
     boundary_samples,
     boundary_values,
 )
@@ -213,9 +214,7 @@ def reference_cauchy(contour, dens, pts):
     if contour.kind == "polygon":
         near_rule = _refined_panel_integral(contour, dens)
     else:
-        xy_up, w_up = contour.refined_geometry()
-        near_rule = (contour.basis.vector(xy_up[:, 0], xy_up[:, 1]), w_up,
-                     contour.upsample_samples(dens))
+        near_rule = _refined_trig_integral(contour, dens)
     far_rule = (contour.values(), contour.dtau(), dens)
     z = pts.value()
     dist = contour.dist_to(pts.x, pts.y)

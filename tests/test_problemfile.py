@@ -19,6 +19,7 @@ from dualrbvp.contour import Contour
 from dualrbvp.integral import CauchyIntegralFn
 from dualrbvp.errors import ProblemFormatError
 from dualrbvp.problemfile import (
+    GRID_FLOOR,
     _grid_section,
     _parse_contour,
     load_problem,
@@ -74,25 +75,20 @@ def same_floats(a, b) -> bool:
 
 @pytest.mark.parametrize("kind", sorted(CONTOURS))
 def test_classify_is_the_mask_and_its_distances(bih, rng, kind):
+    """``interior_mask(x, y, band)`` is the winding's side, or -1 within
+    ``band`` by ``dist_to``, at every point, for the guard band that
+    trace_defects selects its probes with and for the grid's floor."""
     c = build_contour(bih, contour_spec(bih, kind))
     lo, hi = c.xy.min(axis=0) - 0.5, c.xy.max(axis=0) + 0.5
-    x, y = rng.uniform(lo[0], hi[0], 2000), rng.uniform(lo[1], hi[1], 2000)
-    code, dist = c._classify(x, y)
-    mask = c.interior_mask(x, y)
-    assert np.array_equal(mask, np.where(dist < c.guard_band, -1, code))
-    # exact where it is under the guard band; elsewhere a lower bound that
-    # is at least the guard band
+    x = np.concatenate([rng.uniform(lo[0], hi[0], 2000), c.xy[:, 0]])
+    y = np.concatenate([rng.uniform(lo[1], hi[1], 2000), c.xy[:, 1]])
     exact = c.dist_to(x, y)
-    near = dist < c.guard_band
-    assert np.array_equal(dist[near], exact[near])
-    assert np.all((c.guard_band <= dist[~near]) & (dist[~near] <= exact[~near]))
-    # the side is the winding's at every point, and the mask keeps the rule
-    # trace_defects selected its probes with before
-    wound = c.winding_number(x, y) != 0
-    assert np.array_equal(code, wound.astype(int))
-    clear = exact >= c.guard_band
-    for inside in (False, True):
-        assert np.array_equal(mask == int(inside), (wound == inside) & clear)
+    wound = (c.winding_number(x, y) != 0).astype(int)
+    for band in (c.guard_band, GRID_FLOOR * c.diameter):
+        want = np.where(exact < band, -1, wound)
+        assert np.array_equal(c.interior_mask(x, y, band), want)
+    assert np.array_equal(c.interior_mask(x, y),
+                          c.interior_mask(x, y, c.guard_band))
 
 
 def measured_points(monkeypatch):
@@ -122,10 +118,9 @@ def test_grid_measures_each_point_once(tmp_path, bih, monkeypatch):
 
 
 def test_grid_measures_few_points_far_from_the_curve(tmp_path, bih, monkeypatch):
-    """A 128 x 128 grid around a 256-node unit circle: the three bounds of
-    ``Contour._classify`` leave to ``dist_to`` and ``winding_number`` hardly
-    more than the points within the guard band, which must be measured
-    (941 of 16384 with the centroid, against 940)."""
+    """A 128 x 128 grid around a 256-node unit circle: the grid asks
+    ``Contour.interior_mask`` for its rounding floor, and the three bounds
+    settle every grid point, so only the centroid reaches ``dist_to``."""
     path = tmp_path / "p.json"
     path.write_text(json.dumps({
         "contour": {"kind": "circle", "radius": 1.0, "nodes": 256},
@@ -133,12 +128,9 @@ def test_grid_measures_few_points_far_from_the_curve(tmp_path, bih, monkeypatch)
         "output": {"grid": {"nx": 128, "ny": 128, "margin": 0.5}}}))
     spec = load_problem(str(path))
     sol = solve_auto(spec.problem)
-    gx, gy = np.meshgrid(np.linspace(-2.0, 2.0, 128), np.linspace(-2.0, 2.0, 128))
-    within = int((spec.contour.dist_to(gx.ravel(), gy.ravel())
-                  < spec.contour.guard_band).sum())
     measured = measured_points(monkeypatch)
     _grid_section(spec, sol)
-    assert within <= sum(map(len, measured)) <= 1.05 * within
+    assert sum(map(len, measured)) <= 1
 
 
 @pytest.mark.parametrize("kind", sorted(CONTOURS))
@@ -218,6 +210,19 @@ def test_probes_and_points_keep_their_values(tmp_path, bih):
     assert trace_defects(c, plus, minus) == tuple(want)
 
 
+@pytest.mark.parametrize("kind", sorted(CONTOURS))
+def test_trace_defects_measures_each_probe_at_most_once(tmp_path, bih,
+                                                        monkeypatch, kind):
+    """Only ``interior_mask``'s scans reach ``dist_to``: the integral takes
+    the kept probes with the guard band as their lower bound."""
+    spec, sol = solved(tmp_path, bih, kind)
+    plus, minus = sol.boundary_table("+"), sol.boundary_table("-")
+    measured = measured_points(monkeypatch)
+    trace_defects(spec.contour, plus, minus)
+    points = np.concatenate(measured)
+    assert len(np.unique(points, axis=0)) == len(points)
+
+
 def test_result_file_is_compact_and_exact(tmp_path, bih):
     spec, sol = solved(tmp_path, bih, "ellipse", grid={"nx": NX, "ny": NY})
     doc = result_document(spec, sol, residual_report(sol))
@@ -235,10 +240,12 @@ def test_result_file_is_compact_and_exact(tmp_path, bih):
 RESULT_KEYS = {
     "format": "verify: the format it reads",
     "contour_hash": "verify: the problem's contour must match",
-    "kind": "verify and bench/oracle.py: an unsolvable record passes vacuously",
+    "kind": "verify and bench/oracle.py: an unsolvable record passes when "
+            "the problem is",
     "solvable": "verify and bench/oracle.py",
     "kappa": "bench/oracle.py",
-    "moment_norms": "bench/oracle.py",
+    "moment_norms": "verify, reported next to the re-derived norms, and "
+                    "bench/oracle.py",
     "sup_residual": "bench/oracle.py",
     "boundary_error_estimate": "bench/oracle.py",
     "boundary": "verify and bench/oracle.py",

@@ -9,11 +9,12 @@ and every file under ``bench/``, where string constants count too, because
 keeps ``jump_check`` (and through it ``JumpReport``) here without an entry
 below.  A method counts as named only through an attribute, ``obj.name``,
 or a bench string, so a local variable of the same name does not reach it.
-A dataclass field counts as read only through an attribute read,
+A dataclass field, and an attribute that a class's ``__init__`` stores
+(``self.name = ...``), counts as read only through an attribute read,
 ``obj.name`` (not a keyword argument, not an assignment), in the package
 or the bench.  Code that only tests reach is a library the pipeline does
-not use, and a field that nothing reads records what nothing needs;
-delete it, or list it in KEPT with the reason it stays.
+not use, and a field or attribute that nothing reads records what nothing
+needs; delete it, or list it in KEPT with the reason it stays.
 """
 
 import ast
@@ -67,17 +68,27 @@ def _definitions(modules):
 
 
 def _fields(modules):
-    """(qualified name, name) of every field of a dataclass."""
+    """(qualified name, name) of every field of a dataclass and of every
+    attribute that a class's ``__init__`` stores on ``self``."""
     for mod, tree in modules.items():
         for node in tree.body:
-            if isinstance(node, ast.ClassDef) and any(
-                    isinstance(d, ast.Name) and d.id == "dataclass"
-                    or isinstance(d, ast.Call) and d.func.id == "dataclass"
-                    for d in node.decorator_list):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            if any(isinstance(d, ast.Name) and d.id == "dataclass"
+                   or isinstance(d, ast.Call) and d.func.id == "dataclass"
+                   for d in node.decorator_list):
                 for f in node.body:
                     if (isinstance(f, ast.AnnAssign)
                             and isinstance(f.target, ast.Name)):
                         yield f"{mod}.{node.name}.{f.target.id}", f.target.id
+            for init in node.body:
+                if isinstance(init, ast.FunctionDef) and init.name == "__init__":
+                    for a in ast.walk(init):
+                        if (isinstance(a, ast.Attribute)
+                                and isinstance(a.ctx, ast.Store)
+                                and isinstance(a.value, ast.Name)
+                                and a.value.id == "self"):
+                            yield f"{mod}.{node.name}.{a.attr}", a.attr
 
 
 def _reads(tree) -> Counter:
@@ -108,7 +119,7 @@ def _mentions(tree, attributes_only=False, strings=False) -> Counter:
 @pytest.fixture(scope="module")
 def scan():
     """The qualified names that nothing outside their definition names,
-    and the dataclass fields that nothing reads."""
+    and the dataclass fields and stored attributes that nothing reads."""
     modules = {p.stem: ast.parse(p.read_text())
                for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
     bench = [ast.parse(p.read_text()) for p in sorted(BENCH.rglob("*.py"))]
