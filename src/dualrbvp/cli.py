@@ -80,7 +80,8 @@ _log = logging.getLogger(__name__)
 
 
 @functools.lru_cache(maxsize=None)
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser, and each command's own parser by name."""
     p = argparse.ArgumentParser(prog="dualrbvp",
                                 description="Boundary value problem solver "
                                             "over dual complex numbers")
@@ -110,7 +111,7 @@ def _build_parser() -> argparse.ArgumentParser:
     e.add_argument("--t", type=float, default=None)
     e.add_argument("--basis", default="biharmonic",
                    choices=["biharmonic", "classical"])
-    return p
+    return p, sub.choices
 
 
 def run_solve(path: str, out_path: str | None = None,
@@ -170,8 +171,8 @@ def run_verify(path: str, solution_path: str, out_path: str | None = None,
     report["residual"] = residual
     report["exterior_trace_defect"] = exterior
     report["interior_trace_spread"] = interior
-    reg_G = regularity_report(spec.contour, spec.problem.G)
-    reg_g = regularity_report(spec.contour, spec.problem.g)
+    reg_G, reg_g = regularity_report(spec.contour, spec.problem.G,
+                                     spec.problem.g)
     report["dini"] = {
         "G": {"estimate": reg_G.dini_estimate,
               "divergence_suspected": reg_G.divergence_suspected},
@@ -241,8 +242,16 @@ def run_eval(expression: str, x: float, y: float, t: float | None,
 
 
 def main(argv: list[str] | None = None) -> int:
+    parser, commands = _build_parser()
+    argv = sys.argv[1:] if argv is None else argv
     try:
-        args = _build_parser().parse_args(argv)
+        if argv and argv[0] in commands:
+            # the command's own parser: the same result for half the work
+            # of the top-level one, which serves help and usage errors
+            args = commands[argv[0]].parse_args(
+                argv[1:], argparse.Namespace(command=argv[0]))
+        else:
+            args = parser.parse_args(argv)
     except SystemExit as e:
         # argparse has printed the usage error (code 2, which here means
         # unsolvable) or the help (code 0)

@@ -11,10 +11,11 @@ What depends only on the contour is computed once per contour and kept in
 its cache: the eta grid, and theta at every anchor and eta, from the
 segment sweep of ``theta_measure``.  omega, the sampled modulus of
 continuity, is read on the eta grid only, in one pass over blocks of node
-rows, PAIR_CHUNK pairs at a time: each pair's distance is binned into the
-grid, the largest value gap is kept per bin, and the running maximum over
-the bins is omega at every grid point, exactly, without a table of all
-pairs.  Finite sampling cannot decide the underlying condition; the
+rows, PAIR_CHUNK pairs at a time, shared by all the functions of one
+``regularity_report`` call: each pair's distance is binned into the grid
+once, the largest value gap of each function is kept per bin, and the
+running maximum over the bins is omega at every grid point, exactly,
+without a table of all pairs.  Finite sampling cannot decide the underlying condition; the
 estimate is advisory and is reported with a refinement-stability flag
 instead of a verdict.
 """
@@ -91,23 +92,34 @@ def _dini_geometry(contour: Contour):
     return contour._cache["dini"]
 
 
-def _omega(contour: Contour, g, grid) -> np.ndarray:
-    """omega of ``g`` on ``grid``: the largest ||g(t1) - g(t2)|| over node
-    pairs with |t1 - t2| <= eps, from one pass over the pair blocks."""
-    vals = boundary_samples(g, contour)
-    c1, c2 = np.asarray(vals.c1), np.asarray(vals.c2)
+def _omega(contour: Contour, functions, grid) -> np.ndarray:
+    """omega of each of ``functions`` on ``grid``, shaped (K, *grid): the
+    largest ||g(t1) - g(t2)|| over node pairs with |t1 - t2| <= eps, from
+    one pass over the pair blocks that measures and bins each block's pair
+    distances once for all K."""
     grid = np.asarray(grid, dtype=float)
-    if np.all(c1 == c1[0]) and np.all(c2 == c2[0]):
-        return np.zeros(grid.shape)
+    out = np.zeros((len(functions),) + grid.shape)
+    live = []
+    for k, g in enumerate(functions):
+        vals = boundary_samples(g, contour)
+        c1, c2 = np.asarray(vals.c1), np.asarray(vals.c2)
+        if not (np.all(c1 == c1[0]) and np.all(c2 == c2[0])):
+            live.append((k, c1, c2))
+    if not live:
+        return out
     edges = np.unique(grid)
     # bin k holds the pairs with edges[k-1] < dist <= edges[k]
-    top = np.zeros(len(edges) + 1)
+    top = np.zeros((len(live), len(edges) + 1))
     blocks = _PairBlocks(contour.n)
     for s, e in blocks:
         bins = np.searchsorted(edges, blocks.dist(contour.xy, s, e).ravel(),
                                side="left")
-        np.maximum.at(top, bins, blocks.gap(c1, c2, s, e).ravel())
-    return np.maximum.accumulate(top)[np.searchsorted(edges, grid)]
+        for row, (_, c1, c2) in zip(top, live):
+            np.maximum.at(row, bins, blocks.gap(c1, c2, s, e).ravel())
+    at = np.searchsorted(edges, grid)
+    for row, (k, _, _) in zip(top, live):
+        out[k] = np.maximum.accumulate(row)[at]
+    return out
 
 
 def _partial_sums(eta, omega, theta):
@@ -123,13 +135,20 @@ class RegularityReport:
     divergence_suspected: bool
 
 
-def regularity_report(contour: Contour, g) -> RegularityReport:
-    """The Dini estimate of ``g``, its partial sum at half the eta depth,
-    and the refinement-stability flag that ``verify`` reports."""
+def regularity_report(contour: Contour, *functions
+                      ) -> tuple[RegularityReport, ...]:
+    """One report per function: its Dini estimate, the partial sum at half
+    the eta depth, and the refinement-stability flag that ``verify``
+    reports.  The functions share one pass over the node pairs
+    (``_omega``)."""
     eta, theta = _dini_geometry(contour)
-    partial = _partial_sums(eta, _omega(contour, g, eta), theta)
-    full = float(partial[-1])
-    half = float(partial[(len(partial) - 1) // 2])
-    divergent = half > 0 and full / max(half, 1e-300) > 1.8
-    return RegularityReport(dini_estimate=full, dini_half_depth=half,
-                            divergence_suspected=bool(divergent))
+    reports = []
+    for omega in _omega(contour, functions, eta):
+        partial = _partial_sums(eta, omega, theta)
+        full = float(partial[-1])
+        half = float(partial[(len(partial) - 1) // 2])
+        divergent = half > 0 and full / max(half, 1e-300) > 1.8
+        reports.append(RegularityReport(dini_estimate=full,
+                                        dini_half_depth=half,
+                                        divergence_suspected=bool(divergent)))
+    return tuple(reports)

@@ -5,17 +5,24 @@ The Cauchy-type integral of a density psi on a contour gamma is
     psi~(zeta) = (1 / (2 pi i)) * sum_k  psi(tau_k) (tau_k - zeta)^(-1) dtau_k,
 
 a function of zeta that is monogenic off the curve and vanishes at infinity.
-Off-curve evaluation uses the contour's native quadrature; points inside the
-guard band use one refined rule per integral, built on first use by one
-function per family, each (contour, density) -> (tau, dtau, density): an 8x
-trigonometrically upsampled rule on smooth and explicit contours
-(``_refined_trig_integral``), and 16 Gauss sub-panels per panel on polygons
-(``_refined_panel_integral``).  Only the offset check evaluates an integral
-near the curve: solutions read their off-curve values from their node
-tables (``rbvp``), and ``verify``'s probes, a guard band or more from the
-curve, are native kernel sums (``rbvp.trace_defects``).
+Off-curve evaluation uses the contour's native quadrature.  A point at
+distance d inside the guard band takes the refined rule of order m, the
+smallest m in REFINEMENTS = (2, 4, 8) with m d at least the guard band:
+the trapezoid rule's near-field error is about exp(-2 pi m d / h) for
+sources spaced h / m (Barnett, SIAM J. Sci. Comput. 2014), so m d is what
+fixes it, and every near point keeps the ratio the native rule has at the
+guard band.  Each rule is built on first use, once per integral and m, by
+one function per family, each (contour, density) -> (tau, dtau, density):
+the trigonometric interpolant at mN parameters on smooth and explicit
+contours (``_refined_trig_integral`` builds the 8N rule, and the 2N and 4N
+rules are its every 4th and 2nd node with 4 and 2 times the weights), and
+2m Gauss sub-panels per panel on polygons (``_refined_panel_integral``).
+Only the offset check evaluates an integral near the curve: solutions read
+their off-curve values from their node tables (``rbvp``), and ``verify``'s
+probes, a guard band or more from the curve, are native kernel sums
+(``rbvp.trace_defects``).
 
-Either rule is one kernel sum.  A density may be a (K, N) stack of sample
+Every rule is one kernel sum.  A density may be a (K, N) stack of sample
 sets, such as the exponent ln(tau^(-kappa) G) and psi = g/X+ of one
 solution, and the sum over (target, source) pairs is then one or two
 matrix products shared by all K: with u = tau - z,
@@ -68,9 +75,16 @@ from . import expr as _expr
 N_OFFSETS = 5
 CHECK_NODES = 64
 OFFSET_SPACING_FACTOR = 8.0
-# the smooth refined rule has this many times the contour's nodes, and no
-# point nearer the curve than guard_band / UPSAMPLE is evaluated
+# the orders of the near rules (m times the nodes on smooth kinds, 2m
+# sub-panels per panel on polygons); a point at distance d inside the guard
+# band takes the smallest m with m d >= band, and no point nearer the curve
+# than guard_band / UPSAMPLE is evaluated
 UPSAMPLE = 8
+REFINEMENTS = (2, 4, UPSAMPLE)
+# the rule of each distance band, nearest first: order m = _BAND_RULES[k]
+# serves guard_band / m <= d < guard_band / _BAND_RULES[k + 1], and order
+# 1, the native rule, every d >= guard_band
+_BAND_RULES = REFINEMENTS[::-1] + (1,)
 
 
 # -- sampling helpers ----------------------------------------------------------
@@ -279,7 +293,8 @@ class CauchyIntegralFn:
 
     ``density`` is one sample set, shape (N,), or a stack of K sample sets,
     shape (K, N).  A stack is evaluated with one distance query and one
-    kernel pass per call, and its values are shaped (K, *points).
+    kernel pass per distance band per call, and its values are shaped
+    (K, *points).
     """
 
     contour: Contour
@@ -287,46 +302,51 @@ class CauchyIntegralFn:
     _cache: dict = field(default_factory=dict, repr=False)
 
     def min_eval_distance(self) -> float:
+        """The floor guard_band / UPSAMPLE: the nearest to the curve a point
+        is evaluated, by the rule of order UPSAMPLE, the one with the most
+        sources."""
         return self.contour.guard_band / UPSAMPLE
 
     def __call__(self, points: PointE) -> DualComplex:
         """The integral at ``points``: the native rule at least a guard band
-        from the curve, the refined rule nearer, and an error within
+        from the curve, the refined rule of the order of a point's distance
+        band nearer (module docstring), and an error within
         ``min_eval_distance``.  A point's distance to the curve is measured
-        only where the bounds of ``BoundedPoints`` leave either comparison
-        open; plain points have none, so every one is measured."""
+        only where the bounds of ``BoundedPoints`` straddle a band edge, the
+        floor, a quarter, a half or the whole of the guard band; plain
+        points have none, so every one is measured.  Each band present is
+        one kernel sum."""
         c = self.contour
         shape = np.shape(points.x)
         x = np.asarray(points.x, dtype=float).ravel()
         y = np.asarray(points.y, dtype=float).ravel()
         z = c.basis.vector(x, y)
-        band, floor = c.guard_band, self.min_eval_distance()
+        # a point's band is the number of edges at or below its distance:
+        # 0 within the floor, else the band of _BAND_RULES[band - 1]
+        edges = c.guard_band / np.array(_BAND_RULES, dtype=float)
         if isinstance(points, BoundedPoints):
-            lower = np.ravel(points.lower)
-            upper = np.ravel(points.upper)
-            near = upper < band
-            measure = (lower < floor) | ((lower < band) & ~near)
+            band = np.searchsorted(edges, np.ravel(points.lower), side="right")
+            measure = band != np.searchsorted(edges, np.ravel(points.upper),
+                                              side="right")
         else:
-            near = np.zeros(x.size, dtype=bool)
+            band = np.zeros(x.size, dtype=np.intp)
             measure = np.ones(x.size, dtype=bool)
         if measure.any():
-            dist = c.dist_to(x[measure], y[measure])
-            if np.any(dist < floor):
-                raise TooCloseToBoundaryError(
-                    f"evaluation within {floor:.3e} of the contour")
-            near[measure] = dist < band
-        far = ~near
+            band[measure] = np.searchsorted(
+                edges, c.dist_to(x[measure], y[measure]), side="right")
+        if np.any(band == 0):
+            raise TooCloseToBoundaryError(
+                f"evaluation within {self.min_eval_distance():.3e} of the contour")
         stacked = np.ndim(self.density.c1) == 2
         dens = DualComplex(np.atleast_2d(self.density.c1),
                            np.atleast_2d(self.density.c2))
         out1 = np.empty((len(dens.c1), x.size), dtype=complex)
         out2 = np.empty_like(out1)
-        if np.any(far):
-            v = _kernel_sum(c.values(), c.dtau(), dens, z.c1[far], z.c2[far])
-            out1[:, far], out2[:, far] = v.c1, v.c2
-        if np.any(near):
-            v = self._near_eval(dens, z.c1[near], z.c2[near])
-            out1[:, near], out2[:, near] = v.c1, v.c2
+        for k, m in enumerate(_BAND_RULES, start=1):
+            at = band == k
+            if at.any():
+                v = _kernel_sum(*self._rule(dens, m), z.c1[at], z.c2[at])
+                out1[:, at], out2[:, at] = v.c1, v.c2
         if not stacked:
             if not shape:
                 return DualComplex(complex(out1[0, 0]), complex(out2[0, 0]))
@@ -358,18 +378,30 @@ class CauchyIntegralFn:
                                           np.stack([s.c2, t.c2]))
         return out
 
-    # near-curve machinery
-
-    def _near_eval(self, dens: DualComplex, z1: np.ndarray,
-                   z2: np.ndarray) -> DualComplex:
-        """Kernel sum over the family's refined rule, built once per integral
-        for all stacked densities at once."""
-        if "up" not in self._cache:
-            refine = (_refined_panel_integral if self.contour.kind == "polygon"
-                      else _refined_trig_integral)
-            self._cache["up"] = refine(self.contour, dens)
-        tau_up, w_up, dens_up = self._cache["up"]
-        return _kernel_sum(tau_up, w_up, dens_up, z1, z2)
+    def _rule(self, dens: DualComplex, m: int
+              ) -> tuple[DualComplex, DualComplex, DualComplex]:
+        """(tau, dtau, density) of the rule of order m for all stacked
+        densities at once: the native rule at m = 1, else the family's
+        refined rule, built once per integral and m.  On smooth kinds the
+        order-m rule is every (UPSAMPLE / m)-th node of the order-UPSAMPLE
+        one, with the weights scaled by UPSAMPLE / m, so one trigonometric
+        resampling serves every m."""
+        c = self.contour
+        if m == 1:
+            return c.values(), c.dtau(), dens
+        rules = self._cache.setdefault("refined", {})
+        if m not in rules:
+            if c.kind == "polygon":
+                rules[m] = _refined_panel_integral(c, dens, 2 * m)
+            else:
+                if UPSAMPLE not in rules:
+                    rules[UPSAMPLE] = _refined_trig_integral(c, dens)
+                tau, w, d = rules[UPSAMPLE]
+                step = UPSAMPLE // m
+                rules[m] = (DualComplex(tau.c1[::step], tau.c2[::step]),
+                            DualComplex(w.c1[::step] * step, w.c2[::step] * step),
+                            DualComplex(d.c1[..., ::step], d.c2[..., ::step]))
+        return rules[m]
 
 
 # refined rules, one per family ---------------------------------------------------
@@ -380,7 +412,8 @@ def _refined_trig_integral(contour: Contour, dens: DualComplex
     the trigonometric interpolants of the nodes and of the density at
     UPSAMPLE * N uniform parameters, with the trapezoid weights of the
     spectral derivative; a (K, N) density stack is carried over along its
-    last axis."""
+    last axis.  The rules with fewer sources are its every 2nd, 4th, ...
+    node (``CauchyIntegralFn._rule``)."""
     m = contour.n * UPSAMPLE
     xy = _trig_resample(contour.xy.T, m)
     d = _trig_resample(contour.xy.T, m, derivative=True) / m
@@ -389,29 +422,37 @@ def _refined_trig_integral(contour: Contour, dens: DualComplex
                         _trig_resample(np.asarray(dens.c2, dtype=complex), m)))
 
 
-# Each 8-node Gauss panel is split into PANEL_SPLIT equal sub-panels with the
-# same Gauss rule; node samples move onto them through one Lagrange matrix.
-PANEL_SPLIT = 16
-_SUB_S = ((np.arange(PANEL_SPLIT)[:, None] + (_GL_X[None, :] + 1.0) / 2.0)
-          / PANEL_SPLIT).ravel()                  # sub-panel nodes on [0, 1]
-_SUB_W = np.tile(_GL_W, PANEL_SPLIT) / (2.0 * PANEL_SPLIT)
-_SUB_LAGRANGE = (np.polynomial.legendre.legvander(2.0 * _SUB_S - 1.0, GAUSS_ORDER - 1)
-                 @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, GAUSS_ORDER - 1)))
+def _sub_panel_rule(split: int):
+    """Each 8-node Gauss panel split into ``split`` equal sub-panels with the
+    same Gauss rule: the sub-panel nodes on [0, 1], their weights, and the
+    Lagrange matrix that moves node samples onto them."""
+    s = ((np.arange(split)[:, None] + (_GL_X[None, :] + 1.0) / 2.0)
+         / split).ravel()
+    w = np.tile(_GL_W, split) / (2.0 * split)
+    lagrange = (np.polynomial.legendre.legvander(2.0 * s - 1.0, GAUSS_ORDER - 1)
+                @ np.linalg.inv(np.polynomial.legendre.legvander(_GL_X, GAUSS_ORDER - 1)))
+    return s, w, lagrange
 
 
-def _refined_panel_integral(contour: Contour, dens: DualComplex
+# one table per split the near rules use: 2m sub-panels for order m
+_SUB_PANEL_RULES = {2 * m: _sub_panel_rule(2 * m) for m in REFINEMENTS}
+
+
+def _refined_panel_integral(contour: Contour, dens: DualComplex, split: int
                             ) -> tuple[DualComplex, DualComplex, DualComplex]:
     """Refined rule of a polygon integral: (tau, dtau, density) at the nodes
-    of PANEL_SPLIT Gauss sub-panels per panel, for every panel at once; a
-    (K, N) density stack is carried over along its last axis."""
+    of ``split`` Gauss sub-panels per panel, for every panel at once, so
+    ``split`` times the contour's sources; a (K, N) density stack is
+    carried over along its last axis."""
+    sub_s, sub_w, lagrange = _SUB_PANEL_RULES[split]
     p0 = np.array([p[0] for p in contour.panels])
     edge = np.array([p[1] for p in contour.panels]) - p0
-    pts = (p0[:, None, :] + _SUB_S[None, :, None] * edge[:, None, :]).reshape(-1, 2)
-    w = (_SUB_W[None, :, None] * edge[:, None, :]).reshape(-1, 2)
+    pts = (p0[:, None, :] + sub_s[None, :, None] * edge[:, None, :]).reshape(-1, 2)
+    w = (sub_w[None, :, None] * edge[:, None, :]).reshape(-1, 2)
     idx = _panel_nodes(contour)
     lead = np.shape(dens.c1)[:-1]
-    d1 = (np.asarray(dens.c1)[..., idx] @ _SUB_LAGRANGE.T).reshape(lead + (-1,))
-    d2 = (np.asarray(dens.c2)[..., idx] @ _SUB_LAGRANGE.T).reshape(lead + (-1,))
+    d1 = (np.asarray(dens.c1)[..., idx] @ lagrange.T).reshape(lead + (-1,))
+    d2 = (np.asarray(dens.c2)[..., idx] @ lagrange.T).reshape(lead + (-1,))
     return (contour.basis.vector(pts[:, 0], pts[:, 1]),
             contour.basis.vector(w[:, 0], w[:, 1]), DualComplex(d1, d2))
 
@@ -458,8 +499,10 @@ def boundary_values(evaluator: Callable[[PointE], DualComplex], contour: Contour
     (K, J, M) for a (K, N) stacked integral; the table holds (K, M).  The
     points are ``BoundedPoints``: the offset bounds each one's distance to
     the curve from above, and ``_clear_of_curve``'s disc from below, so a
-    ``CauchyIntegralFn`` measures only those whose bounds straddle its
-    guard band.
+    ``CauchyIntegralFn`` measures only those whose bounds straddle one of
+    its band edges.  With offsets of 8, 4, 2, 1 and 1/2 node spacings and a
+    guard band of 3 spacings, the last three rows take the rules of order
+    2, 4 and 8.
     ``rbvp.residual_report`` calls it once per side, as the check of a
     solution's node limits.  ``error_estimates``
     is the change made by the last extrapolation step.  Near a singularity

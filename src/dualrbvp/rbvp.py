@@ -285,7 +285,9 @@ def residual_report(solution: RBVPSolution) -> ResidualReport:
     of their node limits.
 
     The check runs ``boundary_values`` once per side on [E, psi], at a
-    64-node sample of the smooth nodes, all offsets in one pass.  The gaps
+    64-node sample of the smooth nodes, all offsets in one pass: the rows
+    at 8 and 4 node spacings on the native rule, and those at 2, 1 and 1/2
+    on the refined rules of order 2, 4 and 8 (``CauchyIntegralFn``).  The gaps
     e_E and e_psi to the node limits, propagated to first order as
     |X| (e_psi + |psi~ + P| e_E), estimate the table's error there.
     ``boundary_error_estimate`` is the largest of them over both sides, or

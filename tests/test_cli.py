@@ -345,7 +345,10 @@ class TestSolve:
         ["solve", "{prob}", "--nodes", "abc"],
         ["solve"],
         ["frobnicate", "{prob}"],
-    ], ids=["tolerance-string", "nodes-string", "no-problem", "unknown-command"])
+        ["solve", "{prob}", "--bad"],
+        [],
+    ], ids=["tolerance-string", "nodes-string", "no-problem", "unknown-command",
+            "unknown-option", "no-command"])
     def test_usage_error_exit_3(self, tmp_path, capsys, argv):
         """argparse exits 2, the code of an unsolvable problem."""
         prob = write_problem(tmp_path / "p.json", G="tau", g="1")
@@ -354,7 +357,8 @@ class TestSolve:
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+    @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"],
+                                      ["verify", "--help"]])
     def test_help_exit_0(self, capsys, argv):
         assert main(argv) == 0
         assert "usage:" in capsys.readouterr().out
@@ -695,3 +699,21 @@ class TestIndexAndEval:
 
     def test_eval_singular_point(self):
         assert main(["eval", "1/z", "--x", "0", "--y", "0"]) == 3
+
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "p.json"],
+    ["solve", "p.json", "--out", "r.json", "--nodes", "64", "--tol-residual", "1e-9"],
+    ["verify", "p.json", "r.json", "--out", "v.json"],
+    ["index", "p.json", "--nodes", "32"],
+    ["eval", "z^2", "--x", "-1", "--basis", "classical"],
+])
+def test_a_command_parses_as_the_top_level_parser_does(argv):
+    """``main`` hands a leading command name straight to that command's
+    parser; the top-level parser would give the same namespace."""
+    import argparse
+    from dualrbvp.cli import _build_parser
+    parser, commands = _build_parser()
+    direct = commands[argv[0]].parse_args(argv[1:],
+                                          argparse.Namespace(command=argv[0]))
+    assert direct == parser.parse_args(argv)

@@ -46,12 +46,12 @@ class TestModulusOfContinuity:
 
     def test_constant_is_flat(self, unit_circle):
         eta, _ = _dini_geometry(unit_circle)
-        assert np.max(_omega(unit_circle, parse("2+3i"), eta)) == 0.0
+        assert np.max(_omega(unit_circle, [parse("2+3i")], eta)[0]) == 0.0
 
     def test_identity_slope_matches_embedding(self, bih, unit_circle):
         # halving from the diameter to below the node spacing
         eps = 2.0 / 2.0 ** np.arange(9)
-        omega = _omega(unit_circle, parse("tau"), eps)
+        omega = _omega(unit_circle, [parse("tau")], eps)[0]
         # g(tau) = tau is Lipschitz with constant max ||unit direction in E||
         ang = np.linspace(0, 2 * np.pi, 720)
         lip = float(np.max(np.hypot(np.abs(bih.embed(np.cos(ang), np.sin(ang)).xi1),
@@ -62,12 +62,12 @@ class TestModulusOfContinuity:
 
     def test_saturation_at_diameter(self, unit_circle):
         _, gap = pair_gaps(unit_circle, parse("tau"))
-        omega = _omega(unit_circle, parse("tau"), [3.0])
+        omega = _omega(unit_circle, [parse("tau")], [3.0])[0]
         assert omega[0] == pytest.approx(float(gap.max()), rel=1e-12)
 
     def test_monotone(self, unit_circle):
         eta, _ = _dini_geometry(unit_circle)
-        omega = _omega(unit_circle, parse("exp(tau)"), eta)
+        omega = _omega(unit_circle, [parse("exp(tau)")], eta)[0]
         # eta runs from coarse to fine
         assert np.all(np.diff(omega) <= 1e-15)
 
@@ -79,16 +79,29 @@ class TestModulusOfContinuity:
         eta, _ = _dini_geometry(c)
         dist, gap = pair_gaps(c, g)
         want = np.array([gap[dist <= e].max() for e in eta])
-        np.testing.assert_array_equal(_omega(c, g, eta), want)
+        np.testing.assert_array_equal(_omega(c, [g], eta)[0], want)
+
+    def test_stack_matches_single_calls(self, bih):
+        """One pass over [G, constant, g] gives each function the omega and
+        the report of its own pass, bit for bit."""
+        c = polygon_contour(bih, L_SHAPE, nodes=200)
+        fs = [parse("1/(tau-3)"), parse("2+3i"), parse("tau*exp(tau)")]
+        eta, _ = _dini_geometry(c)
+        stacked = _omega(c, fs, eta)
+        assert stacked.shape == (3, eta.size) and not stacked[1].any()
+        for k, f in enumerate(fs):
+            np.testing.assert_array_equal(stacked[k], _omega(c, [f], eta)[0])
+        assert regularity_report(c, *fs) == tuple(
+            regularity_report(c, f)[0] for f in fs)
 
 
 class TestDiniEstimate:
     def test_constant_is_zero(self, unit_circle):
-        assert regularity_report(unit_circle, parse("5")).dini_estimate == 0.0
+        assert regularity_report(unit_circle, parse("5"))[0].dini_estimate == 0.0
 
     def test_lipschitz_ballpark_and_stability(self, bih):
         c = circle_contour(bih, radius=1.0, nodes=512)
-        rep = regularity_report(c, parse("tau"))
+        rep = regularity_report(c, parse("tau"))[0]
         est = rep.dini_estimate
         # expected scale: integral of Lip * eta / eta against ~2 d eta
         lip = 1.118  # max unit-direction norm in the default basis
@@ -102,16 +115,16 @@ class TestDiniEstimate:
             sign = np.where(points.y >= 0, 1.0, -1.0).astype(complex)
             return DualComplex(sign, np.zeros_like(sign))
 
-        rep = regularity_report(c, with_jump)
+        rep = regularity_report(c, with_jump)[0]
         assert rep.divergence_suspected
-        smooth = regularity_report(c, parse("exp(tau)"))
+        smooth = regularity_report(c, parse("exp(tau)"))[0]
         assert not smooth.divergence_suspected
 
     def test_report_fields(self, unit_circle):
-        rep = regularity_report(unit_circle, parse("tau"))
+        rep = regularity_report(unit_circle, parse("tau"))[0]
         assert rep.dini_estimate >= rep.dini_half_depth > 0
         assert not rep.divergence_suspected
-        const = regularity_report(unit_circle, parse("1"))
+        const = regularity_report(unit_circle, parse("1"))[0]
         assert const.dini_estimate == const.dini_half_depth == 0.0
 
 
@@ -152,7 +165,7 @@ class TestReportAgainstReference:
                 [1.3 * np.cos(t) + 0.1 * np.cos(3 * t), 0.9 * np.sin(t)], axis=1))
             g = parse("tau*exp(tau)")
         full, half, divergent = _reference_report(c, g)
-        rep = regularity_report(c, g)
+        rep = regularity_report(c, g)[0]
         assert rep.dini_estimate == pytest.approx(full, rel=1e-12)
         assert rep.dini_half_depth == pytest.approx(half, rel=1e-12)
         assert rep.divergence_suspected == divergent
@@ -163,7 +176,7 @@ class TestConstantAndMemory:
     @pytest.mark.parametrize("value", ["1", "2+3i"])
     def test_constant_function(self, bih, value):
         c = polygon_contour(bih, L_SHAPE, nodes=128)
-        rep = regularity_report(c, parse(value))
+        rep = regularity_report(c, parse(value))[0]
         assert rep.dini_estimate == 0.0 and rep.dini_half_depth == 0.0
         assert not rep.divergence_suspected
 
@@ -173,7 +186,7 @@ class TestConstantAndMemory:
         c = circle_contour(bih, radius=1.0, nodes=4096)
         tracemalloc.start()
         try:
-            rep = regularity_report(c, parse("exp(tau)"))
+            rep = regularity_report(c, parse("exp(tau)"))[0]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

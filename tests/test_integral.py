@@ -24,7 +24,7 @@ from dualrbvp import (
     polygon_contour,
 )
 from dualrbvp.algebra import PointE
-from dualrbvp.contour import PAIR_CHUNK, Contour
+from dualrbvp.contour import PAIR_CHUNK, Contour, _trig_resample
 from dualrbvp.integral import (
     CHECK_NODES,
     N_OFFSETS,
@@ -33,10 +33,10 @@ from dualrbvp.integral import (
     CauchyIntegralFn,
     _kernel_sum,
     _refined_panel_integral,
-    _refined_trig_integral,
     boundary_samples,
     boundary_values,
 )
+from dualrbvp.rbvp import RBVPProblem, residual_report, solve_auto
 from dualrbvp.errors import (
     ClosureFailureError,
     CornerNodeError,
@@ -45,6 +45,7 @@ from dualrbvp.errors import (
 )
 
 SQUARE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 1.0], [-1.0, 1.0]]
+TURN128 = 2 * np.pi * np.arange(128) / 128
 
 
 def norm_of(c):
@@ -208,19 +209,39 @@ def kernel_contours(bih):
             "square": polygon_contour(bih, SQUARE, nodes=128)}
 
 
+def trig_rule(contour, dens, m):
+    """(tau, dtau, density) of the trapezoid rule on m * N uniform
+    parameters, resampled from the nodes on its own."""
+    k = m * contour.n
+    xy = _trig_resample(contour.xy.T, k)
+    d = _trig_resample(contour.xy.T, k, derivative=True) / k
+    return (contour.basis.vector(xy[0], xy[1]), contour.basis.vector(d[0], d[1]),
+            DualComplex(_trig_resample(np.asarray(dens.c1, dtype=complex), k),
+                        _trig_resample(np.asarray(dens.c2, dtype=complex), k)))
+
+
+def band_refinement(contour, d):
+    """The order of the rule of a target at distance ``d``: 1 (the native
+    rule) from the guard band on, else the smallest m in (2, 4, 8) with
+    d >= guard band / m."""
+    if d >= contour.guard_band:
+        return 1
+    return min(m for m in (2, 4, 8) if d >= contour.guard_band / m)
+
+
 def reference_cauchy(contour, dens, pts):
-    """Per-pair Cauchy sums, one target and one density at a time: the
-    native rule outside the guard band, the refined rule inside it."""
-    if contour.kind == "polygon":
-        near_rule = _refined_panel_integral(contour, dens)
-    else:
-        near_rule = _refined_trig_integral(contour, dens)
-    far_rule = (contour.values(), contour.dtau(), dens)
+    """Per-pair Cauchy sums, one target and one density at a time, on the
+    rule of each target's distance band: the native rule outside the guard
+    band, and the refined rule of order ``band_refinement`` inside it."""
+    rules = {m: (_refined_panel_integral(contour, dens, 2 * m)
+                 if contour.kind == "polygon" else trig_rule(contour, dens, m))
+             for m in (2, 4, 8)}
+    rules[1] = (contour.values(), contour.dtau(), dens)
     z = pts.value()
     dist = contour.dist_to(pts.x, pts.y)
     out1, out2 = [], []
     for z1, z2, d in zip(z.c1, z.c2, dist):
-        tau, w, f = near_rule if d < contour.guard_band else far_rule
+        tau, w, f = rules[band_refinement(contour, d)]
         inv_u = 1.0 / (tau.c1 - z1)
         v = tau.c2 - z2
         a1 = f.c1 * inv_u
@@ -674,6 +695,173 @@ class TestBoundedApproach:
             measured.append(np.size(x)) or dist_to(self, x, y)))
         fn(PointE(np.array([0.0, 0.5, 0.99]), np.zeros(3), bih))
         assert measured == [3]
+
+
+class TestDistanceBands:
+    """A target inside the guard band takes the fewest sources its distance
+    allows: m = 2, 4 and 8 times the nodes (2m Gauss sub-panels per panel on
+    polygons, so 2m times the nodes) at 2, 1 and 1/2 node spacings, the
+    near rows of the offset check, so m d / h stays at 4 on each."""
+
+    CURVES = {
+        "circle": lambda bih: circle_contour(bih, radius=1.0, nodes=256),
+        "explicit-ellipse": lambda bih: explicit_contour(bih, np.stack(
+            [1.4 * np.cos(TURN128), 0.9 * np.sin(TURN128)], axis=1)),
+        "square": lambda bih: polygon_contour(bih, SQUARE, nodes=128),
+    }
+    CLOSED_FORM_CURVES = {
+        "circle": CURVES["circle"],
+        "ellipse": lambda bih: ellipse_contour(bih, semi_axes=(1.3, 0.8),
+                                               nodes=192),
+        "explicit": CURVES["explicit-ellipse"],
+        "square": lambda bih: polygon_contour(bih, SQUARE, nodes=256),
+    }
+
+    @staticmethod
+    def spy_kernel(monkeypatch):
+        """(sources, targets) of every kernel sum from now on."""
+        calls = []
+        real = _kernel_sum
+
+        def spy(tau, w, dens, z1, z2, drop=None):
+            calls.append((np.size(tau.c1), np.size(z1)))
+            return real(tau, w, dens, z1, z2, drop)
+        monkeypatch.setattr("dualrbvp.integral._kernel_sum", spy)
+        return calls
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_rows_take_two_four_and_eight(self, bih, monkeypatch, name):
+        c = self.CURVES[name](bih)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
+        calls = self.spy_kernel(monkeypatch)
+        idx = c.smooth_indices()[::7]
+        nrm = c.inward_normals()[idx]
+        h = c.max_spacing
+        per_m = 2 * c.n if c.kind == "polygon" else c.n
+        for d, m in ((2 * h, 2), (h, 4), (h / 2, 8)):
+            calls.clear()
+            fn(PointE(c.xy[idx, 0] + d * nrm[:, 0], c.xy[idx, 1] + d * nrm[:, 1], bih))
+            assert calls == [(m * per_m, idx.size)], d / h
+
+    def test_one_kernel_sum_per_band(self, bih, monkeypatch):
+        c = self.CURVES["circle"](bih)
+        fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
+        calls = self.spy_kernel(monkeypatch)
+        h = c.max_spacing
+        r = 1.0 - np.array([2.0, 0.5, 5.0, 2.2, 0.6, 0.4]) * h
+        fn(PointE(r, np.zeros_like(r), bih))
+        assert sorted(calls) == [(c.n, 1), (2 * c.n, 2), (8 * c.n, 3)]
+
+    def test_thinned_rules_are_the_resampled_ones(self, bih):
+        """On smooth kinds the 2N and 4N rules are every 4th and 2nd node
+        of the 8N one with 4 and 2 times its weights; they match the rules
+        resampled at 2N and 4N directly up to rounding."""
+        for name in ("circle", "explicit-ellipse"):
+            c = self.CURVES[name](bih)
+            dens = boundary_samples(parse("1/(z-2)+rho*z"), c)
+            fn = CauchyIntegralFn(c, dens)
+            stack = DualComplex(np.atleast_2d(dens.c1), np.atleast_2d(dens.c2))
+            for m in (2, 4, 8):
+                for got, want in zip(fn._rule(stack, m), trig_rule(c, stack, m)):
+                    for g, w in ((got.c1, want.c1), (got.c2, want.c2)):
+                        assert np.shape(g) == np.shape(w)
+                        assert np.max(np.abs(g - w)) <= 1e-14 * max(1.0, np.max(np.abs(w)))
+
+    @pytest.mark.parametrize("lower, upper, dist, measured", [
+        (0.7, 1.2, 0.8, True),      # straddles 0.75 h
+        (1.2, 1.6, 1.3, True),      # straddles 1.5 h
+        (2.0, 3.5, 2.5, True),      # straddles the guard band, 3 h
+        (0.3, 0.5, 0.45, True),     # straddles the floor, 0.375 h
+        (0.8, 1.4, 1.0, False),     # inside [0.75 h, 1.5 h)
+        (1.6, 2.9, 2.0, False),     # inside [1.5 h, 3 h)
+        (0.4, 0.7, 0.5, False),     # inside [0.375 h, 0.75 h)
+        (3.1, 9.0, 4.0, False),     # beyond the guard band
+    ])
+    def test_bounds_are_measured_only_across_an_edge(self, bih, monkeypatch,
+                                                     lower, upper, dist, measured):
+        c = self.CURVES["circle"](bih)
+        h = c.max_spacing
+        assert c.guard_band == 3 * h
+        fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
+        x, y = c.xy[5] + dist * h * c.inward_normals()[5]
+        plain = fn(PointE(np.array([x]), np.array([y]), bih))
+        exact = float(c.dist_to(np.array([x]), np.array([y]))[0])
+        assert lower * h <= exact <= upper * h
+        seen = []
+        dist_to = Contour.dist_to
+        monkeypatch.setattr(Contour, "dist_to", lambda self, x, y: (
+            seen.append(np.size(x)) or dist_to(self, x, y)))
+        got = fn(BoundedPoints(np.array([x]), np.array([y]), bih,
+                               np.array([lower * h]), np.array([upper * h])))
+        assert seen == ([1] if measured else [])
+        assert np.array_equal(got.c1, plain.c1) and np.array_equal(got.c2, plain.c2)
+
+    @pytest.mark.parametrize("kind", sorted(CLOSED_FORM_CURVES))
+    @pytest.mark.parametrize("text", ["exp(z)", "1/(z-2)+rho*z"])
+    def test_rows_match_closed_forms(self, bih, kind, text):
+        """The integral of a function analytic inside the curve is the
+        function inside and zero outside.  Each row has m d = 4 h, the
+        product of the native rule at four spacings, and misses by at most
+        2.7e-10 x scale (circle; 8x on every row read 1.6e-10 x scale);
+        the 256-node square reads 1.0e-10 x scale, the error of the
+        degree-7 panel interpolant of 1/(z-2) at every split."""
+        c = self.CLOSED_FORM_CURVES[kind](bih)
+        dens = boundary_samples(parse(text), c)
+        scale = max(1.0, norm_of(dens))
+        fn = CauchyIntegralFn(c, dens)
+        idx = c.smooth_indices()
+        h = c.max_spacing
+        for sign in (1.0, -1.0):
+            nrm = sign * c.inward_normals()[idx]
+            for d in (2 * h, h, h / 2):
+                pts = PointE(c.xy[idx, 0] + d * nrm[:, 0],
+                             c.xy[idx, 1] + d * nrm[:, 1], bih)
+                want = (evaluate(parse(text), z=pts) if sign > 0
+                        else DualComplex(np.zeros(idx.size, complex),
+                                         np.zeros(idx.size, complex)))
+                assert norm_of(dc_sub(fn(pts), want)) <= 1e-9 * scale, (sign, d / h)
+
+    def test_limits_of_a_linear_exponent(self, cls):
+        """The classical 384-node circle with E = b tau, as in the
+        benchmark's homogeneous kappa = 2 case: the exact limits are b tau
+        inside and 0 outside.  The band rule's limits miss by 1.2e-11 x
+        scale; with the 8x rule on every near row they missed by 4.1e-11."""
+        c = circle_contour(cls, radius=1.0, nodes=384)
+        b1, b2 = 0.7 - 0.4j, -0.3 + 0.6j
+        tau = c.values()
+        exponent = DualComplex(b1 * tau.c1, b1 * tau.c2 + b2 * tau.c1)
+        scale = max(1.0, norm_of(exponent))
+        fn = CauchyIntegralFn(c, exponent)
+        plus, minus = (boundary_values(fn, c, side) for side in "+-")
+        at = plus.indices
+        assert at.size == CHECK_NODES and np.array_equal(minus.indices, at)
+        exact = DualComplex(exponent.c1[at], exponent.c2[at])
+        assert norm_of(dc_sub(plus.values, exact)) <= 2e-11 * scale
+        assert norm_of(minus.values) <= 2e-11 * scale
+
+    @pytest.mark.parametrize("kind, per_node", [("circle", 14), ("square", 28)])
+    def test_offset_check_pair_count(self, bih, monkeypatch, kind, per_node):
+        """``residual_report`` pays at most 14N near sources per sampled
+        node and side on smooth kinds (2N + 4N + 8N over the three near
+        rows) and 28N on polygons (4N + 8N + 16N), not 24N and 48N."""
+        c = (circle_contour(bih, radius=1.0, nodes=256) if kind == "circle"
+             else polygon_contour(bih, SQUARE, nodes=128))
+        sol = solve_auto(RBVPProblem(contour=c, G="tau*exp(0.5*tau)",
+                                     g="exp(tau)*(1+tau^2)"))
+        kept = []
+        real = boundary_values
+
+        def counted(evaluator, contour, side):
+            table = real(evaluator, contour, side)
+            kept.append(table.indices.size)
+            return table
+        monkeypatch.setattr("dualrbvp.rbvp.boundary_values", counted)
+        calls = self.spy_kernel(monkeypatch)
+        residual_report(sol)
+        near = [(s, t) for s, t in calls if s > c.n]
+        assert len(kept) == 2 and min(kept) > 0
+        assert sum(t for _, t in near) == 3 * sum(kept)
+        assert sum(s * t for s, t in near) <= per_node * c.n * sum(kept)
 
 
 class TestCoarseCurves:
