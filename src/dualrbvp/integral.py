@@ -17,6 +17,19 @@ the trigonometric interpolant at mN parameters on smooth and explicit
 contours (``_refined_trig_integral`` builds the 8N rule, and the 2N and 4N
 rules are its every 4th and 2nd node with 4 and 2 times the weights), and
 2m Gauss sub-panels per panel on polygons (``_refined_panel_integral``).
+
+On polygons the refinement is local, as in Helsing & Ojala (J. Comput.
+Phys. 2008): a near target takes one native sum over all N nodes plus, for
+each panel whose Bernstein ellipse of parameter NEAR_PANEL_RHO holds it,
+the panel's sub-panel sum less its native 8-node one (``_panel_correction``,
+one batched product over (target, panel) rows per band).  Every other panel
+is as accurate there as a sub-panel is at the inner edge of its band, so the
+sum is the rule with every panel split, to ~2e-11 x scale on smooth
+densities, at N + W (16m + 8) sources for W near panels instead of 2mN (on
+the 128-node square W is 2 or 3).  Smooth kinds keep the global rule: their
+refined rules are trigonometric resamplings of the whole curve, and a
+windowed trapezoid correction would leave O(h^2) errors at its ends.
+
 Only the offset check evaluates an integral near the curve: solutions read
 their off-curve values from their node tables (``rbvp``), and ``verify``'s
 probes, a guard band or more from the curve, are native kernel sums
@@ -30,9 +43,11 @@ matrix products shared by all K: with u = tau - z,
 1/u1 with the (N, 2K) block of weighted densities gives the complex part
 and the first term of the rho part, and the pairwise u2/u1^2 takes a
 second product only when tau or z has a rho part (not on the classical
-basis).  Targets go in chunks of a fixed number of pairs, so memory does
-not grow with the number of targets, and rows that are identically zero
-are left out of the products.
+basis).  The pairwise u1 and u2 are themselves products,
+[-z, 1] [1; tau], which give the bits of the subtraction faster.  Targets
+go in chunks of a fixed number of pairs, so memory does not grow with the
+number of targets, and rows that are identically zero are left out of the
+products.
 
 Boundary values at the nodes come from one on-curve rule, singularity
 subtraction (Helsing & Ojala, J. Comput. Phys. 2008; Plemelj-Sokhotski as
@@ -85,7 +100,15 @@ REFINEMENTS = (2, 4, UPSAMPLE)
 # serves guard_band / m <= d < guard_band / _BAND_RULES[k + 1], and order
 # 1, the native rule, every d >= guard_band
 _BAND_RULES = REFINEMENTS[::-1] + (1,)
-
+# On polygons a near target refines only the panels whose Bernstein ellipse
+# of parameter NEAR_PANEL_RHO (foci at the panel's ends) holds it: outside
+# it a panel's 8-node Gauss rule errs by about NEAR_PANEL_RHO^-16 ~ 2e-11.
+# That is the parameter of a refined sub-panel at the inner edge of its
+# band: a panel of half-length L has a node gap 0.367 L <= h, so its
+# sub-panels, of half-length L / 2m, lie 3h/m >= 2.2 half-lengths from
+# every point of the band, and r = 2.2 puts a point beside the middle on
+# the ellipse of parameter r + (r^2 + 1)^(1/2) = 4.6.
+NEAR_PANEL_RHO = 4.6
 
 # -- sampling helpers ----------------------------------------------------------
 
@@ -183,10 +206,17 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     inv_u @ [a | b] gives the complex part and the first term of the rho
     part, and q @ a is subtracted from the latter.  When tau2 and z2 are
     zero, as on the classical basis, q is zero and neither it nor its
-    product is formed.  Targets go in chunks of PAIR_CHUNK pairs, on planes
-    allocated once per call.  ``drop`` gives, for targets that are nodes,
-    the index of the source each one leaves out: its pair's factors are
-    zeroed, so it divides by nothing.
+    product is formed.
+
+    The pair planes tau1 - z1 and tau2 - z2 are the products
+    [-z, 1] @ [1; tau] of an (M, 2) and a (2, N) matrix: each entry is
+    (-z) 1 + 1 tau, one rounded subtraction, since the other terms are
+    exact, so the planes are bit for bit those of a broadcast subtraction,
+    and the product fills them in ~1.0 ns per complex pair against ~1.7 ns
+    (one BLAS thread, 2-vCPU x86-64 host).  Targets go in chunks of
+    PAIR_CHUNK pairs, on planes allocated once per call.  ``drop`` gives,
+    for targets that are nodes, the index of the source each one leaves
+    out: its pair's factors are zeroed, so it divides by nothing.
     """
     t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
     live, ab = _weighted_blocks(w, dens)
@@ -195,23 +225,30 @@ def _kernel_sum(tau: DualComplex, w: DualComplex, dens: DualComplex,
     m = z1.size if n_live else 0
     chunk = max(1, min(m, PAIR_CHUNK // t1.size))
     rho = bool(np.any(t2) or np.any(z2))
+    # [1; tau] of each part, and the [-z, 1] rows of one chunk of targets
+    sources = np.ones((1 + rho, 2, t1.size), dtype=complex)
+    sources[0, 1] = t1
+    targets = np.ones((1 + rho, chunk, 2), dtype=complex)
+    if rho:
+        sources[1, 1] = t2
     planes = np.empty((1 + rho, chunk, t1.size), dtype=complex)
     for s in range(0, m, chunk):
-        inv_u = planes[0, :min(chunk, m - s)]
-        np.subtract(t1, z1[s:s + chunk, None], out=inv_u)
+        rows = min(chunk, m - s)
+        np.negative(z1[s:s + rows], out=targets[0, :rows, 0])
+        inv_u = np.matmul(targets[0, :rows], sources[0], out=planes[0, :rows])
         if drop is not None:
-            pair = (np.arange(len(inv_u)), drop[s:s + chunk])
+            pair = (np.arange(rows), drop[s:s + rows])
             inv_u[pair] = 1.0
         np.divide(1.0, inv_u, out=inv_u)
         if drop is not None:
             inv_u[pair] = 0.0
-        np.matmul(inv_u, ab, out=out[s:s + chunk])
+        np.matmul(inv_u, ab, out=out[s:s + rows])
         if rho:
-            q = planes[1, :len(inv_u)]
-            np.subtract(t2, z2[s:s + chunk, None], out=q)
+            np.negative(z2[s:s + rows], out=targets[1, :rows, 0])
+            q = np.matmul(targets[1, :rows], sources[1], out=planes[1, :rows])
             q *= inv_u
             q *= inv_u
-            out[s:s + chunk, n_live:] -= q @ ab[:, :n_live]
+            out[s:s + rows, n_live:] -= q @ ab[:, :n_live]
     return _scatter(live, len(dens.c1), out[:, :n_live], out[:, n_live:])
 
 
@@ -314,8 +351,10 @@ class CauchyIntegralFn:
         ``min_eval_distance``.  A point's distance to the curve is measured
         only where the bounds of ``BoundedPoints`` straddle a band edge, the
         floor, a quarter, a half or the whole of the guard band; plain
-        points have none, so every one is measured.  Each band present is
-        one kernel sum."""
+        points have none, so every one is measured.  On smooth kinds each
+        band present is one kernel sum; on polygons every point takes one
+        native kernel sum, and each near band present one panel correction
+        of its points' near panels."""
         c = self.contour
         shape = np.shape(points.x)
         x = np.asarray(points.x, dtype=float).ravel()
@@ -340,13 +379,29 @@ class CauchyIntegralFn:
         stacked = np.ndim(self.density.c1) == 2
         dens = DualComplex(np.atleast_2d(self.density.c1),
                            np.atleast_2d(self.density.c2))
-        out1 = np.empty((len(dens.c1), x.size), dtype=complex)
-        out2 = np.empty_like(out1)
-        for k, m in enumerate(_BAND_RULES, start=1):
-            at = band == k
-            if at.any():
-                v = _kernel_sum(*self._rule(dens, m), z.c1[at], z.c2[at])
-                out1[:, at], out2[:, at] = v.c1, v.c2
+        if c.kind == "polygon":
+            # one native sum for every target, and each near band's panel
+            # correction added to its targets
+            v = _kernel_sum(c.values(), c.dtau(), dens, z.c1, z.c2)
+            out1, out2 = v.c1, v.c2
+            near = np.flatnonzero(band < len(_BAND_RULES))
+            panels = _near_panels(c, x[near], y[near])
+            for k, m in enumerate(REFINEMENTS[::-1], start=1):
+                rows = band[near] == k
+                if rows.any():
+                    at = near[rows]
+                    v = _panel_correction(self._panel_blocks(dens, m),
+                                          panels[rows], z.c1[at], z.c2[at])
+                    out1[:, at] += v.c1
+                    out2[:, at] += v.c2
+        else:
+            out1 = np.empty((len(dens.c1), x.size), dtype=complex)
+            out2 = np.empty_like(out1)
+            for k, m in enumerate(_BAND_RULES, start=1):
+                at = band == k
+                if at.any():
+                    v = _kernel_sum(*self._rule(dens, m), z.c1[at], z.c2[at])
+                    out1[:, at], out2[:, at] = v.c1, v.c2
         if not stacked:
             if not shape:
                 return DualComplex(complex(out1[0, 0]), complex(out2[0, 0]))
@@ -380,28 +435,55 @@ class CauchyIntegralFn:
 
     def _rule(self, dens: DualComplex, m: int
               ) -> tuple[DualComplex, DualComplex, DualComplex]:
-        """(tau, dtau, density) of the rule of order m for all stacked
-        densities at once: the native rule at m = 1, else the family's
-        refined rule, built once per integral and m.  On smooth kinds the
-        order-m rule is every (UPSAMPLE / m)-th node of the order-UPSAMPLE
-        one, with the weights scaled by UPSAMPLE / m, so one trigonometric
-        resampling serves every m."""
+        """(tau, dtau, density) of the rule of order m of a smooth-kind
+        integral for all stacked densities at once: the native rule at
+        m = 1, else every (UPSAMPLE / m)-th node of the order-UPSAMPLE rule,
+        with the weights scaled by UPSAMPLE / m, so one trigonometric
+        resampling, built once per integral, serves every m."""
         c = self.contour
         if m == 1:
             return c.values(), c.dtau(), dens
         rules = self._cache.setdefault("refined", {})
         if m not in rules:
-            if c.kind == "polygon":
-                rules[m] = _refined_panel_integral(c, dens, 2 * m)
-            else:
-                if UPSAMPLE not in rules:
-                    rules[UPSAMPLE] = _refined_trig_integral(c, dens)
-                tau, w, d = rules[UPSAMPLE]
-                step = UPSAMPLE // m
-                rules[m] = (DualComplex(tau.c1[::step], tau.c2[::step]),
-                            DualComplex(w.c1[::step] * step, w.c2[::step] * step),
-                            DualComplex(d.c1[..., ::step], d.c2[..., ::step]))
+            if UPSAMPLE not in rules:
+                rules[UPSAMPLE] = _refined_trig_integral(c, dens)
+            tau, w, d = rules[UPSAMPLE]
+            step = UPSAMPLE // m
+            rules[m] = (DualComplex(tau.c1[::step], tau.c2[::step]),
+                        DualComplex(w.c1[::step] * step, w.c2[::step] * step),
+                        DualComplex(d.c1[..., ::step], d.c2[..., ::step]))
         return rules[m]
+
+    def _panel_blocks(self, dens: DualComplex, m: int):
+        """The sources of a polygon's order-m correction, built once per
+        integral and m: for each panel, the 16m nodes of its 2m Gauss
+        sub-panels (``_refined_panel_integral``) and then its 8 native
+        nodes with negated weights, so that a panel's block sums to its
+        refined sum less its native one.  Returned as (tau1, tau2, live,
+        ab, K): tau1 and tau2 are (panels, 16m + 8), and ab is the
+        (panels, 16m + 8, 2L) block [a | b] of ``_weighted_blocks`` for the
+        L live rows of the K densities."""
+        blocks = self._cache.setdefault("panel blocks", {})
+        if m not in blocks:
+            c = self.contour
+            idx = _panel_nodes(c)
+            k = len(dens.c1)
+
+            def joined(fine, native):
+                fine = np.asarray(fine)
+                return np.concatenate(
+                    [fine.reshape(fine.shape[:-1] + idx.shape[:1] + (-1,)),
+                     np.asarray(native)[..., idx]], axis=-1)
+
+            tau, w, d = _refined_panel_integral(c, dens, 2 * m)
+            t1, t2 = joined(tau.c1, c.values().c1), joined(tau.c2, c.values().c2)
+            live, ab = _weighted_blocks(
+                DualComplex(joined(w.c1, -c.dtau().c1).ravel(),
+                            joined(w.c2, -c.dtau().c2).ravel()),
+                DualComplex(joined(d.c1, dens.c1).reshape(k, -1),
+                            joined(d.c2, dens.c2).reshape(k, -1)))
+            blocks[m] = (t1, t2, live, ab.reshape(t1.shape + (-1,)), k)
+        return blocks[m]
 
 
 # refined rules, one per family ---------------------------------------------------
@@ -441,9 +523,10 @@ _SUB_PANEL_RULES = {2 * m: _sub_panel_rule(2 * m) for m in REFINEMENTS}
 def _refined_panel_integral(contour: Contour, dens: DualComplex, split: int
                             ) -> tuple[DualComplex, DualComplex, DualComplex]:
     """Refined rule of a polygon integral: (tau, dtau, density) at the nodes
-    of ``split`` Gauss sub-panels per panel, for every panel at once, so
-    ``split`` times the contour's sources; a (K, N) density stack is
-    carried over along its last axis."""
+    of ``split`` Gauss sub-panels per panel, for every panel at once and
+    panel by panel, so ``split`` times the contour's sources; a (K, N)
+    density stack is carried over along its last axis.  Near-curve values
+    take it apart by panel (``CauchyIntegralFn._panel_blocks``)."""
     sub_s, sub_w, lagrange = _SUB_PANEL_RULES[split]
     p0 = np.array([p[0] for p in contour.panels])
     edge = np.array([p[1] for p in contour.panels]) - p0
@@ -455,6 +538,93 @@ def _refined_panel_integral(contour: Contour, dens: DualComplex, split: int
     d2 = (np.asarray(dens.c2)[..., idx] @ lagrange.T).reshape(lead + (-1,))
     return (contour.basis.vector(pts[:, 0], pts[:, 1]),
             contour.basis.vector(w[:, 0], w[:, 1]), DualComplex(d1, d2))
+
+
+def _near_panels(contour: Contour, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """(M, panels) mask of the panels of a polygon whose Bernstein ellipse
+    of parameter NEAR_PANEL_RHO holds the point (x, y): in the coordinates
+    (u, v) of the panel, its ends at u = -1 and u = 1, the ellipse with
+    semi-axes (rho + 1/rho) / 2 and (rho - 1/rho) / 2.  Points go in chunks
+    of PAIR_CHUNK (point, panel) pairs, on planes allocated once per
+    call."""
+    p0 = np.array([p[0] for p in contour.panels])
+    half = (np.array([p[1] for p in contour.panels]) - p0) / 2.0
+    mid = p0 + half
+    # (u, v) = (d . half, d x half) / |half|^2 for the offset d from the
+    # middle, each over its semi-axis
+    rho = NEAR_PANEL_RHO
+    scale = 1.0 / np.einsum("ij,ij->i", half, half)
+    su = scale / ((rho + 1.0 / rho) / 2.0)
+    sv = scale / ((rho - 1.0 / rho) / 2.0)
+    near = np.empty((x.size, len(p0)), dtype=bool)
+    chunk = max(1, min(x.size, PAIR_CHUNK // len(p0)))
+    planes = np.empty((4, chunk, len(p0)))
+    for s in range(0, x.size, chunk):
+        dx, dy, u, v = planes[:, :min(chunk, x.size - s)]
+        np.subtract(x[s:s + chunk, None], mid[:, 0], out=dx)
+        np.subtract(y[s:s + chunk, None], mid[:, 1], out=dy)
+        np.multiply(dx, half[:, 0], out=u)
+        u += np.multiply(dy, half[:, 1], out=v)
+        u *= su
+        np.multiply(dx, half[:, 1], out=v)
+        v -= np.multiply(dy, half[:, 0], out=dx)
+        v *= sv
+        np.multiply(u, u, out=u)
+        u += np.multiply(v, v, out=v)
+        np.less(u, 1.0, out=near[s:s + chunk])
+    return near
+
+
+def _panel_correction(blocks, near: np.ndarray, z1: np.ndarray,
+                      z2: np.ndarray) -> DualComplex:
+    """sum over each target's near panels of the refined sub-panel sum less
+    the native one, for the (K, M) targets z; ``blocks`` are
+    ``CauchyIntegralFn._panel_blocks`` and ``near`` is ``_near_panels``.
+
+    Every (target, near panel) pair is one row: its panel's sources and
+    [a | b] rows are gathered, one batched product gives each row's sum, as
+    in ``_kernel_sum``, and each target adds up its rows.  Targets go in
+    chunks whose gathered [a | b] rows hold at most PAIR_CHUNK entries, on
+    planes allocated once per call."""
+    t1, t2, live, ab, k = blocks
+    m = len(near)
+    out1 = np.zeros((k, m), dtype=complex)
+    out2 = np.zeros_like(out1)
+    sources, cols = ab.shape[1:]
+    n_live = cols // 2
+    width = int(near.sum(axis=1).max(initial=0))
+    if not (n_live and width):
+        return DualComplex(out1, out2)
+    rho = bool(np.any(t2) or np.any(z2))
+    chunk = max(1, min(m, PAIR_CHUNK // (width * sources * cols)))
+    planes = np.empty((1 + rho, chunk * width, 1, sources), dtype=complex)
+    gathered = np.empty((chunk * width, sources, cols), dtype=complex)
+    scale = 1.0 / (2j * np.pi)
+    for s in range(0, m, chunk):
+        target, panel = np.nonzero(near[s:s + chunk])
+        rows = target.size
+        # every index is in range, and "clip" lets take write straight
+        # into the planes instead of through a buffer
+        inv_u = np.take(t1[:, None], panel, axis=0, out=planes[0, :rows],
+                        mode="clip")
+        inv_u -= z1[s + target, None, None]
+        np.divide(1.0, inv_u, out=inv_u)
+        block = np.take(ab, panel, axis=0, out=gathered[:rows], mode="clip")
+        v = np.matmul(inv_u, block)[:, 0]
+        if rho:
+            q = np.take(t2[:, None], panel, axis=0, out=planes[1, :rows],
+                        mode="clip")
+            q -= z2[s + target, None, None]
+            q *= inv_u
+            q *= inv_u
+            v[:, n_live:] -= np.matmul(q, block)[:, 0, :n_live]
+        # the rows of a target are consecutive
+        first = np.flatnonzero(np.diff(target, prepend=-1))
+        v = np.add.reduceat(v, first, axis=0) * scale
+        at = np.ix_(live, s + target[first])
+        out1[at] = v[:, :n_live].T
+        out2[at] = v[:, n_live:].T
+    return DualComplex(out1, out2)
 
 
 # -- boundary limits --------------------------------------------------------------

@@ -24,15 +24,20 @@ from dualrbvp import (
     polygon_contour,
 )
 from dualrbvp.algebra import PointE
-from dualrbvp.contour import PAIR_CHUNK, Contour, _trig_resample
+from dualrbvp.contour import GAUSS_ORDER, PAIR_CHUNK, Contour, _trig_resample
 from dualrbvp.integral import (
     CHECK_NODES,
     N_OFFSETS,
+    NEAR_PANEL_RHO,
     OFFSET_SPACING_FACTOR,
     BoundedPoints,
     CauchyIntegralFn,
     _kernel_sum,
+    _near_panels,
+    _panel_correction,
     _refined_panel_integral,
+    _scatter,
+    _weighted_blocks,
     boundary_samples,
     boundary_values,
 )
@@ -200,6 +205,136 @@ class TestPolygonNearPath:
             fn(bih.embed(x, y))
 
 
+L_SHAPE = [[-1.0, -1.0], [1.0, -1.0], [1.0, 0.0], [0.0, 0.0], [0.0, 1.0],
+           [-1.0, 1.0]]
+THIN = [[-0.15, -2.0], [0.15, -2.0], [0.15, 2.0], [-0.15, 2.0]]
+
+
+def panel_distances(contour, x, y):
+    """(M, panels) distances from each point to each panel's segment."""
+    p0 = np.array([p[0] for p in contour.panels])
+    p1 = np.array([p[1] for p in contour.panels])
+    pt = np.stack([x, y], axis=-1)[:, None, :]
+    e = p1 - p0
+    t = np.clip(np.sum((pt - p0) * e, axis=-1) / np.sum(e * e, axis=-1), 0.0, 1.0)
+    return np.hypot(*np.moveaxis(pt - p0 - t[..., None] * e, -1, 0))
+
+
+def near_panel_mask(contour, x, y):
+    """(M, panels): whether each point lies inside each panel's Bernstein
+    ellipse of parameter NEAR_PANEL_RHO, from the parameter of the ellipse
+    through the point, |w + (w - 1)^(1/2) (w + 1)^(1/2)| with w the point
+    in the panel's coordinate (its ends at -1 and 1)."""
+    p0 = np.array([p[0] @ [1, 1j] for p in contour.panels])
+    p1 = np.array([p[1] @ [1, 1j] for p in contour.panels])
+    w = ((np.asarray(x) + 1j * np.asarray(y))[:, None] - (p0 + p1) / 2) / ((p1 - p0) / 2)
+    return np.abs(w + np.sqrt(w - 1) * np.sqrt(w + 1)) < NEAR_PANEL_RHO
+
+
+def global_panel_rule(contour, dens, pts):
+    """Every target's sum on the rule of its distance band with every panel
+    refined: the native rule from the guard band on, else 2m Gauss
+    sub-panels on each panel (the near rule of polygons before it refined
+    only the panels near each target)."""
+    stack = DualComplex(np.atleast_2d(dens.c1), np.atleast_2d(dens.c2))
+    z = pts.value()
+    dist = contour.dist_to(pts.x, pts.y)
+    orders = np.array([band_refinement(contour, d) for d in dist])
+    out1 = np.empty(dist.size, dtype=complex)
+    out2 = np.empty_like(out1)
+    for m in np.unique(orders):
+        at = orders == m
+        rule = ((contour.values(), contour.dtau(), stack) if m == 1
+                else _refined_panel_integral(contour, stack, 2 * m))
+        v = _kernel_sum(*rule, z.c1[at], z.c2[at])
+        out1[at], out2[at] = v.c1[0], v.c2[0]
+    return DualComplex(out1, out2)
+
+
+class TestPolygonLocalRule:
+    """A polygon target inside the guard band takes the native sum over all
+    nodes plus, for each panel whose Bernstein ellipse of parameter
+    NEAR_PANEL_RHO holds it, the panel's refined sum less its native one.
+    The other panels' native rules err by about NEAR_PANEL_RHO^-16, so on
+    smooth densities that is the rule with every panel refined to 1e-10 x
+    scale (these curves read 2.5e-11 to 2.7e-11)."""
+
+    CURVES = {
+        "square": lambda bih: polygon_contour(bih, SQUARE, nodes=128),
+        # targets near the reflex corner at the origin see both of its edges
+        "L-shape": lambda bih: polygon_contour(bih, L_SHAPE, nodes=192),
+        # 0.3 wide with a guard band of 0.275: targets inside near one long
+        # side are near panels of the other
+        "thin-rectangle": lambda bih: polygon_contour(bih, THIN, nodes=128),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    @pytest.mark.parametrize("text", ["exp(z)", "1/(z-2)+rho*z"])
+    def test_matches_the_globally_refined_rule(self, bih, name, text):
+        c = self.CURVES[name](bih)
+        dens = boundary_samples(parse(text), c)
+        scale = max(1.0, norm_of(dens))
+        fn = CauchyIntegralFn(c, dens)
+        idx = c.smooth_indices()
+        h = c.max_spacing
+        for sign in (1.0, -1.0):
+            nrm = sign * c.inward_normals()[idx]
+            for d in (2 * h, h, h / 2):
+                pts = PointE(c.xy[idx, 0] + d * nrm[:, 0],
+                             c.xy[idx, 1] + d * nrm[:, 1], bih)
+                err = norm_of(dc_sub(fn(pts), global_panel_rule(c, dens, pts)))
+                assert err <= 1e-10 * scale, (sign, d / h)
+
+    @pytest.mark.parametrize("name", sorted(CURVES))
+    def test_near_panels(self, bih, name):
+        """The near panels are those whose ellipse holds the target, and
+        they include every panel within the guard band of it: a panel of
+        half-length L has a node gap 0.367 L <= h, so a point 3h from it
+        has parameter at most 3.95 (in line with the panel)."""
+        c = self.CURVES[name](bih)
+        h = c.max_spacing
+        idx = c.smooth_indices()
+        for sign in (1.0, -1.0):
+            for d in (2 * h, h, h / 2):
+                p = c.xy[idx] + sign * d * c.inward_normals()[idx]
+                near = _near_panels(c, p[:, 0], p[:, 1])
+                assert np.array_equal(near, near_panel_mask(c, p[:, 0], p[:, 1]))
+                assert near[panel_distances(c, p[:, 0], p[:, 1]) < c.guard_band].all()
+
+    def test_panels_across_a_thin_curve_are_near(self, bih):
+        """Across the thin rectangle a target's near panels include the far
+        side's, not only its own panel's neighbours."""
+        c = self.CURVES["thin-rectangle"](bih)
+        h = c.max_spacing
+        idx = c.smooth_indices()
+        p = c.xy[idx] + h / 2 * c.inward_normals()[idx]
+        near = _near_panels(c, p[:, 0], p[:, 1])
+        # the long sides are x = -0.15 and x = 0.15
+        side = np.array([np.sign(a[0] + b[0]) for a, b in c.panels])
+        own = np.where(np.isclose(np.abs(c.xy[idx, 0]), 0.15),
+                       np.sign(c.xy[idx, 0]), 0.0)
+        across = near & (side[None, :] == -own[:, None])
+        assert np.count_nonzero(own) > 40
+        assert across[own != 0].any(axis=1).all()
+
+    def test_corner_targets(self, bih):
+        """Targets off the L-shape's reflex corner, where both of its edges'
+        panels are near."""
+        c = self.CURVES["L-shape"](bih)
+        dens = boundary_samples(parse("exp(z)"), c)
+        h = c.max_spacing
+        # inside the curve (the corner is the nearest point) and in the notch
+        ang = np.array([1.05, 1.15, 1.25, 1.35, 1.45, 0.25]) * np.pi
+        r = np.array([0.6, 1.0, 2.0])[:, None] * h
+        pts = PointE((r * np.cos(ang)).ravel(), (r * np.sin(ang)).ravel(), bih)
+        dist = c.dist_to(pts.x, pts.y)
+        assert np.all(dist >= c.guard_band / 8) and np.all(dist < c.guard_band)
+        assert (_near_panels(c, pts.x, pts.y).sum(axis=1) >= 2).all()
+        got = CauchyIntegralFn(c, dens)(pts)
+        err = norm_of(dc_sub(got, global_panel_rule(c, dens, pts)))
+        assert err <= 1e-10 * max(1.0, norm_of(dens))
+
+
 @pytest.fixture(scope="session")
 def kernel_contours(bih):
     t = 2 * np.pi * np.arange(128) / 128
@@ -232,16 +367,29 @@ def band_refinement(contour, d):
 def reference_cauchy(contour, dens, pts):
     """Per-pair Cauchy sums, one target and one density at a time, on the
     rule of each target's distance band: the native rule outside the guard
-    band, and the refined rule of order ``band_refinement`` inside it."""
-    rules = {m: (_refined_panel_integral(contour, dens, 2 * m)
-                 if contour.kind == "polygon" else trig_rule(contour, dens, m))
+    band; inside it, the refined rule of order m = ``band_refinement`` on
+    smooth kinds, and on polygons the 2m Gauss sub-panels of each panel
+    whose ellipse holds the target (``near_panel_mask``) and the native
+    nodes of the others."""
+    polygon = contour.kind == "polygon"
+    rules = {m: (_refined_panel_integral(contour, dens, 2 * m) if polygon
+                 else trig_rule(contour, dens, m))
              for m in (2, 4, 8)}
     rules[1] = (contour.values(), contour.dtau(), dens)
     z = pts.value()
     dist = contour.dist_to(pts.x, pts.y)
+    if polygon:
+        near = near_panel_mask(contour, pts.x, pts.y)
     out1, out2 = [], []
-    for z1, z2, d in zip(z.c1, z.c2, dist):
-        tau, w, f = rules[band_refinement(contour, d)]
+    for i, (z1, z2, d) in enumerate(zip(z.c1, z.c2, dist)):
+        m = band_refinement(contour, d)
+        tau, w, f = rules[m]
+        if polygon and m > 1:
+            coarse = np.repeat(~near[i], GAUSS_ORDER)
+            fine = np.repeat(near[i], 16 * m)
+            tau, w, f = (DualComplex(np.concatenate([n.c1[coarse], r.c1[fine]]),
+                                     np.concatenate([n.c2[coarse], r.c2[fine]]))
+                         for n, r in zip(rules[1], rules[m]))
         inv_u = 1.0 / (tau.c1 - z1)
         v = tau.c2 - z2
         a1 = f.c1 * inv_u
@@ -315,9 +463,22 @@ class TestStackedKernel:
             with pytest.raises(TooCloseToBoundaryError):
                 fn(bih.embed(x, y))
 
+    @staticmethod
+    def peak_of_first_call(fn, pts):
+        tracemalloc.start()
+        try:
+            out = fn(pts)
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
     def test_stacked_call_memory_is_bounded(self, bih, rng):
         """16384 targets, near and far, against a 256-node circle: the
-        kernel works in fixed chunks, so the peak stays a few MB."""
+        kernel works in fixed chunks, so the peak stays a few MB.  20000
+        targets within the guard band of the 128-node square: the native
+        sum and the panel corrections work in fixed chunks too, and the
+        peak, 6.1 MiB, stays under the 6.64 MiB of the rule that refined
+        every panel."""
         c = circle_contour(bih, radius=1.0, nodes=256)
         dens = DualComplex(rng.normal(size=(2, c.n)) + 0j,
                            rng.normal(size=(2, c.n)) + 0j)
@@ -328,15 +489,28 @@ class TestStackedKernel:
         x, y = (r * np.cos(a)).ravel(), (r * np.sin(a)).ravel()
         near = c.dist_to(x, y) < c.guard_band
         assert x.size == 16384 and near.any() and not near.all()
-        fn = CauchyIntegralFn(c, dens)
-        tracemalloc.start()
-        try:
-            out = fn(PointE(x, y, bih))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        out, peak = self.peak_of_first_call(CauchyIntegralFn(c, dens),
+                                            PointE(x, y, bih))
         assert np.shape(out.c1) == (2, 16384)
         assert peak < 32 * 2 ** 20, peak / 2 ** 20
+
+        c = polygon_contour(bih, SQUARE, nodes=128)
+        h = c.max_spacing
+        dens = DualComplex(rng.normal(size=(2, c.n)) + 0j,
+                           rng.normal(size=(2, c.n)) + 0j)
+        # 250 points along each edge at 20 offsets, 0.4 h to 2.9 h on
+        # either side
+        s, d = np.meshgrid(np.linspace(-0.95, 0.95, 250), np.concatenate(
+            [np.linspace(0.4, 2.9, 10), -np.linspace(0.4, 2.9, 10)]) * h)
+        s, d = s.ravel(), d.ravel()
+        x = np.concatenate([s, s, 1 - d, d - 1])
+        y = np.concatenate([1 - d, d - 1, s, s])
+        dist = c.dist_to(x, y)
+        assert x.size == 20000 and np.all(dist < c.guard_band)
+        out, peak = self.peak_of_first_call(CauchyIntegralFn(c, dens),
+                                            PointE(x, y, bih))
+        assert np.shape(out.c1) == (2, 20000)
+        assert peak < 6.64 * 2 ** 20, peak / 2 ** 20
 
 
 class TestChunkLoops:
@@ -415,6 +589,63 @@ def _pairwise_kernel_sum(tau, w, dens, z1, z2, drop=None):
         rows.append((term.c1.sum(axis=1), term.c2.sum(axis=1)))
     return DualComplex(np.array([r[0] for r in rows]) / (2j * np.pi),
                        np.array([r[1] for r in rows]) / (2j * np.pi))
+
+
+def _broadcast_kernel_sum(tau, w, dens, z1, z2, drop=None):
+    """``_kernel_sum`` with its pair planes tau1 - z1 and tau2 - z2 formed by
+    broadcast subtraction, chunk for chunk: the products must give the same
+    bits."""
+    t1, t2 = np.asarray(tau.c1), np.asarray(tau.c2)
+    live, ab = _weighted_blocks(w, dens)
+    n_live = live.size
+    out = np.empty((z1.size, 2 * n_live), dtype=complex)
+    m = z1.size if n_live else 0
+    chunk = max(1, min(m, PAIR_CHUNK // t1.size))
+    rho = bool(np.any(t2) or np.any(z2))
+    for s in range(0, m, chunk):
+        inv_u = t1 - z1[s:s + chunk, None]
+        if drop is not None:
+            pair = (np.arange(len(inv_u)), drop[s:s + chunk])
+            inv_u[pair] = 1.0
+        inv_u = 1.0 / inv_u
+        if drop is not None:
+            inv_u[pair] = 0.0
+        out[s:s + chunk] = inv_u @ ab
+        if rho:
+            q = (t2 - z2[s:s + chunk, None]) * inv_u * inv_u
+            out[s:s + chunk, n_live:] -= q @ ab[:, :n_live]
+    return _scatter(live, len(dens.c1), out[:, :n_live], out[:, n_live:])
+
+
+class TestPairPlanes:
+    """``_kernel_sum`` forms tau - z as the product [-z, 1] [1; tau]: every
+    entry is one rounded subtraction, so the sums are bit for bit those of
+    the broadcast subtraction."""
+
+    @pytest.mark.parametrize("basis", ["bih", "cls"])
+    @pytest.mark.parametrize("rows", [1, 3])
+    @pytest.mark.parametrize("nodes", [False, True], ids=["targets", "nodes"])
+    def test_same_bits_as_broadcast_subtraction(self, request, rng, basis,
+                                                rows, nodes):
+        e = request.getfixturevalue(basis)
+        for c in (circle_contour(e, nodes=300),
+                  polygon_contour(e, SQUARE, nodes=128)):
+            d = DualComplex(
+                rng.normal(size=(rows, c.n)) + 1j * rng.normal(size=(rows, c.n)),
+                rng.normal(size=(rows, c.n)) + 1j * rng.normal(size=(rows, c.n)))
+            if rows > 1:
+                d.c1[1] = d.c2[1] = 0.0
+            tau = c.values()
+            if nodes:
+                z, drop = tau, np.arange(c.n)
+            else:
+                k = PAIR_CHUNK // c.n + 7     # two chunks, the last short
+                z = e.vector(rng.uniform(-3.0, 3.0, k), rng.uniform(-3.0, 3.0, k))
+                drop = None
+            got = _kernel_sum(tau, c.dtau(), d, z.c1, z.c2, drop=drop)
+            want = _broadcast_kernel_sum(tau, c.dtau(), d, z.c1, z.c2, drop=drop)
+            assert np.array_equal(got.c1, want.c1)
+            assert np.array_equal(got.c2, want.c2)
 
 
 class TestKernelSumReference:
@@ -699,9 +930,10 @@ class TestBoundedApproach:
 
 class TestDistanceBands:
     """A target inside the guard band takes the fewest sources its distance
-    allows: m = 2, 4 and 8 times the nodes (2m Gauss sub-panels per panel on
-    polygons, so 2m times the nodes) at 2, 1 and 1/2 node spacings, the
-    near rows of the offset check, so m d / h stays at 4 on each."""
+    allows: m = 2, 4 and 8 times the nodes at 2, 1 and 1/2 node spacings,
+    the near rows of the offset check, so m d / h stays at 4 on each.  On
+    polygons only the W panels near a target (``TestPolygonLocalRule``) are
+    split into 2m Gauss sub-panels: N + W (16m + 8) sources."""
 
     CURVES = {
         "circle": lambda bih: circle_contour(bih, radius=1.0, nodes=256),
@@ -729,19 +961,45 @@ class TestDistanceBands:
         monkeypatch.setattr("dualrbvp.integral._kernel_sum", spy)
         return calls
 
+    @staticmethod
+    def spy_correction(monkeypatch):
+        """(sources per near panel, (targets, panels) near mask) of every
+        polygon panel correction from now on."""
+        calls = []
+        real = _panel_correction
+
+        def spy(blocks, near, z1, z2):
+            calls.append((blocks[0].shape[1], near.copy()))
+            return real(blocks, near, z1, z2)
+        monkeypatch.setattr("dualrbvp.integral._panel_correction", spy)
+        return calls
+
     @pytest.mark.parametrize("name", sorted(CURVES))
     def test_rows_take_two_four_and_eight(self, bih, monkeypatch, name):
         c = self.CURVES[name](bih)
         fn = CauchyIntegralFn(c, boundary_samples(parse("exp(z)"), c))
         calls = self.spy_kernel(monkeypatch)
+        corrections = self.spy_correction(monkeypatch)
         idx = c.smooth_indices()[::7]
         nrm = c.inward_normals()[idx]
         h = c.max_spacing
-        per_m = 2 * c.n if c.kind == "polygon" else c.n
         for d, m in ((2 * h, 2), (h, 4), (h / 2, 8)):
             calls.clear()
-            fn(PointE(c.xy[idx, 0] + d * nrm[:, 0], c.xy[idx, 1] + d * nrm[:, 1], bih))
-            assert calls == [(m * per_m, idx.size)], d / h
+            corrections.clear()
+            x, y = c.xy[idx, 0] + d * nrm[:, 0], c.xy[idx, 1] + d * nrm[:, 1]
+            fn(PointE(x, y, bih))
+            if c.kind != "polygon":
+                assert calls == [(m * c.n, idx.size)] and not corrections, d / h
+                continue
+            # one native sum, and 2m sub-panels less the native nodes on
+            # each near panel
+            assert calls == [(c.n, idx.size)], d / h
+            [(per_panel, near)] = corrections
+            assert per_panel == 16 * m + 8
+            assert np.array_equal(near, near_panel_mask(c, x, y))
+            width = near.sum(axis=1)
+            assert width.min() >= 2 and width.max() <= 3
+            assert (c.n + width * per_panel).max() < m * c.n
 
     def test_one_kernel_sum_per_band(self, bih, monkeypatch):
         c = self.CURVES["circle"](bih)
@@ -843,7 +1101,10 @@ class TestDistanceBands:
     def test_offset_check_pair_count(self, bih, monkeypatch, kind, per_node):
         """``residual_report`` pays at most 14N near sources per sampled
         node and side on smooth kinds (2N + 4N + 8N over the three near
-        rows) and 28N on polygons (4N + 8N + 16N), not 24N and 48N."""
+        rows), not 24N.  On polygons each near row takes N + W (16m + 8)
+        with W = 2 or 3 near panels on the 128-node square: at most
+        3N + 3 (40 + 72 + 136) = 1128 per node and side, against
+        28N = 3584 (4N + 8N + 16N) with every panel refined."""
         c = (circle_contour(bih, radius=1.0, nodes=256) if kind == "circle"
              else polygon_contour(bih, SQUARE, nodes=128))
         sol = solve_auto(RBVPProblem(contour=c, G="tau*exp(0.5*tau)",
@@ -857,11 +1118,22 @@ class TestDistanceBands:
             return table
         monkeypatch.setattr("dualrbvp.rbvp.boundary_values", counted)
         calls = self.spy_kernel(monkeypatch)
+        corrections = self.spy_correction(monkeypatch)
         residual_report(sol)
-        near = [(s, t) for s, t in calls if s > c.n]
         assert len(kept) == 2 and min(kept) > 0
-        assert sum(t for _, t in near) == 3 * sum(kept)
-        assert sum(s * t for s, t in near) <= per_node * c.n * sum(kept)
+        if c.kind != "polygon":
+            near = [(s, t) for s, t in calls if s > c.n]
+            assert sum(t for _, t in near) == 3 * sum(kept)
+            assert sum(s * t for s, t in near) <= per_node * c.n * sum(kept)
+            return
+        assert all(s == c.n for s, _ in calls)
+        assert sum(len(n) for _, n in corrections) == 3 * sum(kept)
+        assert sorted(s for s, _ in corrections) == [40, 40, 72, 72, 136, 136]
+        width = np.concatenate([n.sum(axis=1) for _, n in corrections])
+        assert width.min() == 2 and width.max() == 3
+        sources = sum(len(n) * c.n + s * n.sum() for s, n in corrections)
+        assert sources <= (3 * c.n + 3 * (40 + 72 + 136)) * sum(kept)
+        assert sources < per_node * c.n * sum(kept) / 3
 
 
 class TestCoarseCurves:
